@@ -44,11 +44,18 @@ class Edge:
 
     @staticmethod
     def from_index(idx: int, n: int) -> "Edge":
-        u = 1
-        while (u - 1) * n - u * (u + 1) // 2 + n < idx:
-            u += 1
-        v = idx - ((u - 1) * n - u * (u + 1) // 2)
-        return Edge(u, v)
+        """Inverse of ``index``."""
+        pairs = n * (n - 1) // 2
+        if not 1 <= idx <= pairs:
+            raise ValueError(f"edge index {idx} out of [1, {pairs}]")
+        # rows before row u hold (u-1)(2n-u)/2 edges; u is the largest u
+        # with that count below idx, read off the quadratic's smaller
+        # root (isqrt rounds down, so the root may be one too large)
+        m = 2 * n - 1
+        u = (m + 2 - math.isqrt(m * m - 8 * (idx - 1))) // 2
+        if (u - 1) * (2 * n - u) // 2 >= idx:
+            u -= 1
+        return Edge(u, idx - ((u - 1) * n - u * (u + 1) // 2))
 
 
 def canonical(u: int, v: int) -> Edge:
@@ -151,11 +158,6 @@ class ShadowGraph:
             self.insert(upd.edge)
         else:
             self.delete(upd.edge)
-
-
-def apply_update(g: ShadowGraph, upd: StreamUpdate) -> ShadowGraph:
-    g.apply(upd)
-    return g
 
 
 # ---------------------------------------------------------------------------

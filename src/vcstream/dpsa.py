@@ -73,7 +73,8 @@ class DpsaState:
         self.approx_mode = approx_mode
         n, k = config.n, config.k
         n_pairs = n * (n - 1) // 2
-        capacity = min(n_pairs, max(1, math.ceil(slack * n * k)))
+        # n = 1 has no edge slots; the sketch still needs one bucket
+        capacity = max(1, min(n_pairs, math.ceil(slack * n * k)))
         self.sketch = SampleRecovery(
             n_indices=n_pairs, capacity=capacity, n_samplers=0,
             seed=derive_seed(config.seed, "global-edge-sketch"),

@@ -2,21 +2,34 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 from ..core import Config, DELETE, Edge, INSERT, ShadowGraph, StreamUpdate
 from .oracles import oracle_vc
 
 
+def _track(live: list[Edge], upd: StreamUpdate) -> None:
+    """Keep ``live`` equal to ``sorted(shadow.edges())`` after ``upd``.
+
+    ``rng.choice(live)`` then draws what it would draw from the sorted
+    edge set, without sorting it on every deletion.
+    """
+    if upd.op == INSERT:
+        bisect.insort(live, upd.edge)
+    else:
+        del live[bisect.bisect_left(live, upd.edge)]
+
+
 def gen_random_stream(n: int, length: int, churn: float,
                       rng: random.Random) -> list[StreamUpdate]:
     """Valid dynamic stream: inserts of absent edges, deletes of live ones."""
     shadow = ShadowGraph(n)
+    live: list[Edge] = []
     out: list[StreamUpdate] = []
     while len(out) < length:
         if shadow.m and rng.random() < churn:
-            e = rng.choice(sorted(shadow.edges()))
-            upd = StreamUpdate(DELETE, e)
+            upd = StreamUpdate(DELETE, rng.choice(live))
         else:
             u, v = rng.sample(range(1, n + 1), 2)
             e = Edge(u, v)
@@ -24,6 +37,7 @@ def gen_random_stream(n: int, length: int, churn: float,
                 continue
             upd = StreamUpdate(INSERT, e)
         shadow.apply(upd)
+        _track(live, upd)
         out.append(upd)
     return out
 
@@ -42,13 +56,13 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
     cover = sorted(rng.sample(range(1, cfg.n + 1),
                               rng.randint(1, cfg.k)))
     shadow = ShadowGraph(cfg.n)
+    live: list[Edge] = []
     out: list[StreamUpdate] = []
     tries = 0
     while len(out) < length and tries < 50 * length:
         tries += 1
         if shadow.m and rng.random() < churn:
-            e = rng.choice(sorted(shadow.edges()))
-            upd = StreamUpdate(DELETE, e)
+            upd = StreamUpdate(DELETE, rng.choice(live))
         else:
             c = rng.choice(cover)
             v = rng.randrange(1, cfg.n + 1)
@@ -59,6 +73,7 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
                 continue
             upd = StreamUpdate(INSERT, e)
         shadow.apply(upd)
+        _track(live, upd)
         out.append(upd)
         if verify:
             assert oracle_vc(shadow.edges(), cfg.k).is_yes, \

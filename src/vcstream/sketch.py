@@ -13,6 +13,16 @@ Three layers:
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
+
+Deepest-level layout.  A level sampler's detector at level l sums every
+index whose deepest level is >= l.  ``SampleRecovery`` stores each index
+only once per (sampler, repetition), in the cell of its deepest level, so
+an update writes one cell per repetition instead of every level up to
+the deepest.  By linearity the level-l detector is the suffix sum of the
+stored cells over levels l..L-1 (fingerprints reduced mod their prime),
+which ``sample`` forms at read time, one repetition at a time.  This is
+the l0-sampler layout of Cormode & Firmani (2014) and of Jowhari,
+Saglam & Tardos (2011).
 """
 
 from __future__ import annotations
@@ -20,12 +30,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from sympy import nextprime
 
 # 31-bit Mersenne prime used by the level / bucket hashes.
 HASH_P = (1 << 31) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 class RecoveryFail(Exception):
@@ -38,13 +49,67 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big") >> 1
 
 
+# Miller-Rabin with these bases is exact below this bound (Sorenson &
+# Webster 2015), far above any prime an int64 sketch can use.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < 3.3e24."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the exact Miller-Rabin range")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def nextprime(lower: int) -> int:
+    """Smallest prime strictly above ``lower``."""
+    if lower < 2:
+        return 2
+    n = lower + 1 + (lower % 2)  # first odd number above lower
+    while not is_prime(n):
+        n += 2
+    return n
+
+
+def _mulmod(c: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+    """c * r mod p elementwise for 0 <= r < p, exact for any int64 ``c``.
+
+    int64 holds c * r while |c| * p < 2^63; larger |c| take Python ints.
+    """
+    out = c * r % p
+    lim = _INT64_MAX // p
+    big = (c > lim) | (c < -lim)
+    if big.any():
+        out[big] = [int(cc) * int(rr) % p for cc, rr in zip(c[big], r[big])]
+    return out
+
+
 _prime_cache: dict[int, int] = {}
 
 
 def fingerprint_prime(lower: int) -> int:
     """Smallest prime strictly above ``lower`` (cached)."""
     if lower not in _prime_cache:
-        _prime_cache[lower] = int(nextprime(lower))
+        _prime_cache[lower] = nextprime(lower)
     return _prime_cache[lower]
 
 
@@ -170,14 +235,21 @@ class SampleRecovery:
 
     * ``n_samplers`` independent sampler instances (distinct seeds) give
       per-query sampling without replacement across sampler indices.
+      Each index is stored at its deepest level only (see the module
+      docstring); ``sample`` forms the level sums.
     * an R x B grid of one-sparse buckets (B = 2 * capacity,
       R ~ log2(N / delta)) is peeled for exact recovery whenever the net
       support fits within ``capacity``.
     * ``support`` is an exact signed counter of net insertions; it equals
       the l0 norm under valid +/-1 streams.
 
-    One-sparse verification uses two independent 31-bit-prime
-    fingerprints so that every array stays within int64 arithmetic.
+    One-sparse verification uses two independent prime fingerprints,
+    p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1); p1 is about
+    2^35 for the dpsa edge sketch at n=600.  Stored fingerprints are
+    reduced below their prime, so the arrays stay within int64 while
+    2 * p2 < 2^63.  ``recover`` checks all buckets at once in int64, which
+    forms count * r^i exactly only while |count| * p < 2^63; cells with a
+    larger |count| take the scalar path in Python integers.
     """
 
     def __init__(self, n_indices: int, capacity: int, n_samplers: int,
@@ -212,6 +284,9 @@ class SampleRecovery:
         self.bank_a = rng.integers(1, HASH_P, size=shape, dtype=np.int64)
         self.bank_b = rng.integers(0, HASH_P, size=shape, dtype=np.int64)
         zeros = np.zeros(shape + (self.levels,), dtype=np.int64)
+        # flat offset of level 0 of each (sampler, rep) in the bank arrays
+        self._bank_cell0 = np.arange(0, zeros.size, self.levels,
+                                     dtype=np.int64).reshape(shape)
         self.bank_count = zeros.copy()
         self.bank_index = zeros.copy()
         self.bank_fp1 = zeros.copy()
@@ -249,17 +324,22 @@ class SampleRecovery:
 
         if self.n_samplers:
             h = (self.bank_a * index + self.bank_b) % HASH_P
-            lstar = np.clip(
-                np.floor(np.log2(HASH_P / np.maximum(h, 1))), 0,
-                self.levels - 1).astype(np.int64)
+            # deepest level floor(log2(HASH_P / h)), read off the float's
+            # exponent; exact, since HASH_P / h never lies within a
+            # factor 1 + 2^-32 below a power of two
+            lstar = np.minimum(np.frexp(HASH_P / np.maximum(h, 1))[1],
+                               self.levels) - 1
             lstar[h == 0] = self.levels - 1
-            mask = np.arange(self.levels) <= lstar[:, :, None]
-            self.bank_count += d * mask
-            self.bank_index += d * index * mask
-            self.bank_fp1 = (self.bank_fp1
-                             + d * int(self.rpow1[index]) * mask) % self.p1
-            self.bank_fp2 = (self.bank_fp2
-                             + d * int(self.rpow2[index]) * mask) % self.p2
+            # one distinct cell per (sampler, rep): the deepest level
+            cells = self._bank_cell0 + lstar
+            self.bank_count.reshape(-1)[cells] += d
+            self.bank_index.reshape(-1)[cells] += d * index
+            for bank, rpow, p in ((self.bank_fp1, self.rpow1, self.p1),
+                                  (self.bank_fp2, self.rpow2, self.p2)):
+                flat = bank.reshape(-1)
+                v = flat[cells] + d * int(rpow[index]) % p  # in [0, 2p)
+                v -= p * (v >= p)
+                flat[cells] = v
 
         buckets = (self.grid_a * index + self.grid_b) % HASH_P % self.buckets
         self.grid_count[self._rowidx, buckets] += d
@@ -290,17 +370,37 @@ class SampleRecovery:
             return None
         return i
 
+    def _verify_cells(self, count: np.ndarray, index: np.ndarray,
+                      fp1: np.ndarray, fp2: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(index, weight) of every one-sparse cell, in row-major order.
+
+        The same test as ``_verified``, over whole arrays at once.
+        """
+        pos = np.flatnonzero(count)
+        c = count.reshape(-1)[pos]
+        ix = index.reshape(-1)[pos]
+        i = ix // c
+        ok = (ix % c == 0) & (i >= 1) & (i <= self.n)
+        pos, c, i = pos[ok], c[ok], i[ok]
+        ok = ((fp1.reshape(-1)[pos] == _mulmod(c, self.rpow1[i], self.p1))
+              & (fp2.reshape(-1)[pos] == _mulmod(c, self.rpow2[i], self.p2)))
+        return i[ok], c[ok]
+
     def sample(self, which: int) -> SampleOutcome:
         if not 0 <= which < self.n_samplers:
             raise IndexError(f"sampler {which} of {self.n_samplers}")
         if self.support == 0:
             return SampleOutcome(EMPTY)
+        banks = (self.bank_count[which], self.bank_index[which],
+                 self.bank_fp1[which], self.bank_fp2[which])
         for rep in range(self.reps):
-            for lvl in range(self.levels):
-                i = self._verified(int(self.bank_count[which, rep, lvl]),
-                                   int(self.bank_index[which, rep, lvl]),
-                                   int(self.bank_fp1[which, rep, lvl]),
-                                   int(self.bank_fp2[which, rep, lvl]))
+            # level l's detector sums the cells of levels l..L-1; the sums
+            # come out deepest first, so walk them backwards from level 0
+            sums = [list(accumulate(reversed(b[rep].tolist())))
+                    for b in banks]
+            for c, ix, f1, f2 in zip(*map(reversed, sums)):
+                i = self._verified(c, ix, f1 % self.p1, f2 % self.p2)
                 if i is not None:
                     return SampleOutcome(INDEX, i)
         return SampleOutcome(FAIL)
@@ -322,34 +422,29 @@ class SampleRecovery:
             if not count.any() and not index.any() and not fp1.any() \
                     and not fp2.any():
                 return found
-            # candidate one-sparse buckets: cheap filters first
-            cand = count != 0
-            safe = np.where(count == 0, 1, count)
-            cand &= index % safe == 0
-            peeled: dict[int, int] = {}
-            rows, cols = np.nonzero(cand)
-            for rr, cc in zip(rows, cols):
-                c = int(count[rr, cc])
-                i = self._verified(c, int(index[rr, cc]),
-                                   int(fp1[rr, cc]), int(fp2[rr, cc]))
-                if i is not None and i not in peeled and i not in found:
-                    peeled[i] = c
-            if not peeled:
+            peel, weight = self._verify_cells(count, index, fp1, fp2)
+            # an index's first one-sparse bucket gives its weight
+            _, first = np.unique(peel, return_index=True)
+            first.sort()
+            peel, weight = peel[first], weight[first]
+            if found:
+                fresh = ~np.isin(peel, list(found))
+                peel, weight = peel[fresh], weight[fresh]
+            if not len(peel):
                 raise RecoveryFail(
                     f"peeling stalled with {int(np.abs(count).sum())} "
                     f"residual mass")
-            for i, w in peeled.items():
-                found.add(i)
-                buckets = (self.grid_a * i + self.grid_b) % HASH_P \
-                    % self.buckets
-                count[self._rowidx, buckets] -= w
-                index[self._rowidx, buckets] -= w * i
-                fp1[self._rowidx, buckets] = (
-                    fp1[self._rowidx, buckets]
-                    - w * int(self.rpow1[i])) % self.p1
-                fp2[self._rowidx, buckets] = (
-                    fp2[self._rowidx, buckets]
-                    - w * int(self.rpow2[i])) % self.p2
+            found.update(peel.tolist())
+            cols = (self.grid_a * peel[:, None] + self.grid_b) % HASH_P \
+                % self.buckets
+            at = (self._rowidx, cols)
+            w = weight[:, None]
+            np.subtract.at(count, at, w)
+            np.subtract.at(index, at, w * peel[:, None])
+            for fp, rpow, p in ((fp1, self.rpow1, self.p1),
+                                (fp2, self.rpow2, self.p2)):
+                np.subtract.at(fp, at, _mulmod(weight, rpow[peel], p)[:, None])
+                fp[at] %= p
         raise RecoveryFail("peeling did not terminate")
 
     # -- comparison (linearity tests) -------------------------------------
@@ -370,16 +465,3 @@ class SampleRecovery:
         bank = 4 * self.bank_count.size + 2 * self.bank_a.size
         grid = 4 * self.grid_count.size + 2 * self.grid_a.size
         return bank + grid + 2 * (self.n + 1) + 4
-
-
-def sk_update(s: SampleRecovery, index: int, delta: int) -> SampleRecovery:
-    s.update(index, delta)
-    return s
-
-
-def sk_sample(s: SampleRecovery, which: int) -> SampleOutcome:
-    return s.sample(which)
-
-
-def sk_recover(s: SampleRecovery) -> set[int]:
-    return s.recover()

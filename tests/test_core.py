@@ -35,7 +35,7 @@ def test_canonical_symmetric(u, v):
     assert e.u < e.v
 
 
-@pytest.mark.parametrize("n", [2, 5, 12, 20])
+@pytest.mark.parametrize("n", range(2, 61))
 def test_edge_index_bijection(n):
     seen = set()
     for u, v in itertools.combinations(range(1, n + 1), 2):
@@ -45,6 +45,23 @@ def test_edge_index_bijection(n):
         seen.add(idx)
         assert Edge.from_index(idx, n) == Edge(u, v)
     assert len(seen) == n * (n - 1) // 2
+
+
+def test_from_index_inverts_index_at_large_n():
+    n = 10 ** 5
+    rng = random.Random(3)
+    spots = [(1, 2), (1, n), (2, 3), (n - 2, n), (n - 1, n),
+             (n // 2, n // 2 + 1)]
+    spots += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(200)]
+    for u, v in spots:
+        e = Edge(u, v)
+        assert Edge.from_index(e.index(n), n) == e
+
+
+@pytest.mark.parametrize("idx", [0, -1, 11])
+def test_from_index_rejects_out_of_range(idx):
+    with pytest.raises(ValueError):
+        Edge.from_index(idx, 5)
 
 
 def test_shadow_insert_delete():

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from vcstream.core import Config, Edge, InvalidStream, ShadowGraph
+from vcstream.core import (Config, Edge, InvalidStream, ShadowGraph,
+                           StreamUpdate)
 from vcstream.core import INSERT, DELETE
 from vcstream.harness.cli import run_cli
 from vcstream.harness.generators import (edges_to_stream,
@@ -89,6 +90,61 @@ def test_promised_insertion_only_when_churn_zero():
     cfg = Config(n=10, k=2, seed=4)
     stream = gen_promised_stream(cfg, 25, 0.0, rng)
     assert all(upd.op == INSERT for upd in stream)
+
+
+# The generators as they were before they kept a sorted live-edge list;
+# every seeded stream must come out the same.
+
+
+def _old_random_stream(n, length, churn, rng):
+    shadow = ShadowGraph(n)
+    out = []
+    while len(out) < length:
+        if shadow.m and rng.random() < churn:
+            upd = StreamUpdate(DELETE, rng.choice(sorted(shadow.edges())))
+        else:
+            u, v = rng.sample(range(1, n + 1), 2)
+            e = Edge(u, v)
+            if shadow.has_edge(e):
+                continue
+            upd = StreamUpdate(INSERT, e)
+        shadow.apply(upd)
+        out.append(upd)
+    return out
+
+
+def _old_promised_stream(cfg, length, churn, rng):
+    cover = sorted(rng.sample(range(1, cfg.n + 1), rng.randint(1, cfg.k)))
+    shadow = ShadowGraph(cfg.n)
+    out = []
+    tries = 0
+    while len(out) < length and tries < 50 * length:
+        tries += 1
+        if shadow.m and rng.random() < churn:
+            upd = StreamUpdate(DELETE, rng.choice(sorted(shadow.edges())))
+        else:
+            c = rng.choice(cover)
+            v = rng.randrange(1, cfg.n + 1)
+            if v == c:
+                continue
+            e = Edge(c, v)
+            if shadow.has_edge(e):
+                continue
+            upd = StreamUpdate(INSERT, e)
+        shadow.apply(upd)
+        out.append(upd)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_generators_match_sorting_versions(seed):
+    for n, churn in ((8, 0.45), (40, 0.3), (120, 0.6)):
+        assert (gen_random_stream(n, 500, churn, random.Random(seed))
+                == _old_random_stream(n, 500, churn, random.Random(seed)))
+        cfg = Config(n=n, k=3, seed=seed)
+        assert (gen_promised_stream(cfg, 400, churn, random.Random(seed))
+                == _old_promised_stream(cfg, 400, churn,
+                                        random.Random(seed)))
 
 
 def test_index_gadget_all_zero_k2():
@@ -195,6 +251,15 @@ def test_cli_dpsa_gate_reported(tmp_path):
     assert code == 0
     assert report["answer"] == "no"
     assert report["recovery_skipped"] == "true"
+
+
+def test_cli_dpsa_single_vertex_yes(tmp_path):
+    f = tmp_path / "one.txt"
+    f.write_text("1 0 dpsa\n?\n")
+    code, report = run(["--input", str(f)])
+    assert code == 0
+    assert report["answer"] == "yes"
+    assert report["cover"] == ""
 
 
 def test_cli_parse_error_exit_2(tmp_path):

@@ -1,13 +1,16 @@
 """Linear sketch layers: detectors, samplers, sparse recovery."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.sketch import (EMPTY, FAIL, INDEX, L0Sampler,
+from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX, L0Sampler,
                              OneSparseDetector, RecoveryFail,
-                             SampleRecovery, derive_seed)
+                             SampleRecovery, derive_seed, is_prime,
+                             nextprime)
 
 
 def test_derive_seed_deterministic():
@@ -185,3 +188,162 @@ def test_words_positive_and_monotone_in_capacity():
     small = SampleRecovery(64, capacity=4, n_samplers=2, seed=1)
     big = SampleRecovery(64, capacity=32, n_samplers=2, seed=1)
     assert 0 < small.words() < big.words()
+
+
+# -- deepest-level bank -----------------------------------------------------
+
+
+def _reference_levels(s, ops):
+    """All-levels detector values, built straight from the hash pairs.
+
+    Level l of (sampler, rep) sums every update whose index hashes to a
+    deepest level >= l: the layout the bank's suffix sums must rebuild.
+    """
+    shape = s.bank_a.shape + (s.levels,)
+    ref = [np.zeros(shape, dtype=object) for _ in range(4)]
+    r1, r2 = int(s.rpow1[1]), int(s.rpow2[1])
+    for i, d in ops:
+        for which, rep in np.ndindex(s.bank_a.shape):
+            h = (int(s.bank_a[which, rep]) * i
+                 + int(s.bank_b[which, rep])) % HASH_P
+            top = (s.levels - 1 if h == 0 else
+                   min(s.levels - 1, (HASH_P // h).bit_length() - 1))
+            for lvl in range(top + 1):
+                at = (which, rep, lvl)
+                ref[0][at] += d
+                ref[1][at] += d * i
+                ref[2][at] = (ref[2][at] + d * pow(r1, i, s.p1)) % s.p1
+                ref[3][at] = (ref[3][at] + d * pow(r2, i, s.p2)) % s.p2
+    return ref
+
+
+def _reference_sample(s, ref, which):
+    r1, r2 = int(s.rpow1[1]), int(s.rpow2[1])
+    for rep in range(s.reps):
+        for lvl in range(s.levels):
+            c, ix, f1, f2 = (int(a[which, rep, lvl]) for a in ref)
+            if c == 0 or ix % c:
+                continue
+            i = ix // c
+            if (1 <= i <= s.n and f1 == c * pow(r1, i, s.p1) % s.p1
+                    and f2 == c * pow(r2, i, s.p2) % s.p2):
+                return i
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 300), st.sampled_from([1, -1])),
+                min_size=1, max_size=40),
+       st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_bank_suffix_sums_match_all_levels_reference(ops, samplers, seed):
+    s = SampleRecovery(n_indices=300, capacity=40, n_samplers=samplers,
+                       seed=seed)
+    for i, d in ops:
+        s.update(i, d)
+    ref = _reference_levels(s, ops)
+    banks = (s.bank_count, s.bank_index, s.bank_fp1, s.bank_fp2)
+    for bank, want, p in zip(banks, ref, (None, None, s.p1, s.p2)):
+        got = np.cumsum(bank[..., ::-1], axis=-1)[..., ::-1]
+        if p is not None:
+            got = got % p
+        assert np.array_equal(got, want.astype(np.int64))
+    net: dict[int, int] = {}
+    for i, d in ops:
+        net[i] = net.get(i, 0) + d
+    support = {i for i, c in net.items() if c}
+    for which in range(samplers):
+        got = s.sample(which)
+        if not s.support:
+            assert got.kind == EMPTY
+            continue
+        want = _reference_sample(s, ref, which)
+        if want is None:
+            assert got.kind == FAIL
+        else:
+            assert got.kind == INDEX and got.index == want
+            assert want in support
+    assert s.recover() == support
+
+
+def test_vectorised_check_agrees_with_scalar_on_large_counts():
+    s = SampleRecovery(n_indices=10 ** 5, capacity=8, n_samplers=0, seed=4)
+    limit = ((1 << 63) - 1) // s.p2  # |count| above this takes Python ints
+    rng = random.Random(8)
+    rows, cols = s.grid_count.shape
+    count = np.zeros((rows, cols), dtype=np.int64)
+    index = np.zeros_like(count)
+    fp1 = np.zeros_like(count)
+    fp2 = np.zeros_like(count)
+    magnitudes = [1, 3, limit - 1, limit, limit + 1, 2 * limit,
+                  ((1 << 63) - 1) // s.n, 1 << 40]
+    for r in range(rows):
+        for col in range(cols):
+            c = rng.choice(magnitudes) * rng.choice([1, -1])
+            i = rng.randint(1, s.n)
+            count[r, col] = c
+            index[r, col] = c * i
+            fp1[r, col] = c * int(s.rpow1[i]) % s.p1
+            fp2[r, col] = c * int(s.rpow2[i]) % s.p2
+            spoil = rng.random()
+            if spoil < 0.2:  # not one-sparse by fingerprint
+                fp1[r, col] = (fp1[r, col] + 1) % s.p1
+            elif spoil < 0.3:
+                fp2[r, col] = (fp2[r, col] + 1) % s.p2
+            elif spoil < 0.4:  # index sum not a multiple of the count
+                index[r, col] += 1
+    got_i, got_c = s._verify_cells(count, index, fp1, fp2)
+    want = [(s._verified(int(c), int(ix), int(f1), int(f2)), int(c))
+            for c, ix, f1, f2 in zip(count.ravel(), index.ravel(),
+                                     fp1.ravel(), fp2.ravel())]
+    want = [(i, c) for i, c in want if i is not None]
+    assert list(zip(got_i.tolist(), got_c.tolist())) == want
+    assert any(abs(c) > limit for _, c in want)
+    assert any(abs(c) <= limit for _, c in want)
+
+
+def test_recover_with_weights_past_the_int64_product_bound():
+    s = SampleRecovery(n_indices=60, capacity=4, n_samplers=2, seed=12)
+    big = 1 << 31
+    for _ in range(4):
+        s.update(5, big)  # count 2^33, and 2^33 * p2 > 2^63
+    s.update(9, 3)
+    assert 4 * big * s.p2 >= 1 << 63
+    assert s.recover() == {5, 9}
+    assert all(s.sample(w).index in (5, 9) for w in range(2))
+
+
+# -- primes -----------------------------------------------------------------
+
+
+def _next_prime_by_trial(n):
+    m = n + 1
+    while m < 2 or any(m % q == 0 for q in range(2, math.isqrt(m) + 1)):
+        m += 1
+    return m
+
+
+def test_nextprime_matches_trial_division():
+    for n in range(-3, 5000):
+        assert nextprime(n) == _next_prime_by_trial(n)
+    for n in (10 ** 9, 2 ** 31, 999_999_999_989):
+        assert nextprime(n) == _next_prime_by_trial(n)
+
+
+def test_nextprime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    n600 = 600 * 599 // 2
+    for n in (2 ** 30, 2 ** 61, n600 ** 2, 10 ** 18, 2 ** 62 + 12345,
+              10 ** 24, 561, 2 ** 64 - 59):
+        assert nextprime(n) == int(sympy.nextprime(n))
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randrange(1, 1 << 70)
+        assert nextprime(n) == int(sympy.nextprime(n))
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)  # strong pseudoprimes to many small bases
+        assert is_prime(n) == bool(sympy.isprime(n))
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    with pytest.raises(ValueError):
+        is_prime(10 ** 25)
