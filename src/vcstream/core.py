@@ -14,7 +14,17 @@ class InvalidStream(ValueError):
     """Raised when a stream deletes an absent edge or re-inserts a live one."""
 
 
-@dataclass(frozen=True, order=True)
+class SolverError(RuntimeError):
+    """A solver's result failed its own explicit check.
+
+    Raised for a certificate that misses an edge, leaves a cycle or is
+    over budget, and for a kernel past its size bound.  These checks are
+    plain ``if`` tests, so they hold under ``python -O`` too; seeing this
+    exception means a bug in the solver, never bad input.
+    """
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Edge:
     """Canonical unordered vertex pair, always stored with u < v."""
 
@@ -67,7 +77,7 @@ INSERT = "+"
 DELETE = "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamUpdate:
     op: str  # INSERT or DELETE
     edge: Edge
@@ -198,3 +208,23 @@ def covers(cover, edges) -> bool:
     """True when every edge has at least one endpoint in cover."""
     cset = set(cover)
     return all(e.u in cset or e.v in cset for e in edges)
+
+
+def matching_exceeds(pairs, budget: int) -> bool:
+    """True when a greedy matching of the ``(u, v)`` pairs has more than
+    ``budget`` pairs.
+
+    The pairs it keeps share no vertex, so a lower bound that needs one
+    vertex per pair (a vertex cover, or a set meeting every 2-cycle)
+    exceeds ``budget`` too.
+    """
+    used: set[int] = set()
+    size = 0
+    for u, v in pairs:
+        if u not in used and v not in used:
+            size += 1
+            if size > budget:
+                return True
+            used.add(u)
+            used.add(v)
+    return False

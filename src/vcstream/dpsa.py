@@ -14,7 +14,6 @@ import random
 
 from .core import Config, DELETE, Edge, StreamUpdate, VcAnswer
 from .kernel import vc_decide
-from .sketch import SampleRecovery, derive_seed
 
 
 class EstimateFail(Exception):
@@ -67,6 +66,8 @@ class DistinctEdgeEstimator:
 class DpsaState:
     def __init__(self, config: Config, approx_mode: bool = False,
                  slack: float = 1.0):
+        # numpy loads with the first sketch, not with the module
+        from .sketch import SampleRecovery, derive_seed
         if approx_mode:
             slack = max(slack, 1.01)
         self.config = config

@@ -4,7 +4,9 @@ Any graph with a feedback vertex set of size <= k has at most n(k+1)
 edges, so the stream algorithm simply stores edges until that bound
 breaks (then the answer is No forever) and otherwise solves the stored
 graph exactly: degree-<=1 stripping, degree-2 bypass with multi-edge and
-self-loop care, then bounded subset search over the residue.
+self-loop care, then bounded subset search over the residue.  The
+search is skipped when the residue holds more vertex-disjoint 2-cycles
+(doubled pairs) than the budget: each needs its own deleted vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Edge, VcAnswer
+from .core import Edge, SolverError, VcAnswer, matching_exceeds
 
 FvsAnswer = VcAnswer
 
@@ -93,6 +95,15 @@ def _is_forest(edges, removed: set[int]) -> bool:
     return True
 
 
+def check_fvs(cert, edges, k: int) -> None:
+    """Raise ``SolverError`` unless deleting ``cert`` (at most ``k``
+    vertices) leaves ``edges`` acyclic."""
+    if len(cert) > k:
+        raise SolverError(f"certificate has {len(cert)} vertices, k={k}")
+    if not _is_forest(edges, set(cert)):
+        raise SolverError("certificate leaves a cycle")
+
+
 def fvs_decide(edges, k: int) -> FvsAnswer:
     edges = set(edges)
     g = _MultiGraph(edges)
@@ -123,9 +134,11 @@ def fvs_decide(edges, k: int) -> FvsAnswer:
                 g.add(nbrs[0], nbrs[1])
                 changed = True
 
+    doubled = {uv for uv, m in g.mult.items() if m > 1}
+    if matching_exceeds(doubled, budget):
+        return FvsAnswer.no()
     remaining = sorted(g.vertices())
     live = [Edge(u, v) for (u, v), _ in g.mult.items()]
-    doubled = {uv for uv, m in g.mult.items() if m > 1}
 
     def residue_acyclic(removed: set[int]) -> bool:
         for (u, v) in doubled:
@@ -137,6 +150,6 @@ def fvs_decide(edges, k: int) -> FvsAnswer:
         for combo in itertools.combinations(remaining, size):
             if residue_acyclic(set(combo)):
                 cert = set(forced) | set(combo)
-                assert _is_forest(edges, cert), "certificate leaves a cycle"
+                check_fvs(cert, edges, k)
                 return FvsAnswer.yes(cert)
     return FvsAnswer.no()

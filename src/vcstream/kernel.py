@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Edge, VcAnswer, covers
+from .core import Edge, SolverError, VcAnswer, covers, matching_exceeds
 
 
 @dataclass
@@ -59,37 +59,52 @@ def kernelize(edges, k: int) -> KernelInstance | None:
     kept = {Edge(u, v) for u, nbrs in adj.items() for v in nbrs if u < v}
     if len(kept) > k_res * k_res:
         return None
-    kern = KernelInstance(set(adj), kept, k_res, forced)
-    assert len(kern.edges) <= k_res * k_res
-    assert len(kern.vertices) <= 2 * len(kern.edges) or not kern.edges
-    return kern
+    # Rule 2 left no isolated vertex, so every vertex has a kept edge
+    if len(adj) > 2 * len(kept):
+        raise SolverError(f"kernel keeps {len(adj)} vertices for "
+                          f"{len(kept)} edges")
+    return KernelInstance(set(adj), kept, k_res, forced)
 
 
-def _branch_cover(edges: list[Edge], budget: int) -> set[int] | None:
+def _branch_cover(edges: list[tuple[int, int]],
+                  budget: int) -> set[int] | None:
     """Depth-bounded branching: cover of size <= budget, or None.
 
-    Branches on the lexicographically smallest uncovered edge, trying the
-    smaller endpoint first, so certificates are deterministic.
+    ``edges`` holds sorted ``(u, v)`` pairs with u < v; filtering keeps
+    them sorted, so the first one is the lexicographically smallest
+    uncovered edge.  Branching on it, smaller endpoint first, makes
+    certificates deterministic.  A node whose greedy matching exceeds the
+    budget holds no cover and is cut, which leaves the first cover found
+    unchanged.
     """
-    uncovered = edges
-    if not uncovered:
+    if not edges:
         return set()
-    if budget == 0:
+    if matching_exceeds(edges, budget):
         return None
-    e = min(uncovered)
-    for pick in (e.u, e.v):
-        rest = [f for f in uncovered if f.u != pick and f.v != pick]
+    for pick in edges[0]:
+        rest = [f for f in edges if pick not in f]
         sub = _branch_cover(rest, budget - 1)
         if sub is not None:
-            return {pick} | sub
+            sub.add(pick)
+            return sub
     return None
 
 
 def solve_kernel(kern: KernelInstance) -> VcAnswer:
-    cover = _branch_cover(sorted(kern.edges), kern.k_residual)
+    cover = _branch_cover(sorted((e.u, e.v) for e in kern.edges),
+                          kern.k_residual)
     if cover is None:
         return VcAnswer.no()
     return VcAnswer.yes(set(kern.forced) | cover)
+
+
+def check_cover(cover, edges, k: int) -> None:
+    """Raise ``SolverError`` unless ``cover`` is a vertex cover of
+    ``edges`` with at most ``k`` vertices."""
+    if len(cover) > k:
+        raise SolverError(f"certificate has {len(cover)} vertices, k={k}")
+    if not covers(cover, edges):
+        raise SolverError("certificate misses an edge")
 
 
 def vc_decide(edges, k: int) -> VcAnswer:
@@ -100,6 +115,5 @@ def vc_decide(edges, k: int) -> VcAnswer:
         return VcAnswer.no()
     ans = solve_kernel(kern)
     if ans.is_yes:
-        assert len(ans.cover) <= k
-        assert covers(ans.cover, edges), "certificate misses an edge"
+        check_cover(ans.cover, edges, k)
     return ans

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import (DELETE, Config, Edge, StreamUpdate, VcAnswer)
 from .kernel import vc_decide
-from .sketch import RecoveryFail, SampleRecovery, derive_seed
+
+if TYPE_CHECKING:
+    from .sketch import SampleRecovery
 
 INF_TS = math.inf
 
@@ -77,6 +80,8 @@ class MatchingState:
         return self.ts.get(v, INF_TS)
 
     def _fresh_sketch(self, v: int) -> None:
+        # numpy loads with the first sketch, not with the module
+        from .sketch import SampleRecovery, derive_seed
         cfg = self.config
         self._sketch_epoch += 1
         self.sketches[v] = SampleRecovery(
@@ -96,6 +101,7 @@ class MatchingState:
         self.sup[v] -= 1
 
     def _recover_neighbors(self, v: int) -> set[int]:
+        from .sketch import RecoveryFail
         try:
             return self.sketches[v].recover()
         except RecoveryFail as exc:

@@ -123,3 +123,11 @@ def test_covers():
     assert covers({2}, es)
     assert not covers({1}, es)
     assert covers(set(), [])
+
+
+def test_edge_and_update_have_slots():
+    e = Edge(2, 1)
+    assert not hasattr(e, "__dict__")
+    assert not hasattr(StreamUpdate("+", e), "__dict__")
+    with pytest.raises(AttributeError):
+        e.u = 5

@@ -2,10 +2,14 @@
 
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import vcstream
 from vcstream.core import (Config, Edge, InvalidStream, ShadowGraph,
                            StreamUpdate)
 from vcstream.core import INSERT, DELETE
@@ -292,3 +296,56 @@ def test_cli_generated_streams_parse_back():
         assert run_cli(["--gen", mode, "--seed", "1"] + extra, out=buf) == 0
         sf = parse_stream(buf.getvalue(), validate=True)
         assert sf.events
+
+
+def test_cli_promised_generator_past_oracle_budget():
+    # 100 vertices is past the brute-force oracle's 40; the planted
+    # cover check is exact at any n
+    buf = io.StringIO()
+    assert run_cli(["--gen", "promised", "--n", "100", "--length", "300"],
+                   out=buf) == 0
+    sf = parse_stream(buf.getvalue(), validate=True)
+    assert sum(ev != QUERY for ev in sf.events) == 300
+
+
+# -- imports ----------------------------------------------------------------
+
+
+def _python(args, stdin=""):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(vcstream.__file__)))
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_insertion_only_imports_load_no_numpy():
+    code = """
+import sys
+import vcstream, vcstream.harness, vcstream.harness.streams
+from vcstream import dpsa, fvs, pdpsa, psa
+before = [m for m in ("numpy", "hashlib") if m in sys.modules]
+from vcstream.core import Config
+dpsa.DpsaState(Config(n=5, k=1))
+after = [m for m in ("numpy", "hashlib") if m in sys.modules]
+print(before, after)
+"""
+    done = _python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "['numpy',", "'hashlib']"]
+
+
+def test_lazy_exports_resolve():
+    from vcstream import SampleRecovery, harness
+    from vcstream.sketch import SampleRecovery as direct
+    assert SampleRecovery is direct
+    assert harness.run_cli is run_cli
+    with pytest.raises(AttributeError):
+        vcstream.no_such_name
+
+
+def test_cli_module_run_has_no_runtime_warning():
+    done = _python(["-W", "error::RuntimeWarning", "-m",
+                    "vcstream.harness.cli", "--input", "-"],
+                   stdin="1 0 dpsa\n?\n")
+    assert done.returncode == 0, done.stderr
+    assert "answer=yes" in done.stdout
