@@ -10,8 +10,7 @@ from .psa import PsaState, psa_insert, psa_query
 
 # The sketch module needs numpy; it loads on first use of these names
 # (PEP 562), so the insertion-only modes never import numpy.
-_SKETCH_NAMES = ("L0Sampler", "OneSparseDetector", "RecoveryFail",
-                 "SampleRecovery")
+_SKETCH_NAMES = ("RecoveryFail", "SampleRecovery")
 
 __all__ = [
     "Config", "Edge", "InvalidStream", "SelfLoop", "ShadowGraph",

@@ -68,11 +68,6 @@ class Edge:
         return Edge(u, idx - ((u - 1) * n - u * (u + 1) // 2))
 
 
-def canonical(u: int, v: int) -> Edge:
-    """Canonical edge for the unordered pair {u, v}."""
-    return Edge(u, v)
-
-
 INSERT = "+"
 DELETE = "-"
 

@@ -24,6 +24,10 @@ class FvsState:
     stored: set[Edge] = field(default_factory=set)
     dead: bool = False
 
+    def words(self) -> int:
+        """Two words per stored edge plus the dead flag."""
+        return 2 * len(self.stored) + 1
+
 
 def fvs_insert(st: FvsState, e: Edge, n: int, k: int) -> FvsState:
     if st.dead:

@@ -1,7 +1,9 @@
 """Command-line driver: run stream files or generate instances.
 
 Reports are line-oriented ``key=value`` text on stdout.  Exit codes:
-0 ok, 2 parse error, 3 invalid stream, 4 promise violation.
+0 ok, 2 parse error, 3 invalid stream, 4 promise violation, 5 unreliable
+run (a sketch failed, or a Yes certificate failed its check against the
+replayed stream).
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import random
 import sys
 import time
 
-from ..core import Config, Edge, InvalidStream, ShadowGraph, covers
+from ..core import (INSERT, PROMISE_VIOLATION, Config, InvalidStream,
+                    ShadowGraph, SolverError)
 from ..dpsa import DpsaState, dpsa_query, dpsa_update
-from ..fvs import FvsState, fvs_insert, fvs_query, _is_forest
+from ..fvs import FvsState, check_fvs, fvs_insert, fvs_query
+from ..kernel import check_cover
 from ..pdpsa import MatchingState, SketchFail, pdpsa_query
 from ..psa import PsaState, psa_insert, psa_query
 from .generators import (edges_to_stream, gen_disjointness_gadget,
@@ -26,6 +30,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_PROMISE = 4
+EXIT_UNRELIABLE = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,10 +104,36 @@ def _generate(args) -> str:
 # -- execution --------------------------------------------------------------
 
 
-def _verify(mode: str, cover, shadow: ShadowGraph) -> bool:
-    if mode == "fvs":
-        return _is_forest(shadow.edges(), set(cover))
-    return covers(cover, shadow.edges())
+def _dpsa_query(st: DpsaState, k: int, out):
+    # the sketch module is loaded by now: the state built a sketch
+    from ..sketch import RecoveryFail
+    gated = st.live > st.config.n * k
+    print(f"recovery_skipped={str(gated).lower()}", file=out)
+    try:
+        return dpsa_query(st, k)
+    except RecoveryFail as exc:
+        raise SketchFail(str(exc)) from exc
+
+
+# mode -> (build(cfg), update(state, event, cfg), query(state, k, out),
+#          Yes check(certificate, edges, k), insertion-only)
+_MODES = {
+    "psa": (lambda cfg: PsaState(k=cfg.k),
+            lambda st, ev, cfg: psa_insert(st, ev.edge),
+            lambda st, k, out: psa_query(st, k), check_cover, True),
+    "pdpsa": (MatchingState, lambda st, ev, cfg: st.apply(ev),
+              lambda st, k, out: pdpsa_query(st, k), check_cover, False),
+    "dpsa": (DpsaState, lambda st, ev, cfg: dpsa_update(st, ev),
+             _dpsa_query, check_cover, False),
+    "fvs": (lambda cfg: FvsState(),
+            lambda st, ev, cfg: fvs_insert(st, ev.edge, cfg.n, cfg.k),
+            lambda st, k, out: fvs_query(st, k), check_fvs, True),
+}
+
+# run counters reported by the states that keep them
+_COUNTERS = (("sketch_fails", "sketch_fail_count"),
+             ("rematch_misses", "rematch_miss_count"),
+             ("rematches", "rematch_count"))
 
 
 def _run(sf: StreamFile, args, out) -> int:
@@ -115,11 +146,9 @@ def _run(sf: StreamFile, args, out) -> int:
     print(f"k={k}", file=out)
     print(f"seed={args.seed}", file=out)
 
+    build, update, query, check, insertion_only = _MODES[mode]
     shadow = ShadowGraph(sf.n)
-    psa = PsaState(k=k)
-    pdpsa = MatchingState(cfg) if mode == "pdpsa" else None
-    dpsa = DpsaState(cfg) if mode == "dpsa" else None
-    fvs = FvsState()
+    st = build(cfg)
     started = time.perf_counter()
     n_queries = 0
 
@@ -127,66 +156,43 @@ def _run(sf: StreamFile, args, out) -> int:
         if ev == QUERY:
             n_queries += 1
             print(f"query={n_queries}", file=out)
-            if mode == "psa":
-                ans = psa_query(psa, k)
-            elif mode == "pdpsa":
-                ans = pdpsa_query(pdpsa, k)
-            elif mode == "dpsa":
-                gated = dpsa.live > cfg.n * k
-                ans = dpsa_query(dpsa, k)
-                print(f"recovery_skipped={str(gated).lower()}", file=out)
-            else:
-                ans = fvs_query(fvs, k)
+            try:
+                ans = query(st, k, out)
+            except SketchFail as exc:
+                print(f"error={exc}", file=out)
+                return EXIT_UNRELIABLE
             print(f"answer={ans.kind}", file=out)
-            if ans.kind == "promise-violation":
-                print(f"violated_at={pdpsa.promise.violated_at}", file=out)
+            if ans.kind == PROMISE_VIOLATION:
+                print(f"violated_at={st.promise.violated_at}", file=out)
                 return EXIT_PROMISE
             if ans.is_yes:
                 cover = sorted(ans.cover)
                 print("cover=" + ",".join(map(str, cover)), file=out)
-                ok = _verify(mode, cover, shadow)
-                print(f"verified={str(ok).lower()}", file=out)
-                if not ok:
-                    return EXIT_INVALID
+                try:
+                    check(cover, shadow.edges(), k)
+                except SolverError:
+                    print("verified=false", file=out)
+                    return EXIT_UNRELIABLE
+                print("verified=true", file=out)
             continue
 
         try:
             shadow.apply(ev)
+            if insertion_only and ev.op != INSERT:
+                raise InvalidStream("deletion in insertion-only mode")
         except InvalidStream as exc:
             print(f"error={exc}", file=out)
             return EXIT_INVALID
-        if mode == "psa":
-            if ev.op != "+":
-                print("error=deletion in insertion-only mode", file=out)
-                return EXIT_INVALID
-            psa_insert(psa, ev.edge)
-        elif mode == "pdpsa":
-            try:
-                pdpsa.apply(ev)
-            except SketchFail as exc:
-                print(f"error={exc}", file=out)
-                return EXIT_INVALID
-        elif mode == "dpsa":
-            dpsa_update(dpsa, ev)
-        else:
-            if ev.op != "+":
-                print("error=deletion in insertion-only mode", file=out)
-                return EXIT_INVALID
-            fvs_insert(fvs, ev.edge, sf.n, k)
+        try:
+            update(st, ev, cfg)
+        except SketchFail as exc:
+            print(f"error={exc}", file=out)
+            return EXIT_UNRELIABLE
 
-    if mode == "psa":
-        words = psa.words()
-    elif mode == "pdpsa":
-        words = pdpsa.words()
-    elif mode == "dpsa":
-        words = dpsa.sketch.words() + 2
-    else:
-        words = 2 * len(fvs.stored) + 1
-    print(f"words_stored={words}", file=out)
-    if mode == "pdpsa":
-        print(f"sketch_fails={pdpsa.sketch_fail_count}", file=out)
-        print(f"rematch_misses={pdpsa.rematch_miss_count}", file=out)
-        print(f"rematches={pdpsa.rematch_count}", file=out)
+    print(f"words_stored={st.words()}", file=out)
+    for key, attr in _COUNTERS:
+        if hasattr(st, attr):
+            print(f"{key}={getattr(st, attr)}", file=out)
     print(f"elapsed_s={time.perf_counter() - started:.3f}", file=out)
     return EXIT_OK
 

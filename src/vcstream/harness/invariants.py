@@ -12,17 +12,19 @@ from ..core import Edge, ShadowGraph
 from ..pdpsa import MatchingState
 
 
-def _sketched(st: MatchingState, v: int) -> set[int]:
-    sk = st.sketches.get(v)
-    if sk is None:
-        return set()
-    if sk.mirror is None:
-        raise ValueError("state was built without mirror=True")
-    return {i for i, w in sk.mirror.items() if w != 0}
+def _sketched(st: MatchingState) -> dict[int, set[int]]:
+    """Each sketched vertex's neighborhood, read off its mirror."""
+    out = {}
+    for v, sk in st.sketches.items():
+        if sk.mirror is None:
+            raise ValueError("state was built without mirror=True")
+        out[v] = {i for i, w in sk.mirror.items() if w != 0}
+    return out
 
 
 def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
     out: list[str] = []
+    sketched = _sketched(st)
 
     # matching well-formedness: edges live, disjoint, endpoints tracked
     seen: set[int] = set()
@@ -40,13 +42,14 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
             out.append(f"matched vertex {v} lacks sketch or timestamp")
 
     # maximality: no live edge with both endpoints exposed
-    for e in sorted(shadow.edges()):
+    live = sorted(shadow.edges())
+    for e in live:
         if e.u not in st.matched and e.v not in st.matched:
             out.append(f"live edge {e} has both endpoints exposed")
 
-    for e in sorted(shadow.edges()):
-        in_u = e.v in _sketched(st, e.u)
-        in_v = e.u in _sketched(st, e.v)
+    for e in live:
+        in_u = e.v in sketched.get(e.u, ())
+        in_v = e.u in sketched.get(e.v, ())
         # invariant 1: at least one endpoint's sketch holds the edge
         if not in_u and not in_v:
             out.append(f"live edge {e} is in neither sketch")
@@ -69,16 +72,14 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
             out.append(f"T lists dead edge {e}")
 
     # sketched support counters agree with the mirrors
-    for v, sk in st.sketches.items():
-        if sk.mirror is not None and st.sup[v] != len(_sketched(st, v)):
+    for v, nbrs in sketched.items():
+        if st.sup[v] != len(nbrs):
             out.append(f"support counter for {v} is {st.sup[v]}, mirror "
-                       f"has {len(_sketched(st, v))}")
+                       f"has {len(nbrs)}")
 
     # no sketched phantom: every mirrored entry is a live edge or dead
     # residue is at least weight-consistent (weights must be +1)
     for v, sk in st.sketches.items():
-        if sk.mirror is None:
-            continue
         for i, w in sk.mirror.items():
             if w != 1:
                 out.append(f"sketch of {v} holds index {i} with net "

@@ -50,13 +50,9 @@ class MatchingState:
     ``mirror=True`` makes every sketch carry an exact contents mirror so
     the invariant checker can read sketched neighborhoods without
     recovery; diagnostics only, never part of the space account.
-    ``use_true_degrees=True`` switches the low/high-degree test from the
-    sketched-support counter to true degrees tracked for every vertex
-    (a strict-fidelity mode for differential testing; costs Theta(n)).
     """
 
-    def __init__(self, config: Config, mirror: bool = False,
-                 use_true_degrees: bool = False):
+    def __init__(self, config: Config, mirror: bool = False):
         self.config = config
         self.clock = 0
         self.matching: set[Edge] = set()
@@ -67,8 +63,6 @@ class MatchingState:
         self.tdict: dict[Edge, None] = {}
         self.promise = PromiseReport()
         self.mirror = mirror
-        self.use_true_degrees = use_true_degrees
-        self.degrees: dict[int, int] = {}
         self.rematch_count = 0
         self.rematch_miss_count = 0
         self.sketch_fail_count = 0
@@ -109,8 +103,6 @@ class MatchingState:
             raise SketchFail(f"recovery failed for vertex {v}") from exc
 
     def _is_low(self, v: int) -> bool:
-        if self.use_true_degrees:
-            return self.degrees.get(v, 0) <= self.config.x
         return self.sup.get(v, 0) <= self.config.x
 
     def _check_promise(self) -> None:
@@ -132,9 +124,6 @@ class MatchingState:
 
     def insertion(self, e: Edge) -> None:
         self.clock += 1
-        if self.use_true_degrees:
-            for z in (e.u, e.v):
-                self.degrees[z] = self.degrees.get(z, 0) + 1
         if e.u not in self.matched and e.v not in self.matched:
             self.add_edge_to_matching(e, self.clock)
         else:
@@ -143,9 +132,6 @@ class MatchingState:
 
     def deletion(self, e: Edge) -> None:
         self.clock += 1
-        if self.use_true_degrees:
-            for z in (e.u, e.v):
-                self.degrees[z] -= 1
         if e in self.matching:
             self.rematch(e, self.clock)
         else:
@@ -210,6 +196,11 @@ class MatchingState:
         self._drop_vertex(u)
 
     def _drop_vertex(self, u: int) -> None:
+        # T may still list edges at u that recovery did not return (a
+        # degraded sketch, or a high-degree vertex whose samples all
+        # missed); they sit in the other endpoint's sketch alone from now
+        for e in [e for e in self.tdict if u in (e.u, e.v)]:
+            del self.tdict[e]
         del self.sketches[u]
         del self.sup[u]
         del self.ts[u]
@@ -241,16 +232,11 @@ class MatchingState:
                 if hit is not None:
                     self.add_edge_to_matching(Edge(w, hit), t)
                 else:
+                    # no exposed sample (probability bounded by the
+                    # sampler analysis): discard w's state
                     self.rematch_miss_count += 1
-                    self._abandon_vertex(w)
+                    self._drop_vertex(w)
         self._check_promise()
-
-    def _abandon_vertex(self, w: int) -> None:
-        # high-degree rematch found no exposed sample (probability bounded
-        # by the sampler analysis); discard w's state so T stays consistent
-        for e in [e for e in self.tdict if w in (e.u, e.v)]:
-            del self.tdict[e]
-        self._drop_vertex(w)
 
     # -- query -------------------------------------------------------------
 

@@ -1,15 +1,15 @@
 """Linear sketches over sparse integer vectors indexed by [1, N].
 
-Three layers:
+Two layers, both held by ``SampleRecovery`` in flat numpy arrays, so
+one update is a handful of vectorised operations:
 
-* ``OneSparseDetector`` -- (count, index-weighted sum, fingerprint) triple
-  that recognises vectors with exactly one nonzero entry.
-* ``L0Sampler`` -- level-sampling over one-sparse detectors; returns a
-  uniform support element or Fail.
-* ``SampleRecovery`` -- a bank of independent samplers plus a peelable
-  bucket grid giving exact under-capacity support recovery.  The hot
-  structure; its internals are flat numpy arrays so that one update is a
-  handful of vectorised operations.
+* a bank of level-sampling l0-samplers, each returning a support element
+  or Fail;
+* a peelable bucket grid giving exact support recovery while the
+  support fits within its capacity.
+
+Both are built from one-sparse detectors: (count, index-weighted sum,
+fingerprint) cells that recognise a vector with one nonzero entry.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
@@ -113,51 +113,6 @@ def fingerprint_prime(lower: int) -> int:
     return _prime_cache[lower]
 
 
-# ---------------------------------------------------------------------------
-# Scalar detector and sampler
-
-
-class OneSparseDetector:
-    """Linear detector for one-sparse vectors over [1, N].
-
-    Keeps count_sum, index_sum and a polynomial fingerprint
-    sum_i c_i * r^i mod p for a prime p > N^2; a false one-sparse verdict
-    needs a fingerprint collision, probability <= N/p per query.
-    """
-
-    def __init__(self, n_indices: int, seed: int, prime: int | None = None):
-        self.n = n_indices
-        self.p = prime if prime is not None else fingerprint_prime(
-            max(n_indices * n_indices, 1 << 61))
-        rng = np.random.default_rng(seed)
-        self.r = int(rng.integers(1, self.p))
-        self.count_sum = 0
-        self.index_sum = 0
-        self.fingerprint = 0
-
-    def update(self, index: int, delta: int) -> None:
-        self.count_sum += delta
-        self.index_sum += delta * index
-        self.fingerprint = (self.fingerprint
-                            + delta * pow(self.r, index, self.p)) % self.p
-
-    def is_zero(self) -> bool:
-        return (self.count_sum == 0 and self.index_sum == 0
-                and self.fingerprint == 0)
-
-    def decode(self) -> tuple[int, int] | None:
-        """(index, weight) when the state looks one-sparse, else None."""
-        c = self.count_sum
-        if c == 0 or self.index_sum % c != 0:
-            return None
-        i = self.index_sum // c
-        if not 1 <= i <= self.n:
-            return None
-        if self.fingerprint != c * pow(self.r, i, self.p) % self.p:
-            return None
-        return i, c
-
-
 @dataclass(frozen=True)
 class SampleOutcome:
     kind: str  # "index" | "fail" | "empty"
@@ -174,56 +129,9 @@ EMPTY = "empty"
 
 
 def _reps_for(fail_rate: float) -> int:
-    # per-repetition success is >= 1/4 at some level; see L0Sampler docs
+    # some level leaves about one survivor, so a repetition succeeds with
+    # probability >= 1/4; independent repetitions push Fail below the rate
     return max(4, math.ceil(math.log(fail_rate) / math.log(0.75)))
-
-
-class L0Sampler:
-    """Level-sampling l0-sampler.
-
-    Each repetition hashes indices into geometric levels (level l keeps an
-    index with probability ~2^-l) and keeps a one-sparse detector per
-    level.  Some level leaves around one survivor, so a repetition
-    succeeds with constant probability; ``reps`` independent repetitions
-    push Fail below ``fail_rate``.
-    """
-
-    def __init__(self, n_indices: int, seed: int, fail_rate: float = 0.01):
-        self.n = n_indices
-        self.levels = max(1, math.ceil(math.log2(max(n_indices, 2)))) + 1
-        self.reps = _reps_for(fail_rate)
-        self.fail_rate = fail_rate
-        rng = np.random.default_rng(seed)
-        self.a = [int(rng.integers(1, HASH_P)) for _ in range(self.reps)]
-        self.b = [int(rng.integers(0, HASH_P)) for _ in range(self.reps)]
-        prime = fingerprint_prime(max(n_indices * n_indices, 1 << 61))
-        self.detectors = [
-            [OneSparseDetector(n_indices, derive_seed(seed, rep, lvl), prime)
-             for lvl in range(self.levels)]
-            for rep in range(self.reps)
-        ]
-
-    def _deepest_level(self, rep: int, index: int) -> int:
-        h = (self.a[rep] * index + self.b[rep]) % HASH_P
-        if h == 0:
-            return self.levels - 1
-        return min(self.levels - 1, (HASH_P // h).bit_length() - 1)
-
-    def update(self, index: int, delta: int) -> None:
-        for rep in range(self.reps):
-            top = self._deepest_level(rep, index)
-            for lvl in range(top + 1):
-                self.detectors[rep][lvl].update(index, delta)
-
-    def sample(self) -> SampleOutcome:
-        if self.detectors[0][0].is_zero():
-            return SampleOutcome(EMPTY)
-        for rep in range(self.reps):
-            for lvl in range(self.levels):
-                got = self.detectors[rep][lvl].decode()
-                if got is not None:
-                    return SampleOutcome(INDEX, got[0])
-        return SampleOutcome(FAIL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Unrestricted dynamic mode: global sketch, edge gate, estimator."""
+"""Unrestricted dynamic mode: global sketch, edge gate."""
 
 import itertools
 import random
 
 from vcstream.core import (Config, Edge, ShadowGraph, StreamUpdate, covers,
                            INSERT, DELETE)
-from vcstream.dpsa import (DistinctEdgeEstimator, DpsaState,
-                           distinct_edge_estimate, dpsa_query, dpsa_update)
+from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
 from vcstream.harness.generators import gen_random_stream
 from vcstream.harness.oracles import oracle_vc
 
@@ -77,29 +76,6 @@ def test_random_streams_match_oracle():
         assert ans.kind == oracle.kind
         if ans.is_yes:
             assert covers(ans.cover, sh.edges())
-
-
-def test_estimator_zero_and_exact_small():
-    est = DistinctEdgeEstimator(10_000, seed=1)
-    assert est.estimate() == 0
-    for i in range(1, 201):
-        est.update(i, +1)
-    assert est.estimate() == 200
-    for i in range(1, 101):
-        est.update(i, -1)
-    assert est.estimate() == 100
-
-
-def test_approx_mode_tolerates_duplicates():
-    st = DpsaState(Config(n=8, k=2, seed=3), approx_mode=True)
-    e = Edge(1, 2)
-    for _ in range(3):
-        dpsa_update(st, StreamUpdate(INSERT, e))
-    for _ in range(2):
-        dpsa_update(st, StreamUpdate(DELETE, e))
-    assert distinct_edge_estimate(st) == 1
-    ans = dpsa_query(st, 1)
-    assert ans.is_yes
 
 
 def test_gate_exact_at_boundary():

@@ -308,28 +308,89 @@ def test_cli_promised_generator_past_oracle_budget():
     assert sum(ev != QUERY for ev in sf.events) == 300
 
 
+def _degraded_pdpsa(tmp_path):
+    # a promised stream whose sketches, at alpha 0.003 and below, are too
+    # small to recover every neighborhood
+    buf = io.StringIO()
+    assert run_cli(["--gen", "promised", "--n", "30", "--k", "4", "--seed",
+                    "3", "--length", "300"], out=buf) == 0
+    f = tmp_path / "p.txt"
+    f.write_text(buf.getvalue())
+    return f
+
+
+def test_cli_pdpsa_degraded_recovery_runs_to_the_end(tmp_path):
+    # recovery returned a strict subset of a neighborhood, and a T edge it
+    # missed outlived the dropped sketch (KeyError in _sketch_remove)
+    f = _degraded_pdpsa(tmp_path)
+    code, report = run(["--input", str(f), "--alpha", "0.003",
+                        "--seed", "9"])
+    assert code == 0
+    assert report["sketch_fails"] == "0"
+
+
+def test_cli_unverified_certificate_exit_5(tmp_path):
+    f = _degraded_pdpsa(tmp_path)
+    code, report = run(["--input", str(f), "--alpha", "0.003",
+                        "--seed", "7"])
+    assert code == 5
+    assert report["answer"] == "yes"
+    assert report["verified"] == "false"
+
+
+def test_cli_sketch_fail_at_update_exit_5(tmp_path):
+    f = _degraded_pdpsa(tmp_path)
+    code, report = run(["--input", str(f), "--alpha", "0.001",
+                        "--seed", "7"])
+    assert code == 5
+    assert report["error"] == "recovery failed for vertex 18"
+    assert "answer" not in report
+
+
+def test_cli_dpsa_recovery_fail_at_query_exit_5(tmp_path, monkeypatch):
+    from vcstream.sketch import RecoveryFail, SampleRecovery
+
+    def stall(self):
+        raise RecoveryFail("peeling stalled with 2 residual mass")
+    monkeypatch.setattr(SampleRecovery, "recover", stall)
+    f = tmp_path / "s.txt"
+    f.write_text("4 1 dpsa\n+ 1 2\n?\n")
+    code, report = run(["--input", str(f)])
+    assert code == 5
+    assert report["recovery_skipped"] == "false"
+    assert report["error"] == "peeling stalled with 2 residual mass"
+
+
 # -- imports ----------------------------------------------------------------
 
 
-def _python(args, stdin=""):
+def _python(args, stdin="", cwd=None):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(vcstream.__file__)))
     return subprocess.run([sys.executable, *args], input=stdin, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          cwd=cwd)
 
 
-def test_insertion_only_imports_load_no_numpy():
+def test_insertion_only_imports_load_no_numpy(tmp_path):
     code = """
+import io
 import sys
 import vcstream, vcstream.harness, vcstream.harness.streams
+import vcstream.harness.cli
 from vcstream import dpsa, fvs, pdpsa, psa
+for mode in ("psa", "fvs"):
+    with open("s.txt", "w") as f:
+        f.write(f"3 1 {mode}\\n+ 1 2\\n+ 2 3\\n?\\n")
+    assert vcstream.harness.cli.run_cli(["--input", "s.txt"],
+                                        out=io.StringIO()) == 0
 before = [m for m in ("numpy", "hashlib") if m in sys.modules]
 from vcstream.core import Config
 dpsa.DpsaState(Config(n=5, k=1))
 after = [m for m in ("numpy", "hashlib") if m in sys.modules]
 print(before, after)
 """
-    done = _python(["-c", code])
+    done = _python(["-c", code], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]", "['numpy',", "'hashlib']"]
 

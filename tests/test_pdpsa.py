@@ -167,19 +167,6 @@ def test_space_census_during_replay():
             assert st.words() > 0
 
 
-def test_true_degree_mode_agrees_with_support_mode():
-    # at this scale x exceeds every degree, so both modes walk in lockstep
-    rng = random.Random(5)
-    cfg = Config(n=12, k=3, seed=5)
-    a = MatchingState(cfg, mirror=True)
-    b = MatchingState(cfg, mirror=True, use_true_degrees=True)
-    for upd in gen_promised_stream(cfg, 150, 0.35, rng):
-        a.apply(upd)
-        b.apply(upd)
-        assert a.matching == b.matching
-        assert a.tdict.keys() == b.tdict.keys()
-
-
 def test_rematch_counter_moves_on_churny_streams():
     rng = random.Random(8)
     cfg = Config(n=14, k=3, seed=8)

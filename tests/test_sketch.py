@@ -1,4 +1,4 @@
-"""Linear sketch layers: detectors, samplers, sparse recovery."""
+"""Linear sketches: one-sparse cells, the sampler bank, sparse recovery."""
 
 import math
 import random
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX, L0Sampler,
-                             OneSparseDetector, RecoveryFail,
+from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX, RecoveryFail,
                              SampleRecovery, derive_seed, is_prime,
                              nextprime)
 
@@ -18,79 +17,64 @@ def test_derive_seed_deterministic():
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
 
 
-# -- one-sparse detector ----------------------------------------------------
-
-
-def test_detector_zero_vector():
-    d = OneSparseDetector(100, seed=1)
-    assert d.is_zero()
-    assert d.decode() is None
-
-
-def test_detector_one_sparse():
-    d = OneSparseDetector(100, seed=1)
-    d.update(7, +1)
-    assert d.decode() == (7, 1)
-    d.update(7, +2)
-    assert d.decode() == (7, 3)
-
-
-def test_detector_cancellation():
-    d = OneSparseDetector(100, seed=1)
-    d.update(7, +1)
-    d.update(7, -1)
-    assert d.is_zero()
-
-
-def test_detector_rejects_two_sparse():
-    # soundness sweep: random non-one-sparse vectors almost never verify
-    rng = random.Random(0)
-    false_pos = 0
-    trials = 2000
-    for t in range(trials):
-        d = OneSparseDetector(1000, seed=t)
-        support = rng.sample(range(1, 1001), rng.randint(2, 5))
-        for i in support:
-            d.update(i, rng.choice([1, 2, 3]))
-        if d.decode() is not None:
-            false_pos += 1
-    assert false_pos / trials < 1e-2
-
-
-# -- l0 sampler -------------------------------------------------------------
-
-
-def test_sampler_empty():
-    s = L0Sampler(64, seed=3)
-    assert s.sample().kind == EMPTY
-
-
-def test_sampler_singleton():
-    s = L0Sampler(64, seed=3)
-    s.update(5, +1)
-    got = s.sample()
-    assert got.kind == INDEX and got.index == 5
-
-
-def test_sampler_always_in_support():
-    rng = random.Random(2)
-    for t in range(50):
-        s = L0Sampler(200, seed=t)
-        support = set(rng.sample(range(1, 201), rng.randint(1, 12)))
-        for i in support:
-            s.update(i, +1)
-        got = s.sample()
-        assert got.kind != EMPTY
-        if got.kind == INDEX:
-            assert got.index in support
-
-
-# -- sample recovery --------------------------------------------------------
-
-
 def fresh(seed=9, n=1000, cap=50, samplers=4):
     return SampleRecovery(n_indices=n, capacity=cap, n_samplers=samplers,
                           seed=seed)
+
+
+# -- one-sparse cells -------------------------------------------------------
+
+
+def _grid_cells(s):
+    return s._verify_cells(s.grid_count, s.grid_index, s.grid_fp1,
+                           s.grid_fp2)
+
+
+def test_detector_zero_vector():
+    s = fresh()
+    got_i, _ = _grid_cells(s)
+    assert len(got_i) == 0
+    assert s._verified(0, 0, 0, 0) is None
+
+
+def test_detector_one_sparse():
+    s = fresh()
+    s.update(7, +1)
+    got_i, got_c = _grid_cells(s)
+    assert got_i.tolist() == [7] * s.rows and got_c.tolist() == [1] * s.rows
+    s.update(7, +2)
+    got_i, got_c = _grid_cells(s)
+    assert got_i.tolist() == [7] * s.rows and got_c.tolist() == [3] * s.rows
+
+
+def test_detector_rejects_two_sparse():
+    # soundness sweep: a grid cell holding two or more support indices
+    # almost never verifies as one-sparse
+    rng = random.Random(0)
+    false_pos = 0
+    shared = 0
+    trials = 2000
+    for t in range(trials):
+        s = SampleRecovery(n_indices=1000, capacity=1, n_samplers=0, seed=t)
+        support = rng.sample(range(1, 1001), rng.randint(2, 5))
+        for i in support:
+            s.update(i, rng.choice([1, 2, 3]))
+        # which cell each index landed in, from the grid's own hashes
+        held = np.zeros(s.grid_count.shape, dtype=np.int64)
+        for i in support:
+            cols = (s.grid_a * i + s.grid_b) % HASH_P % s.buckets
+            held[s._rowidx, cols] += 1
+        multi = held >= 2
+        shared += int(multi.sum())
+        cells = [np.where(multi, a, 0) for a in (
+            s.grid_count, s.grid_index, s.grid_fp1, s.grid_fp2)]
+        if len(s._verify_cells(*cells)[0]):
+            false_pos += 1
+    assert shared > trials  # the sweep does test shared cells
+    assert false_pos / trials < 1e-2
+
+
+# -- sample recovery --------------------------------------------------------
 
 
 def test_recovery_trivial_sets():
