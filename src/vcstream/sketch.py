@@ -103,6 +103,68 @@ def _mulmod(c: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# limb products stay exact in int64 up to this many limbs, i.e. p < 2^46
+_MAX_LIMBS = 3
+
+
+def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod p elementwise for 0 <= a, b < p, exact.
+
+    Where p^2 < 2^63 the int64 product is exact.  Otherwise b is split
+    into limbs of t = 62 - bits(p) bits and folded in Horner order:
+    acc * 2^t and a * limb each stay below 2^62, so every step is exact
+    in int64.  Past ``_MAX_LIMBS`` limbs, Python ints.
+    """
+    if p * p <= _INT64_MAX:
+        return a * b % p
+    bits = p.bit_length()
+    t = 62 - bits
+    if _MAX_LIMBS * t < bits:
+        return np.array([int(x) * int(y) % p for x, y in zip(a, b)],
+                        dtype=np.int64)
+    limbs = -(-bits // t)
+    mask = (1 << t) - 1
+    acc = np.zeros_like(a)
+    for j in reversed(range(limbs)):
+        acc = ((acc << t) + a * ((b >> (j * t)) & mask)) % p
+    return acc
+
+
+class PowTable:
+    """r^i mod p for 0 <= i <= n from two tables of about sqrt(n) entries.
+
+    With s = ceil(bits(n) / 2), ``lo[j] = r^j`` for j < 2^s and
+    ``hi[j] = r^(j * 2^s)`` for j <= n >> s, so that
+    r^i = lo[i & (2^s - 1)] * hi[i >> s] mod p.
+    """
+
+    def __init__(self, r: int, p: int, n: int):
+        self.p = p
+        self.shift = (n.bit_length() + 1) // 2
+        self.mask = (1 << self.shift) - 1
+        self.lo = self._powers(r, p, 1 << self.shift)
+        self.hi = self._powers(pow(r, 1 << self.shift, p), p,
+                               (n >> self.shift) + 1)
+
+    @staticmethod
+    def _powers(base: int, p: int, m: int) -> np.ndarray:
+        out = [1] * m
+        for j in range(1, m):
+            out[j] = out[j - 1] * base % p
+        return np.array(out, dtype=np.int64)
+
+    def __call__(self, i: int) -> int:
+        return (int(self.lo[i & self.mask]) * int(self.hi[i >> self.shift])
+                % self.p)
+
+    def gather(self, i: np.ndarray) -> np.ndarray:
+        return _mulmod_exact(self.lo[i & self.mask], self.hi[i >> self.shift],
+                             self.p)
+
+    def words(self) -> int:
+        return self.lo.size + self.hi.size
+
+
 _prime_cache: dict[int, int] = {}
 
 
@@ -152,12 +214,16 @@ class SampleRecovery:
       the l0 norm under valid +/-1 streams.
 
     One-sparse verification uses two independent prime fingerprints,
-    p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1); p1 is about
-    2^35 for the dpsa edge sketch at n=600.  Stored fingerprints are
-    reduced below their prime, so the arrays stay within int64 while
-    2 * p2 < 2^63.  ``recover`` checks all buckets at once in int64, which
-    forms count * r^i exactly only while |count| * p < 2^63; cells with a
-    larger |count| take the scalar path in Python integers.
+    p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
+    a pdpsa vertex sketch, 3.2e10 (2^35) for the dpsa edge sketch at
+    n=600 and 4.0e12 (2^42) at n=2000.  Stored fingerprints are reduced
+    below their prime, so the arrays stay within int64 while
+    2 * p2 < 2^63.  The powers r^i come from two ``PowTable``s of about
+    sqrt(N) entries each.  ``recover`` checks all buckets at once in
+    int64: it forms r^i with ``_mulmod_exact`` (a plain product where
+    p^2 < 2^63, a limb split below 2^46, Python ints past that) and
+    count * r^i exactly while |count| * p < 2^63; cells with a larger
+    |count| take Python integers.
     """
 
     def __init__(self, n_indices: int, capacity: int, n_samplers: int,
@@ -183,9 +249,8 @@ class SampleRecovery:
         rng = np.random.default_rng(derive_seed(seed, "hashes"))
         r1 = int(rng.integers(1, self.p1))
         r2 = int(rng.integers(1, self.p2))
-        idx = np.arange(n_indices + 1, dtype=np.int64)
-        self.rpow1 = self._pow_table(r1, self.p1, idx)
-        self.rpow2 = self._pow_table(r2, self.p2, idx)
+        self.pow1 = PowTable(r1, self.p1, n_indices)
+        self.pow2 = PowTable(r2, self.p2, n_indices)
 
         # sampler bank hash coefficients, one pair per (sampler, rep)
         shape = (n_samplers, self.reps)
@@ -213,15 +278,6 @@ class SampleRecovery:
         # exact mirror of net contents; diagnostic/test aid only
         self.mirror: dict[int, int] | None = {} if track_contents else None
 
-    @staticmethod
-    def _pow_table(r: int, p: int, idx: np.ndarray) -> np.ndarray:
-        out = np.empty(len(idx), dtype=np.int64)
-        acc = 1
-        for i in range(len(idx)):
-            out[i] = acc
-            acc = acc * r % p
-        return out
-
     # -- updates -----------------------------------------------------------
 
     def update(self, index: int, delta: int) -> None:
@@ -229,6 +285,7 @@ class SampleRecovery:
             raise ValueError(f"index {index} out of [1, {self.n}]")
         self.support += delta
         d = int(delta)
+        rp1, rp2 = self.pow1(index), self.pow2(index)
 
         if self.n_samplers:
             h = (self.bank_a * index + self.bank_b) % HASH_P
@@ -242,10 +299,10 @@ class SampleRecovery:
             cells = self._bank_cell0 + lstar
             self.bank_count.reshape(-1)[cells] += d
             self.bank_index.reshape(-1)[cells] += d * index
-            for bank, rpow, p in ((self.bank_fp1, self.rpow1, self.p1),
-                                  (self.bank_fp2, self.rpow2, self.p2)):
+            for bank, rp, p in ((self.bank_fp1, rp1, self.p1),
+                                (self.bank_fp2, rp2, self.p2)):
                 flat = bank.reshape(-1)
-                v = flat[cells] + d * int(rpow[index]) % p  # in [0, 2p)
+                v = flat[cells] + d * rp % p  # in [0, 2p)
                 v -= p * (v >= p)
                 flat[cells] = v
 
@@ -254,10 +311,10 @@ class SampleRecovery:
         self.grid_index[self._rowidx, buckets] += d * index
         self.grid_fp1[self._rowidx, buckets] = (
             self.grid_fp1[self._rowidx, buckets]
-            + d * int(self.rpow1[index])) % self.p1
+            + d * rp1) % self.p1
         self.grid_fp2[self._rowidx, buckets] = (
             self.grid_fp2[self._rowidx, buckets]
-            + d * int(self.rpow2[index])) % self.p2
+            + d * rp2) % self.p2
 
         if self.mirror is not None:
             self.mirror[index] = self.mirror.get(index, 0) + delta
@@ -272,9 +329,9 @@ class SampleRecovery:
         i = ix // c
         if not 1 <= i <= self.n:
             return None
-        if f1 != c * int(self.rpow1[i]) % self.p1:
+        if f1 != c * self.pow1(i) % self.p1:
             return None
-        if f2 != c * int(self.rpow2[i]) % self.p2:
+        if f2 != c * self.pow2(i) % self.p2:
             return None
         return i
 
@@ -291,8 +348,10 @@ class SampleRecovery:
         i = ix // c
         ok = (ix % c == 0) & (i >= 1) & (i <= self.n)
         pos, c, i = pos[ok], c[ok], i[ok]
-        ok = ((fp1.reshape(-1)[pos] == _mulmod(c, self.rpow1[i], self.p1))
-              & (fp2.reshape(-1)[pos] == _mulmod(c, self.rpow2[i], self.p2)))
+        ok = ((fp1.reshape(-1)[pos] == _mulmod(c, self.pow1.gather(i),
+                                               self.p1))
+              & (fp2.reshape(-1)[pos] == _mulmod(c, self.pow2.gather(i),
+                                                 self.p2)))
         return i[ok], c[ok]
 
     def sample(self, which: int) -> SampleOutcome:
@@ -349,9 +408,10 @@ class SampleRecovery:
             w = weight[:, None]
             np.subtract.at(count, at, w)
             np.subtract.at(index, at, w * peel[:, None])
-            for fp, rpow, p in ((fp1, self.rpow1, self.p1),
-                                (fp2, self.rpow2, self.p2)):
-                np.subtract.at(fp, at, _mulmod(weight, rpow[peel], p)[:, None])
+            for fp, table, p in ((fp1, self.pow1, self.p1),
+                                 (fp2, self.pow2, self.p2)):
+                np.subtract.at(fp, at,
+                               _mulmod(weight, table.gather(peel), p)[:, None])
                 fp[at] %= p
         raise RecoveryFail("peeling did not terminate")
 
@@ -372,4 +432,4 @@ class SampleRecovery:
         """Stored machine words, for space-census reports."""
         bank = 4 * self.bank_count.size + 2 * self.bank_a.size
         grid = 4 * self.grid_count.size + 2 * self.grid_a.size
-        return bank + grid + 2 * (self.n + 1) + 4
+        return bank + grid + self.pow1.words() + self.pow2.words() + 4

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX, RecoveryFail,
-                             SampleRecovery, derive_seed, is_prime,
-                             nextprime)
+from vcstream.sketch import (_MAX_LIMBS, EMPTY, FAIL, HASH_P, INDEX,
+                             PowTable, RecoveryFail, SampleRecovery,
+                             _mulmod_exact, derive_seed, fingerprint_prime,
+                             is_prime, nextprime)
 
 
 def test_derive_seed_deterministic():
@@ -177,6 +178,12 @@ def test_words_positive_and_monotone_in_capacity():
 # -- deepest-level bank -----------------------------------------------------
 
 
+def _bases(s):
+    """The fingerprint bases r1, r2, redrawn from the sketch's seed."""
+    rng = np.random.default_rng(derive_seed(s.seed, "hashes"))
+    return int(rng.integers(1, s.p1)), int(rng.integers(1, s.p2))
+
+
 def _reference_levels(s, ops):
     """All-levels detector values, built straight from the hash pairs.
 
@@ -185,7 +192,7 @@ def _reference_levels(s, ops):
     """
     shape = s.bank_a.shape + (s.levels,)
     ref = [np.zeros(shape, dtype=object) for _ in range(4)]
-    r1, r2 = int(s.rpow1[1]), int(s.rpow2[1])
+    r1, r2 = _bases(s)
     for i, d in ops:
         for which, rep in np.ndindex(s.bank_a.shape):
             h = (int(s.bank_a[which, rep]) * i
@@ -202,7 +209,7 @@ def _reference_levels(s, ops):
 
 
 def _reference_sample(s, ref, which):
-    r1, r2 = int(s.rpow1[1]), int(s.rpow2[1])
+    r1, r2 = _bases(s)
     for rep in range(s.reps):
         for lvl in range(s.levels):
             c, ix, f1, f2 = (int(a[which, rep, lvl]) for a in ref)
@@ -253,6 +260,7 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts():
     s = SampleRecovery(n_indices=10 ** 5, capacity=8, n_samplers=0, seed=4)
     limit = ((1 << 63) - 1) // s.p2  # |count| above this takes Python ints
     rng = random.Random(8)
+    r1, r2 = _bases(s)
     rows, cols = s.grid_count.shape
     count = np.zeros((rows, cols), dtype=np.int64)
     index = np.zeros_like(count)
@@ -266,8 +274,8 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts():
             i = rng.randint(1, s.n)
             count[r, col] = c
             index[r, col] = c * i
-            fp1[r, col] = c * int(s.rpow1[i]) % s.p1
-            fp2[r, col] = c * int(s.rpow2[i]) % s.p2
+            fp1[r, col] = c * pow(r1, i, s.p1) % s.p1
+            fp2[r, col] = c * pow(r2, i, s.p2) % s.p2
             spoil = rng.random()
             if spoil < 0.2:  # not one-sparse by fingerprint
                 fp1[r, col] = (fp1[r, col] + 1) % s.p1
@@ -294,6 +302,94 @@ def test_recover_with_weights_past_the_int64_product_bound():
     assert 4 * big * s.p2 >= 1 << 63
     assert s.recover() == {5, 9}
     assert all(s.sample(w).index in (5, 9) for w in range(2))
+
+
+# -- fingerprint power tables -----------------------------------------------
+
+
+def _fingerprint_primes(n_indices):
+    p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
+    return p1, fingerprint_prime(p1)
+
+
+# (n_indices) of a pdpsa vertex sketch at n=600, and of the dpsa edge
+# sketch at n=600 and n=2000
+_TABLE_SIZES = (600, 600 * 599 // 2, 2000 * 1999 // 2)
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_pow_table_matches_pow(n):
+    rng = random.Random(n)
+    for p in _fingerprint_primes(n):
+        r = rng.randrange(1, p)
+        t = PowTable(r, p, n)
+        s = t.shift
+        assert (1 << s) >= math.isqrt(n) and t.words() <= 3 * math.isqrt(n) + 3
+        at = [0, 1, (1 << s) - 1, 1 << s, n, n - 1]
+        at += [rng.randint(0, n) for _ in range(300)]
+        want = [pow(r, i, p) for i in at]
+        assert [t(i) for i in at] == want
+        assert t.gather(np.array(at, dtype=np.int64)).tolist() == want
+
+
+def _prev_prime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_mulmod_exact_at_the_edges_of_each_path():
+    plain_top = _prev_prime(math.isqrt((1 << 63) - 1))  # p^2 < 2^63
+    # L limbs of 62 - b bits cover a b-bit prime while b <= 62 L / (L + 1)
+    limb_top = _prev_prime((1 << (62 * _MAX_LIMBS // (_MAX_LIMBS + 1))) - 1)
+    past = nextprime(limb_top)
+    for p in (plain_top, nextprime(plain_top), limb_top):
+        t = 62 - p.bit_length()
+        assert p * p <= (1 << 63) - 1 or _MAX_LIMBS * t >= p.bit_length()
+    t = 62 - past.bit_length()
+    assert _MAX_LIMBS * t < past.bit_length()  # the Python-int fallback
+    rng = random.Random(3)
+    for p in (1 << 30, plain_top, nextprime(plain_top), limb_top, past):
+        a = [p - 1, p - 1, 0, 1, p - 2] + [rng.randrange(p) for _ in range(200)]
+        b = [p - 1, 1, p - 1, p - 1, p - 2] + [rng.randrange(p)
+                                               for _ in range(200)]
+        got = _mulmod_exact(np.array(a, dtype=np.int64),
+                            np.array(b, dtype=np.int64), p)
+        assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+
+
+class _PowByPython:
+    """Fingerprint powers from Python ``pow``, the tables' reference."""
+
+    def __init__(self, r, p):
+        self.r, self.p = r, p
+
+    def __call__(self, i):
+        return pow(self.r, i, self.p)
+
+    def gather(self, i):
+        return np.array([pow(self.r, int(j), self.p) for j in i],
+                        dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,samplers", [(600, 3)] + [
+    (n, 0) for n in _TABLE_SIZES[1:]])
+def test_tables_build_the_same_sketch_as_pow(n, samplers):
+    rng = random.Random(n)
+    for seed in range(3):
+        a = SampleRecovery(n, capacity=30, n_samplers=samplers, seed=seed)
+        b = SampleRecovery(n, capacity=30, n_samplers=samplers, seed=seed)
+        r1, r2 = _bases(a)
+        b.pow1, b.pow2 = _PowByPython(r1, a.p1), _PowByPython(r2, a.p2)
+        support = rng.sample(range(1, n + 1), 30)
+        for i in support + [n]:
+            d = rng.choice([1, 2, -1])
+            a.update(i, d)
+            b.update(i, d)
+        assert a.state_equals(b)
+        assert a.recover() == b.recover()
+        for which in range(samplers):
+            assert a.sample(which) == b.sample(which)
 
 
 # -- primes -----------------------------------------------------------------
