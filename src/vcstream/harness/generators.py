@@ -50,6 +50,8 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
     edge touches C, so C covers each prefix by construction; ``verify``
     additionally checks every inserted edge against C.  A deletion
     cannot break a cover, so that checks every prefix exactly, at any n.
+    Raises ``ValueError`` when 50 * length tries reach fewer than
+    ``length`` updates, as when C's edges run out with no churn.
     """
     if cfg.k < 1:
         raise ValueError("promised streams need k >= 1")
@@ -80,6 +82,9 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
                 and upd.edge.u not in planted and upd.edge.v not in planted:
             raise RuntimeError(f"generated edge {upd.edge} misses the "
                                f"planted cover {cover}")
+    if len(out) < length:
+        raise ValueError(f"promised stream reached {len(out)} of "
+                         f"{length} updates")
     return out
 
 

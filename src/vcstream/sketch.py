@@ -9,7 +9,13 @@ one update is a handful of vectorised operations:
   support fits within its capacity.
 
 Both are built from one-sparse detectors: (count, index-weighted sum,
-fingerprint) cells that recognise a vector with one nonzero entry.
+fingerprint) cells that recognise a vector with one nonzero entry.  A
+cell's fingerprints are sums of count * r^i modulo two primes near N^2;
+the powers r^i come from two tables of about sqrt(N) entries per prime
+(``PowTable``), multiplied exactly in int64 (``_mulmod_exact``).  The
+grid has 2 * capacity buckets per row and only as many rows as the
+pair-collision bound asks (``grid_geometry``), so its size does not
+grow with N.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
@@ -196,6 +202,22 @@ def _reps_for(fail_rate: float) -> int:
     return max(4, math.ceil(math.log(fail_rate) / math.log(0.75)))
 
 
+def grid_geometry(capacity: int, delta: float) -> tuple[int, int]:
+    """(rows, buckets per row) of a recovery grid for ``capacity`` indices.
+
+    Each row hashes an index to one of B = 2 * capacity buckets.  Peeling
+    a grid filled to capacity stalls, at this load, almost only when two
+    indices share a bucket in every row (Goodrich & Mitzenmacher,
+    "Invertible Bloom Lookup Tables", 2011), which happens with
+    probability at most capacity^2 / B^R over all pairs.  R rows with
+    B^R >= capacity^2 / delta hold that below delta; at least 4 rows.
+    """
+    buckets = 2 * capacity
+    rows = max(4, math.ceil(math.log(capacity * capacity / delta)
+                            / math.log(buckets)))
+    return rows, buckets
+
+
 # ---------------------------------------------------------------------------
 # s-sparse recovery
 
@@ -207,9 +229,11 @@ class SampleRecovery:
       per-query sampling without replacement across sampler indices.
       Each index is stored at its deepest level only (see the module
       docstring); ``sample`` forms the level sums.
-    * an R x B grid of one-sparse buckets (B = 2 * capacity,
-      R ~ log2(N / delta)) is peeled for exact recovery whenever the net
-      support fits within ``capacity``.
+    * an R x B grid of one-sparse buckets is peeled for exact recovery
+      whenever the net support fits within ``capacity``.  B = 2 * capacity
+      and R = max(4, ceil(ln(capacity^2 / delta) / ln B)), from the
+      pair-collision bound (``grid_geometry``): 4 rows for both pdpsa
+      and dpsa at their default sizes.
     * ``support`` is an exact signed counter of net insertions; it equals
       the l0 norm under valid +/-1 streams.
 
@@ -241,8 +265,7 @@ class SampleRecovery:
         self.levels = max(1, math.ceil(math.log2(max(n_indices, 2)))) + 1
         self.reps = _reps_for(sampler_fail if sampler_fail is not None
                               else delta)
-        self.rows = max(1, math.ceil(math.log2(max(n_indices, 2) / delta)))
-        self.buckets = 2 * capacity
+        self.rows, self.buckets = grid_geometry(capacity, delta)
 
         self.p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
         self.p2 = fingerprint_prime(self.p1)

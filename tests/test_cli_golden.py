@@ -101,7 +101,7 @@ answer=no
 query=8
 recovery_skipped=true
 answer=no
-words_stored=822
+words_stored=294
 """),
     "dpsa-absent-delete": (3, """
 mode=dpsa
@@ -209,7 +209,7 @@ query=8
 answer=yes
 cover=2,6,9
 verified=true
-words_stored=295516
+words_stored=239236
 sketch_fails=0
 rematch_misses=0
 rematches=11

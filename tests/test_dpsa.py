@@ -1,6 +1,7 @@
 """Unrestricted dynamic mode: global sketch, edge gate."""
 
 import itertools
+import math
 import random
 
 from vcstream.core import (Config, Edge, ShadowGraph, StreamUpdate, covers,
@@ -90,3 +91,14 @@ def test_gate_exact_at_boundary():
         sh.insert(Edge(u, v))
     assert st.live == n * k
     assert dpsa_query(st, k).kind == oracle_vc(sh.edges(), k).kind
+
+
+def test_dpsa_space_is_linear_in_n():
+    # the fingerprint powers take two tables of about sqrt(N) entries
+    # each, for N = n(n-1)/2 edge slots, not N + 1 entries
+    big = DpsaState(Config(n=2000, k=3))
+    n_pairs = 2000 * 1999 // 2
+    for table in (big.sketch.pow1, big.sketch.pow2):
+        assert table.words() <= 3 * math.isqrt(n_pairs)
+    assert big.words() / DpsaState(Config(n=1000, k=3)).words() <= 2.2
+    assert DpsaState(Config(n=600, k=3)).words() <= 72_000

@@ -92,8 +92,26 @@ def test_promised_stream_prefixes_covered():
 def test_promised_insertion_only_when_churn_zero():
     rng = random.Random(4)
     cfg = Config(n=10, k=2, seed=4)
-    stream = gen_promised_stream(cfg, 25, 0.0, rng)
+    # the planted cover drawn here has one vertex, hence 9 edges to insert
+    stream = gen_promised_stream(cfg, 9, 0.0, rng)
+    assert len(stream) == 9
     assert all(upd.op == INSERT for upd in stream)
+
+
+def test_promised_stream_raises_when_short():
+    # a one-vertex cover at n=10 has 9 edges, and without churn nothing
+    # frees room for more
+    with pytest.raises(ValueError, match="reached 9 of 100 updates"):
+        gen_promised_stream(Config(n=10, k=1), 100, 0.0, random.Random(0))
+
+
+def test_cli_promised_generator_short_stream_exit_2(capsys):
+    buf = io.StringIO()
+    assert run_cli(["--gen", "promised", "--n", "10", "--k", "1",
+                    "--length", "100", "--churn", "0"], out=buf) == 2
+    assert buf.getvalue() == ""
+    assert ("error=promised stream reached 9 of 100 updates"
+            in capsys.readouterr().err)
 
 
 # The generators as they were before they kept a sorted live-edge list;
@@ -332,7 +350,7 @@ def test_cli_pdpsa_degraded_recovery_runs_to_the_end(tmp_path):
 def test_cli_unverified_certificate_exit_5(tmp_path):
     f = _degraded_pdpsa(tmp_path)
     code, report = run(["--input", str(f), "--alpha", "0.003",
-                        "--seed", "7"])
+                        "--seed", "10"])
     assert code == 5
     assert report["answer"] == "yes"
     assert report["verified"] == "false"

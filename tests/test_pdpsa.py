@@ -1,5 +1,6 @@
 """Promised-dynamic matching: procedures, invariants, query path."""
 
+import math
 import random
 
 import pytest
@@ -174,3 +175,14 @@ def test_rematch_counter_moves_on_churny_streams():
     for upd in gen_promised_stream(cfg, 200, 0.4, rng):
         st.apply(upd)
     assert st.rematch_count > 0
+
+
+def test_vertex_sketch_space_is_polylog_in_n():
+    def words(n):
+        st = MatchingState(Config(n=n, k=3))
+        st._fresh_sketch(1)
+        return st.sketches[1].words()
+
+    base = words(1000)
+    for n in (10 ** 4, 10 ** 5, 10 ** 6):
+        assert words(n) <= base * (math.log2(n) / math.log2(1000)) ** 3

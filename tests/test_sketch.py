@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from vcstream.sketch import (_MAX_LIMBS, EMPTY, FAIL, HASH_P, INDEX,
                              PowTable, RecoveryFail, SampleRecovery,
                              _mulmod_exact, derive_seed, fingerprint_prime,
-                             is_prime, nextprime)
+                             grid_geometry, is_prime, nextprime)
 
 
 def test_derive_seed_deterministic():
@@ -167,6 +167,39 @@ def test_support_counter_tracks_deletions():
         s.update(i, -1)
     assert s.support == 4
     assert s.recover() == {5, 6, 7, 8}
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
+@pytest.mark.parametrize("delta", [0.01, 1e-6])
+def test_grid_geometry_meets_the_pair_collision_bound(capacity, delta):
+    rows, buckets = grid_geometry(capacity, delta)
+    assert buckets == 2 * capacity and rows >= 4
+    assert capacity ** 2 / buckets ** rows <= delta
+    # one row fewer would not meet it, unless the floor of 4 rows binds
+    assert rows == 4 or capacity ** 2 / buckets ** (rows - 1) > delta
+
+
+# capacity -> trials; the default pdpsa and dpsa sizes use 4 rows
+_CURVE = {1: 800, 2: 800, 5: 800, 10: 500, 50: 300, 254: 100, 1800: 20}
+
+
+@pytest.mark.parametrize("capacity", sorted(_CURVE))
+def test_recovery_failure_curve_at_full_capacity(capacity):
+    # seeded, so every run draws the same supports and hashes
+    trials, n = _CURVE[capacity], 10 ** 5
+    rng = random.Random(capacity)
+    failures = 0
+    for t in range(trials):
+        s = SampleRecovery(n, capacity, n_samplers=0,
+                           seed=derive_seed("curve", capacity, t))
+        support = rng.sample(range(1, n + 1), capacity)
+        for i in support:
+            s.update(i, +1)
+        try:
+            failures += s.recover() != set(support)
+        except RecoveryFail:
+            failures += 1
+    assert failures / trials <= 0.01
 
 
 def test_words_positive_and_monotone_in_capacity():
@@ -342,17 +375,15 @@ def test_mulmod_exact_at_the_edges_of_each_path():
     plain_top = _prev_prime(math.isqrt((1 << 63) - 1))  # p^2 < 2^63
     # L limbs of 62 - b bits cover a b-bit prime while b <= 62 L / (L + 1)
     limb_top = _prev_prime((1 << (62 * _MAX_LIMBS // (_MAX_LIMBS + 1))) - 1)
-    past = nextprime(limb_top)
-    for p in (plain_top, nextprime(plain_top), limb_top):
-        t = 62 - p.bit_length()
-        assert p * p <= (1 << 63) - 1 or _MAX_LIMBS * t >= p.bit_length()
-    t = 62 - past.bit_length()
-    assert _MAX_LIMBS * t < past.bit_length()  # the Python-int fallback
+    past = nextprime(limb_top)  # the Python-int fallback
+    assert _MAX_LIMBS * (62 - limb_top.bit_length()) >= limb_top.bit_length()
+    assert _MAX_LIMBS * (62 - past.bit_length()) < past.bit_length()
     rng = random.Random(3)
     for p in (1 << 30, plain_top, nextprime(plain_top), limb_top, past):
-        a = [p - 1, p - 1, 0, 1, p - 2] + [rng.randrange(p) for _ in range(200)]
-        b = [p - 1, 1, p - 1, p - 1, p - 2] + [rng.randrange(p)
-                                               for _ in range(200)]
+        a = [p - 1, p - 1, 0, 1, p - 2]
+        b = [p - 1, 1, p - 1, p - 1, p - 2]
+        a += [rng.randrange(p) for _ in range(200)]
+        b += [rng.randrange(p) for _ in range(200)]
         got = _mulmod_exact(np.array(a, dtype=np.int64),
                             np.array(b, dtype=np.int64), p)
         assert got.tolist() == [x * y % p for x, y in zip(a, b)]
@@ -381,8 +412,8 @@ def test_tables_build_the_same_sketch_as_pow(n, samplers):
         b = SampleRecovery(n, capacity=30, n_samplers=samplers, seed=seed)
         r1, r2 = _bases(a)
         b.pow1, b.pow2 = _PowByPython(r1, a.p1), _PowByPython(r2, a.p2)
-        support = rng.sample(range(1, n + 1), 30)
-        for i in support + [n]:
+        # index n reads the last entry of each ``hi`` table
+        for i in rng.sample(range(1, n), 29) + [n]:
             d = rng.choice([1, 2, -1])
             a.update(i, d)
             b.update(i, d)
