@@ -84,11 +84,12 @@ class StreamUpdate:
 
 @dataclass
 class Config:
-    """Stream-wide parameters and derived sketch sizes.
+    """Stream-wide parameters and the derived sketch capacity.
 
-    x and y follow the sizing formulas x = 8ck log2(n/delta) and
-    y = 8c log2(n/delta); alpha scales both so tests can shrink sketches
-    to probe the failure regime deliberately.
+    x follows the sizing formula x = 8ck log2(n/delta): the support up to
+    which a pdpsa vertex sketch recovers its whole neighborhood.  alpha
+    scales it so tests can shrink sketches to probe the failure regime
+    deliberately.
     """
 
     n: int
@@ -109,11 +110,6 @@ class Config:
     @property
     def x(self) -> int:
         return max(1, math.ceil(self.alpha * 8 * self.c * self.k
-                                * math.log2(self.n / self.delta)))
-
-    @property
-    def y(self) -> int:
-        return max(1, math.ceil(self.alpha * 8 * self.c
                                 * math.log2(self.n / self.delta)))
 
 

@@ -23,7 +23,7 @@ class DpsaState:
         # n = 1 has no edge slots; the sketch still needs one bucket
         capacity = max(1, min(n_pairs, n * k))
         self.sketch = SampleRecovery(
-            n_indices=n_pairs, capacity=capacity, n_samplers=0,
+            n_indices=n_pairs, capacity=capacity, need=0,
             seed=derive_seed(config.seed, "global-edge-sketch"),
             delta=config.delta)
         self.live = 0

@@ -57,8 +57,8 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
         if (in_u and in_v) != (e in st.tdict):
             out.append(f"edge {e}: both-sketches={in_u and in_v} but "
                        f"T-listed={e in st.tdict}")
-        # invariant 2: both matched, not in T: only the earlier-matched
-        # endpoint's sketch holds the edge
+        # invariant 2: both matched, not in T: only the sketch that began
+        # earlier holds the edge
         if (e.u in st.matched and e.v in st.matched
                 and e not in st.tdict and in_u != in_v):
             early = e.u if st.ts[e.u] < st.ts[e.v] else e.v

@@ -3,17 +3,23 @@
 Maintains a maximal matching under edge inserts and deletes.  Every
 matched vertex carries a linear sketch of its incident edges; the
 dictionary T records the edges known to sit in both endpoints' sketches,
-and per-vertex timestamps disambiguate which single sketch holds an edge
-that T does not know about.  Three invariants tie these together:
+and per-vertex timestamps (when each vertex's current sketch began)
+disambiguate which single sketch holds an edge that T does not know
+about.  Three invariants tie these together:
 
 1. every live edge is in at least one endpoint's sketch;
 2. for a live edge with both endpoints matched, the edge is missing from
-   exactly the endpoint matched later, unless T lists it;
+   exactly the endpoint whose sketch began later, unless T lists it;
 3. the edge sits in both sketches exactly when T lists it.
 
 Deleting a matched edge triggers Rematch: a low-support endpoint recovers
 its sketched neighborhood exactly and pairs with the smallest exposed
-neighbor; a high-support endpoint draws from its sampler bank instead.
+neighbor.  A high-support endpoint recovers 2k+1 distinct neighbors from
+its sketch's level grids instead (``SampleRecovery.recover(need)``):
+under the promise at most 2k vertices are matched, so one of them is
+exposed.  The query takes k+1 neighbors of each high-support vertex the
+same way.  A recovery that stalls or returns fewer neighbors than asked
+raises ``SketchFail``.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ class MatchingState:
         cfg = self.config
         self._sketch_epoch += 1
         self.sketches[v] = SampleRecovery(
-            n_indices=cfg.n, capacity=cfg.x, n_samplers=cfg.y,
+            n_indices=cfg.n, capacity=cfg.x, need=2 * cfg.k + 1,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
             delta=cfg.delta,
             sampler_fail=cfg.delta / (2 * cfg.n ** cfg.c),
@@ -94,13 +100,21 @@ class MatchingState:
         self.sketches[v].update(e.other(v), -1)
         self.sup[v] -= 1
 
-    def _recover_neighbors(self, v: int) -> set[int]:
+    def _recover_neighbors(self, v: int, need: int | None = None
+                           ) -> set[int]:
+        """v's sketched neighborhood; with ``need``, past capacity x, at
+        least min(need, sup) distinct neighbors of it."""
         from .sketch import RecoveryFail
         try:
-            return self.sketches[v].recover()
+            got = self.sketches[v].recover(need)
         except RecoveryFail as exc:
             self.sketch_fail_count += 1
             raise SketchFail(f"recovery failed for vertex {v}") from exc
+        if need is not None and len(got) < min(need, self.sup[v]):
+            self.sketch_fail_count += 1
+            raise SketchFail(f"recovered {len(got)} of {need} neighbors "
+                             f"for vertex {v}")
+        return got
 
     def _is_low(self, v: int) -> bool:
         return self.sup.get(v, 0) <= self.config.x
@@ -147,12 +161,15 @@ class MatchingState:
         self.tdict[e] = None
         for z in (e.u, e.v):
             self.matched.add(z)
-            self.ts[z] = t
             if z not in self.sketches:
+                self.ts[z] = t
                 self._fresh_sketch(z)
                 self._sketch_add(z, e)
             # a retained sketch already holds e: during Rematch the edge
-            # was found by recovering or sampling that very sketch
+            # was found by recovering that very sketch.  It keeps its
+            # timestamp, the time the sketch began: it holds every edge
+            # to a vertex matched since, and invariant 2 reads the order
+            # of the sketches' starts
 
     def insert_to_ds(self, e: Edge) -> None:
         if e.u in self.matched and e.v in self.matched:
@@ -197,8 +214,9 @@ class MatchingState:
 
     def _drop_vertex(self, u: int) -> None:
         # T may still list edges at u that recovery did not return (a
-        # degraded sketch, or a high-degree vertex whose samples all
-        # missed); they sit in the other endpoint's sketch alone from now
+        # degraded sketch, or a high-degree vertex whose 2k+1 recovered
+        # neighbors were all matched); they sit in the other endpoint's
+        # sketch alone from now
         for e in [e for e in self.tdict if u in (e.u, e.v)]:
             del self.tdict[e]
         del self.sketches[u]
@@ -215,49 +233,34 @@ class MatchingState:
         self.matched.discard(e.u)
         self.matched.discard(e.v)
         for w in sorted((e.u, e.v)):
-            if self._is_low(w):
-                exposed = sorted(z for z in self._recover_neighbors(w)
-                                 if z not in self.matched)
-                if exposed:
-                    self.add_edge_to_matching(Edge(w, exposed[0]), t)
-                else:
-                    self.delete_neighborhood(w)
+            nbrs = self._recover_neighbors(w, 2 * self.config.k + 1)
+            exposed = sorted(z for z in nbrs if z not in self.matched)
+            if exposed:
+                self.add_edge_to_matching(Edge(w, exposed[0]), t)
+            elif self._is_low(w):
+                self.delete_neighborhood(w)
             else:
-                hit = None
-                for which in range(self.config.y):
-                    got = self.sketches[w].sample(which)
-                    if got.is_index and got.index not in self.matched:
-                        hit = got.index
-                        break
-                if hit is not None:
-                    self.add_edge_to_matching(Edge(w, hit), t)
-                else:
-                    # no exposed sample (probability bounded by the
-                    # sampler analysis): discard w's state
-                    self.rematch_miss_count += 1
-                    self._drop_vertex(w)
+                # 2k+1 distinct neighbors, all matched: only a broken
+                # promise gets here; discard w's state
+                self.rematch_miss_count += 1
+                self._drop_vertex(w)
         self._check_promise()
 
     # -- query -------------------------------------------------------------
 
     def extract_kernel_edges(self) -> set[Edge]:
-        """Up to k+1 sketched edges per matched vertex, mate first."""
+        """Up to k+1 sketched edges per matched vertex, mate first.
+
+        A vertex yields k+1 distinct neighbors, or all of them when it
+        has fewer, or raises ``SketchFail``.
+        """
         cap = self.config.k + 1
         mates = {}
         for e in self.matching:
             mates[e.u], mates[e.v] = e.v, e.u
         out: set[Edge] = set()
         for v in sorted(self.matched):
-            if self.sup[v] <= self.config.x:
-                nbrs = sorted(self._recover_neighbors(v))
-            else:
-                nbrs = []
-                for which in range(self.config.y):
-                    got = self.sketches[v].sample(which)
-                    if got.is_index and got.index not in nbrs:
-                        nbrs.append(got.index)
-                    if len(nbrs) >= cap:
-                        break
+            nbrs = sorted(self._recover_neighbors(v, cap))
             picked = [mates[v]] if mates.get(v) in nbrs else []
             picked += [z for z in nbrs if z != mates.get(v)]
             out.update(Edge(v, z) for z in picked[:cap])

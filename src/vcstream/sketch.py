@@ -1,34 +1,34 @@
 """Linear sketches over sparse integer vectors indexed by [1, N].
 
-Two layers, both held by ``SampleRecovery`` in flat numpy arrays, so
-one update is a handful of vectorised operations:
+``SampleRecovery`` holds, in one flat numpy array, peelable grids of
+one-sparse cells, so that one update is a handful of vectorised
+operations:
 
-* a bank of level-sampling l0-samplers, each returning a support element
-  or Fail;
-* a peelable bucket grid giving exact support recovery while the
-  support fits within its capacity.
+* the recovery grid gives the exact support while it fits within the
+  grid's capacity;
+* the level grids (subsample and recover) give a few distinct support
+  indices, and uniform samples, when the support is larger.
 
-Both are built from one-sparse detectors: (count, index-weighted sum,
-fingerprint) cells that recognise a vector with one nonzero entry.  A
-cell's fingerprints are sums of count * r^i modulo two primes near N^2;
-the powers r^i come from two tables of about sqrt(N) entries per prime
-(``PowTable``), multiplied exactly in int64 (``_mulmod_exact``).  The
-grid has 2 * capacity buckets per row and only as many rows as the
-pair-collision bound asks (``grid_geometry``), so its size does not
-grow with N.
+A one-sparse cell is a (count, index-weighted sum, fingerprint) tuple
+that recognises a vector with one nonzero entry.  Its fingerprints are
+sums of count * r^i modulo two primes near N^2; the powers r^i come from
+two tables of about sqrt(N) entries per prime (``PowTable``), multiplied
+exactly in int64 (``_mulmod_exact``).  Every grid has 2 * capacity
+buckets per row and only as many rows as the pair-collision bound asks
+(``grid_geometry``), so its size does not grow with N.
+
+Level grids.  A hash sends each index to a deepest level l* with
+P[l* >= l] = 2^-l, and the index is written once, into the grid of level
+l*; an exact counter per level counts the net indices written there.
+By linearity the grids of levels l..L-1 sum to a grid of the subsample
+{i : l*(i) >= l}, which ``recover(need)`` peels at the shallowest level
+whose subsample fits the level capacity.  This is the l0-sampler
+construction of Cormode & Firmani ("A unifying framework for l0-sampling",
+2014) on the invertible Bloom lookup tables of Goodrich & Mitzenmacher
+(2011).
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
-
-Deepest-level layout.  A level sampler's detector at level l sums every
-index whose deepest level is >= l.  ``SampleRecovery`` stores each index
-only once per (sampler, repetition), in the cell of its deepest level, so
-an update writes one cell per repetition instead of every level up to
-the deepest.  By linearity the level-l detector is the suffix sum of the
-stored cells over levels l..L-1 (fingerprints reduced mod their prime),
-which ``sample`` forms at read time, one repetition at a time.  This is
-the l0-sampler layout of Cormode & Firmani (2014) and of Jowhari,
-Saglam & Tardos (2011).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -196,12 +195,6 @@ FAIL = "fail"
 EMPTY = "empty"
 
 
-def _reps_for(fail_rate: float) -> int:
-    # some level leaves about one survivor, so a repetition succeeds with
-    # probability >= 1/4; independent repetitions push Fail below the rate
-    return max(4, math.ceil(math.log(fail_rate) / math.log(0.75)))
-
-
 def grid_geometry(capacity: int, delta: float) -> tuple[int, int]:
     """(rows, buckets per row) of a recovery grid for ``capacity`` indices.
 
@@ -218,24 +211,43 @@ def grid_geometry(capacity: int, delta: float) -> tuple[int, int]:
     return rows, buckets
 
 
+def level_capacity(need: int, fail: float) -> int:
+    """Smallest capacity C with P[Bin(C+1, 1/2) < need] <= ``fail``.
+
+    ``recover(need)`` reads the shallowest level whose subsample holds at
+    most C indices; the level above it holds more than C, and each of
+    those reaches the next level with probability 1/2.  C = 32 for
+    need = 5 at fail 8.3e-6 (pdpsa at n=600, k=2).
+    """
+    c = max(1, need - 1)
+    while sum(math.comb(c + 1, j) for j in range(need)) / 2 ** (c + 1) \
+            > fail:
+        c += 1
+    return c
+
+
 # ---------------------------------------------------------------------------
 # s-sparse recovery
 
 
 class SampleRecovery:
-    """Hybrid sampler bank + peelable recovery grid, one linear structure.
+    """Peelable recovery grid plus per-level grids, one linear structure.
 
-    * ``n_samplers`` independent sampler instances (distinct seeds) give
-      per-query sampling without replacement across sampler indices.
-      Each index is stored at its deepest level only (see the module
-      docstring); ``sample`` forms the level sums.
     * an R x B grid of one-sparse buckets is peeled for exact recovery
       whenever the net support fits within ``capacity``.  B = 2 * capacity
       and R = max(4, ceil(ln(capacity^2 / delta) / ln B)), from the
       pair-collision bound (``grid_geometry``): 4 rows for both pdpsa
       and dpsa at their default sizes.
+    * with ``need`` > 0, one grid per level (see the module docstring),
+      each sized ``grid_geometry(C, sampler_fail)`` for the level
+      capacity C = ``level_capacity(need, sampler_fail)``.  The level
+      grids share one set of bucket hashes, so those of levels l..L-1 add
+      up cell by cell.  ``recover(need=m)`` for m <= ``need`` reads them
+      when the support exceeds ``capacity``, and ``sample`` draws from
+      the same level.  ``need`` = 0 builds no level grids (dpsa).
     * ``support`` is an exact signed counter of net insertions; it equals
-      the l0 norm under valid +/-1 streams.
+      the l0 norm under valid +/-1 streams.  ``level_support[l]`` is the
+      same counter over the indices whose deepest level is l.
 
     One-sparse verification uses two independent prime fingerprints,
     p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
@@ -250,97 +262,113 @@ class SampleRecovery:
     |count| take Python integers.
     """
 
-    def __init__(self, n_indices: int, capacity: int, n_samplers: int,
+    def __init__(self, n_indices: int, capacity: int, need: int,
                  seed: int, delta: float = 0.01,
                  sampler_fail: float | None = None,
                  track_contents: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if need < 0:
+            raise ValueError("need must be >= 0")
         self.n = n_indices
         self.capacity = capacity
-        self.n_samplers = n_samplers
+        self.need = need
         self.seed = seed
         self.support = 0
 
         self.levels = max(1, math.ceil(math.log2(max(n_indices, 2)))) + 1
-        self.reps = _reps_for(sampler_fail if sampler_fail is not None
-                              else delta)
+        self.level_support = [0] * self.levels
         self.rows, self.buckets = grid_geometry(capacity, delta)
+        fail = sampler_fail if sampler_fail is not None else delta
+        self.level_capacity = level_capacity(need, fail) if need else 0
+        self.level_rows, self.level_buckets = (
+            grid_geometry(self.level_capacity, fail) if need else (0, 0))
 
         self.p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
         self.p2 = fingerprint_prime(self.p1)
+        if need and self.levels * self.p2 > _INT64_MAX:
+            # a level sum adds one fingerprint below p2 per level
+            raise ValueError(f"{n_indices} indices are too many for "
+                             f"level grids")
         rng = np.random.default_rng(derive_seed(seed, "hashes"))
         r1 = int(rng.integers(1, self.p1))
         r2 = int(rng.integers(1, self.p2))
         self.pow1 = PowTable(r1, self.p1, n_indices)
         self.pow2 = PowTable(r2, self.p2, n_indices)
 
-        # sampler bank hash coefficients, one pair per (sampler, rep)
-        shape = (n_samplers, self.reps)
-        self.bank_a = rng.integers(1, HASH_P, size=shape, dtype=np.int64)
-        self.bank_b = rng.integers(0, HASH_P, size=shape, dtype=np.int64)
-        zeros = np.zeros(shape + (self.levels,), dtype=np.int64)
-        # flat offset of level 0 of each (sampler, rep) in the bank arrays
-        self._bank_cell0 = np.arange(0, zeros.size, self.levels,
-                                     dtype=np.int64).reshape(shape)
-        self.bank_count = zeros.copy()
-        self.bank_index = zeros.copy()
-        self.bank_fp1 = zeros.copy()
-        self.bank_fp2 = zeros.copy()
-
-        # recovery grid, one bucket hash pair per row
+        # bucket hashes, one pair per row: the recovery grid's rows, then
+        # the rows that every level grid shares
         self.grid_a = rng.integers(1, HASH_P, size=self.rows, dtype=np.int64)
         self.grid_b = rng.integers(0, HASH_P, size=self.rows, dtype=np.int64)
-        gz = np.zeros((self.rows, self.buckets), dtype=np.int64)
-        self.grid_count = gz.copy()
-        self.grid_index = gz.copy()
-        self.grid_fp1 = gz.copy()
-        self.grid_fp2 = gz.copy()
+        self.level_a = rng.integers(1, HASH_P, size=self.level_rows,
+                                    dtype=np.int64)
+        self.level_b = rng.integers(0, HASH_P, size=self.level_rows,
+                                    dtype=np.int64)
+        # key of the hash that picks each index's deepest level
+        self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
-        self._rowidx = np.arange(self.rows)
+        # (count, index, fp1, fp2) of every cell: the recovery grid, then
+        # the level grids, level 0 first; the grids are views into it
+        main = self.rows * self.buckets
+        self._per_level = self.level_rows * self.level_buckets
+        self.cells = np.zeros((4, main + self.levels * self._per_level),
+                              dtype=np.int64)
+        self.grid = self.cells[:, :main].reshape(4, self.rows, self.buckets)
+        self.grid_count, self.grid_index, self.grid_fp1, self.grid_fp2 = \
+            self.grid
+        self.level_grids = self.cells[:, main:].reshape(
+            4, self.levels, self.level_rows, self.level_buckets)
+
+        # per row an update touches: its hash pair, its bucket count and
+        # the cell of its bucket 0 (of level 0, for level rows)
+        self._row_a = np.concatenate([self.grid_a, self.level_a])
+        self._row_b = np.concatenate([self.grid_b, self.level_b])
+        self._row_mod = np.repeat([self.buckets, self.level_buckets],
+                                  [self.rows, self.level_rows])
+        self._row_cell0 = np.concatenate([
+            np.arange(self.rows) * self.buckets,
+            main + np.arange(self.level_rows) * self.level_buckets])
+        self._primes = np.array([[self.p1], [self.p2]], dtype=np.int64)
         # exact mirror of net contents; diagnostic/test aid only
         self.mirror: dict[int, int] | None = {} if track_contents else None
 
     # -- updates -----------------------------------------------------------
 
+    def _depth(self, index: int) -> int:
+        """Deepest level of ``index``: P[depth >= l] = 2^-l, capped.
+
+        A keyed 64-bit hash, so that the levels of any set of indices
+        behave as independent draws; a linear hash on a run of
+        consecutive indices leaves subsamples far from binomial.
+        """
+        h = hashlib.blake2b(int(index).to_bytes(8, "big"), digest_size=8,
+                            key=self.depth_key).digest()
+        return min(self.levels - 1, 64 - int.from_bytes(h, "big").bit_length())
+
     def update(self, index: int, delta: int) -> None:
         if not 1 <= index <= self.n:
             raise ValueError(f"index {index} out of [1, {self.n}]")
-        self.support += delta
         d = int(delta)
-        rp1, rp2 = self.pow1(index), self.pow2(index)
-
-        if self.n_samplers:
-            h = (self.bank_a * index + self.bank_b) % HASH_P
-            # deepest level floor(log2(HASH_P / h)), read off the float's
-            # exponent; exact, since HASH_P / h never lies within a
-            # factor 1 + 2^-32 below a power of two
-            lstar = np.minimum(np.frexp(HASH_P / np.maximum(h, 1))[1],
-                               self.levels) - 1
-            lstar[h == 0] = self.levels - 1
-            # one distinct cell per (sampler, rep): the deepest level
-            cells = self._bank_cell0 + lstar
-            self.bank_count.reshape(-1)[cells] += d
-            self.bank_index.reshape(-1)[cells] += d * index
-            for bank, rp, p in ((self.bank_fp1, rp1, self.p1),
-                                (self.bank_fp2, rp2, self.p2)):
-                flat = bank.reshape(-1)
-                v = flat[cells] + d * rp % p  # in [0, 2p)
-                v -= p * (v >= p)
-                flat[cells] = v
-
-        buckets = (self.grid_a * index + self.grid_b) % HASH_P % self.buckets
-        self.grid_count[self._rowidx, buckets] += d
-        self.grid_index[self._rowidx, buckets] += d * index
-        self.grid_fp1[self._rowidx, buckets] = (
-            self.grid_fp1[self._rowidx, buckets]
-            + d * rp1) % self.p1
-        self.grid_fp2[self._rowidx, buckets] = (
-            self.grid_fp2[self._rowidx, buckets]
-            + d * rp2) % self.p2
+        if abs(d) * index > _INT64_MAX:
+            raise ValueError(f"weight {d} at index {index} overflows int64")
+        # each added value is formed and reduced in Python ints, so once a
+        # cell changes nothing below can raise
+        add = np.array([[d], [d * index], [d * self.pow1(index) % self.p1],
+                        [d * self.pow2(index) % self.p2]], dtype=np.int64)
+        at = self._row_cell0 + (self._row_a * index + self._row_b) \
+            % HASH_P % self._row_mod
+        if self.need:
+            depth = self._depth(index)
+            at[self.rows:] += depth * self._per_level
+            self.level_support[depth] += d
+        v = self.cells[:, at] + add
+        fp = v[2:]  # in [0, 2p)
+        fp -= self._primes * (fp >= self._primes)
+        self.cells[:, at] = v
+        self.support += d
 
         if self.mirror is not None:
-            self.mirror[index] = self.mirror.get(index, 0) + delta
+            self.mirror[index] = self.mirror.get(index, 0) + d
             if self.mirror[index] == 0:
                 del self.mirror[index]
 
@@ -377,40 +405,97 @@ class SampleRecovery:
                                                  self.p2)))
         return i[ok], c[ok]
 
+    def _level_cells(self) -> np.ndarray:
+        """The summed level grid ``recover(need)`` and ``sample`` read.
+
+        That is levels l..L-1 for the shallowest l whose subsample holds
+        at most ``level_capacity`` indices (the deepest level if none
+        does), fingerprints reduced below their primes.
+        """
+        lvl, suffix = self.levels, 0
+        while lvl > 0 and (suffix + self.level_support[lvl - 1]
+                           <= self.level_capacity):
+            lvl -= 1
+            suffix += self.level_support[lvl]
+        cells = self.level_grids[:, min(lvl, self.levels - 1):].sum(axis=1)
+        cells[2:] %= self._primes[:, :, None]
+        return cells
+
     def sample(self, which: int) -> SampleOutcome:
-        if not 0 <= which < self.n_samplers:
-            raise IndexError(f"sampler {which} of {self.n_samplers}")
+        """Draw number ``which``: a seeded uniform pick from a recovery.
+
+        The recovered set is the support while it fits within
+        ``capacity``, and otherwise the whole subsample that
+        ``recover(need)`` reads, peeled.  Each ``which`` >= 0 seeds its
+        own draw, so distinct draws are independent picks from that set.
+        """
+        if which < 0:
+            raise IndexError(f"draw {which} is negative")
         if self.support == 0:
             return SampleOutcome(EMPTY)
-        banks = (self.bank_count[which], self.bank_index[which],
-                 self.bank_fp1[which], self.bank_fp2[which])
-        for rep in range(self.reps):
-            # level l's detector sums the cells of levels l..L-1; the sums
-            # come out deepest first, so walk them backwards from level 0
-            sums = [list(accumulate(reversed(b[rep].tolist())))
-                    for b in banks]
-            for c, ix, f1, f2 in zip(*map(reversed, sums)):
-                i = self._verified(c, ix, f1 % self.p1, f2 % self.p2)
-                if i is not None:
-                    return SampleOutcome(INDEX, i)
-        return SampleOutcome(FAIL)
+        try:
+            if self.support <= self.capacity:
+                got = self.recover()
+            else:
+                got = self._peel(self._level_cells(), self.level_a,
+                                 self.level_b)
+        except RecoveryFail:
+            return SampleOutcome(FAIL)
+        if not got:
+            return SampleOutcome(FAIL)
+        pool = sorted(got)
+        pick = derive_seed(self.seed, "sample", which) % len(pool)
+        return SampleOutcome(INDEX, pool[pick])
 
-    def recover(self) -> set[int]:
-        """Exact support set via grid peeling.
+    def recover(self, need: int | None = None) -> set[int]:
+        """Support indices via grid peeling.
 
-        Reliable when the true support fits in ``capacity``; beyond that
-        the peeling either stalls (RecoveryFail) or yields a strict
-        subset, so callers must gate on the support counter.
+        Without ``need``, or while ``support <= capacity``: the exact
+        support, peeled from the recovery grid.  Reliable when the true
+        support fits in ``capacity``; beyond that the peeling either
+        stalls (RecoveryFail) or yields a strict subset, so callers must
+        gate on the support counter.
+
+        With ``need`` = m (1 <= m <= ``self.need``) and a larger support:
+        at least m distinct support indices, from the level grids.  The
+        one-sparse cells of the summed level grid usually name m already;
+        otherwise that grid is peeled and the whole subsample returned,
+        which can stall (RecoveryFail) or fall short of m.
+
+        The depth hash makes the subsample sizes s_0 >= s_1 >= ...
+        successive binomial thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a
+        shortfall needs s_l > C >= s_(l+1) with s_(l+1) < m for some l,
+        C = ``level_capacity``.  The chain stays at each size s > C for
+        1 / (1 - 2^-s) levels in expectation, so
+            P[shortfall] <= sum over s > C of
+                            P[Bin(s, 1/2) < m] / (1 - 2^-s),
+        1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, sampler_fail 8.3e-6).
+        A level grid at most C full stalls with probability at most
+        sampler_fail (``grid_geometry``).
         """
-        count = self.grid_count.copy()
-        index = self.grid_index.copy()
-        fp1 = self.grid_fp1.copy()
-        fp2 = self.grid_fp2.copy()
+        if need is None or self.support <= self.capacity:
+            return self._peel(self.grid.copy(), self.grid_a, self.grid_b)
+        if not 1 <= need <= self.need:
+            raise ValueError(f"need {need} outside [1, {self.need}]")
+        cells = self._level_cells()
+        found = set(self._verify_cells(*cells)[0].tolist())
+        if len(found) >= need:
+            return found
+        return self._peel(cells, self.level_a, self.level_b)
+
+    def _peel(self, grid: np.ndarray, a: np.ndarray, b: np.ndarray
+              ) -> set[int]:
+        """Support of a (count, index, fp1, fp2) grid, peeled in place.
+
+        Row r of the grid puts index i in bucket (a[r] i + b[r]) mod
+        HASH_P mod B.
+        """
+        count, index, fp1, fp2 = grid
+        rowidx = np.arange(count.shape[0])
         found: set[int] = set()
 
-        for _ in range(self.buckets * self.rows + 1):
-            if not count.any() and not index.any() and not fp1.any() \
-                    and not fp2.any():
+        for _ in range(count.size + 1):
+            if not grid.any():
                 return found
             peel, weight = self._verify_cells(count, index, fp1, fp2)
             # an index's first one-sparse bucket gives its weight
@@ -425,9 +510,8 @@ class SampleRecovery:
                     f"peeling stalled with {int(np.abs(count).sum())} "
                     f"residual mass")
             found.update(peel.tolist())
-            cols = (self.grid_a * peel[:, None] + self.grid_b) % HASH_P \
-                % self.buckets
-            at = (self._rowidx, cols)
+            cols = (a * peel[:, None] + b) % HASH_P % count.shape[1]
+            at = (rowidx, cols)
             w = weight[:, None]
             np.subtract.at(count, at, w)
             np.subtract.at(index, at, w * peel[:, None])
@@ -442,17 +526,16 @@ class SampleRecovery:
 
     def state_equals(self, other: "SampleRecovery") -> bool:
         return (self.support == other.support
-                and np.array_equal(self.bank_count, other.bank_count)
-                and np.array_equal(self.bank_index, other.bank_index)
-                and np.array_equal(self.bank_fp1, other.bank_fp1)
-                and np.array_equal(self.bank_fp2, other.bank_fp2)
-                and np.array_equal(self.grid_count, other.grid_count)
-                and np.array_equal(self.grid_index, other.grid_index)
-                and np.array_equal(self.grid_fp1, other.grid_fp1)
-                and np.array_equal(self.grid_fp2, other.grid_fp2))
+                and self.level_support == other.level_support
+                and np.array_equal(self.cells, other.cells))
 
     def words(self) -> int:
-        """Stored machine words, for space-census reports."""
-        bank = 4 * self.bank_count.size + 2 * self.bank_a.size
-        grid = 4 * self.grid_count.size + 2 * self.grid_a.size
-        return bank + grid + self.pow1.words() + self.pow2.words() + 4
+        """Stored machine words, for space-census reports.
+
+        Every cell's 4 words, 2 hash words per row, and with level grids
+        the per-level counters and the depth hash key.
+        """
+        hashes = 2 * (self.rows + self.level_rows)
+        levels = self.levels + 1 if self.need else 0
+        return (self.cells.size + hashes + levels + self.pow1.words()
+                + self.pow2.words() + 4)

@@ -209,7 +209,7 @@ query=8
 answer=yes
 cover=2,6,9
 verified=true
-words_stored=239236
+words_stored=52156
 sketch_fails=0
 rematch_misses=0
 rematches=11

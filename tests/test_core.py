@@ -102,9 +102,8 @@ def test_shadow_replay_counting():
 
 def test_config_sizes():
     cfg = Config(n=40, k=4, delta=0.01)
-    # x = ceil(8 * 4 * log2(4000)), y = ceil(8 * log2(4000))
+    # x = ceil(8 * 4 * log2(4000))
     assert cfg.x == 383
-    assert cfg.y == 96
     half = Config(n=40, k=4, delta=0.01, alpha=0.5)
     assert half.x < cfg.x
 

@@ -327,8 +327,9 @@ def test_cli_promised_generator_past_oracle_budget():
 
 
 def _degraded_pdpsa(tmp_path):
-    # a promised stream whose sketches, at alpha 0.003 and below, are too
-    # small to recover every neighborhood
+    # a promised stream whose sketches, at alpha 0.003 and below, recover
+    # whole neighborhoods only up to x = 2 (x = 1) and read every larger
+    # one from their level grids
     buf = io.StringIO()
     assert run_cli(["--gen", "promised", "--n", "30", "--k", "4", "--seed",
                     "3", "--length", "300"], out=buf) == 0
@@ -347,16 +348,31 @@ def test_cli_pdpsa_degraded_recovery_runs_to_the_end(tmp_path):
     assert report["sketch_fails"] == "0"
 
 
-def test_cli_unverified_certificate_exit_5(tmp_path):
+def test_cli_unverified_certificate_exit_5(tmp_path, monkeypatch):
+    # a state that lost every edge but the matching's answers Yes with a
+    # certificate that misses live edges; no seed of the real sketches
+    # does that on this stream, and a recovery that returns too few
+    # neighbors now raises SketchFail instead
+    from vcstream.pdpsa import MatchingState
+    monkeypatch.setattr(MatchingState, "extract_kernel_edges",
+                        lambda self: set(self.matching))
     f = _degraded_pdpsa(tmp_path)
-    code, report = run(["--input", str(f), "--alpha", "0.003",
-                        "--seed", "10"])
+    code, report = run(["--input", str(f), "--seed", "10"])
     assert code == 5
     assert report["answer"] == "yes"
     assert report["verified"] == "false"
 
 
-def test_cli_sketch_fail_at_update_exit_5(tmp_path):
+def test_cli_sketch_fail_at_update_exit_5(tmp_path, monkeypatch):
+    # every level read stalls; the first high-support Rematch reaches one
+    from vcstream.sketch import RecoveryFail, SampleRecovery
+    real = SampleRecovery.recover
+
+    def stall(self, need=None):
+        if need is not None and self.support > self.capacity:
+            raise RecoveryFail("peeling stalled")
+        return real(self, need)
+    monkeypatch.setattr(SampleRecovery, "recover", stall)
     f = _degraded_pdpsa(tmp_path)
     code, report = run(["--input", str(f), "--alpha", "0.001",
                         "--seed", "7"])

@@ -186,3 +186,103 @@ def test_vertex_sketch_space_is_polylog_in_n():
     base = words(1000)
     for n in (10 ** 4, 10 ** 5, 10 ** 6):
         assert words(n) <= base * (math.log2(n) / math.log2(1000)) ** 3
+
+
+def test_vertex_sketch_words_at_n600_k2():
+    # the dynamic-sketch benchmark's hub sketch held 247 764 words with
+    # a sampler bank of 127 samplers x 41 reps x 11 levels
+    st = MatchingState(Config(n=600, k=2))
+    st._fresh_sketch(1)
+    assert st.sketches[1].words() <= 30_000
+
+
+# -- high-support vertices --------------------------------------------------
+
+
+def _hub_stream(rng, n, k, warm, churn):
+    """Leaf edges round-robin over k planted hubs, then FIFO churn.
+
+    ``warm`` inserts, then ``churn`` updates that alternately delete a
+    hub's oldest live edge (the first are the matching's, so Rematch
+    runs at a hub) and insert a fresh leaf edge at it.
+    """
+    hubs = rng.sample(range(1, n + 1), k)
+    leaves = [v for v in range(1, n + 1) if v not in hubs]
+    live, order, out = set(), {h: [] for h in hubs}, []
+
+    def insert(h):
+        e = Edge(h, rng.choice(leaves))
+        while e in live:
+            e = Edge(h, rng.choice(leaves))
+        live.add(e)
+        order[h].append(e)
+        out.append(StreamUpdate(INSERT, e))
+
+    for i in range(warm):
+        insert(hubs[i % k])
+    for j in range(churn):
+        h = hubs[(j // 2) % k]
+        if j % 2 == 0:
+            e = order[h].pop(0)
+            live.discard(e)
+            out.append(StreamUpdate(DELETE, e))
+        else:
+            insert(h)
+    return hubs, out
+
+
+# n=40, k=2, alpha 0.05: x = 10, and each hub holds 15 leaf edges
+HUB_CFG = dict(n=40, k=2, alpha=0.05)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_high_support_rematch_on_hub_stream(seed):
+    rng = random.Random(seed)
+    cfg = Config(**HUB_CFG, seed=seed)
+    assert cfg.x == 10
+    st = MatchingState(cfg, mirror=True)
+    sh = ShadowGraph(cfg.n)
+    _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=90)
+    high_rematches = 0
+    for j, upd in enumerate(stream):
+        if upd.op == DELETE and upd.edge in st.matching:
+            # sup still counts the deleted edge here
+            high_rematches += any(st.sup[w] - 1 > cfg.x
+                                  for w in (upd.edge.u, upd.edge.v))
+        sh.apply(upd)
+        st.apply(upd)
+        assert check_invariants(st, sh) == []
+        if j % 10 == 9:
+            ans = pdpsa_query(st)
+            assert ans.kind == oracle_vc(sh.edges(), cfg.k).kind
+            if ans.is_yes:
+                assert len(ans.cover) <= cfg.k
+                assert covers(ans.cover, sh.edges())
+    assert high_rematches > 0 and st.rematch_count > 0
+    assert st.sketch_fail_count == 0 and st.rematch_miss_count == 0
+
+
+def test_high_support_shortfall_raises_sketch_fail(monkeypatch):
+    from vcstream.pdpsa import SketchFail
+    from vcstream.sketch import SampleRecovery
+    cfg = Config(**HUB_CFG, seed=1)
+    st = MatchingState(cfg)
+    hubs, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
+                               churn=0)
+    for upd in stream:
+        st.apply(upd)
+    assert all(st.sup[h] > cfg.x for h in hubs)
+    real = SampleRecovery.recover
+
+    def short(self, need=None):
+        got = real(self, need)
+        return set(sorted(got)[:1]) if need is not None else got
+    monkeypatch.setattr(SampleRecovery, "recover", short)
+    with pytest.raises(SketchFail, match="recovered 1 of 3 neighbors"):
+        st.extract_kernel_edges()
+    assert st.sketch_fail_count == 1
+    # the hub's first edge is its matching edge: Rematch asks for 2k+1
+    hub_edge = next(e for e in st.matching if hubs[0] in (e.u, e.v))
+    with pytest.raises(SketchFail, match="recovered 1 of 5 neighbors"):
+        st.deletion(hub_edge)
+    assert st.sketch_fail_count == 2

@@ -1,7 +1,9 @@
-"""Linear sketches: one-sparse cells, the sampler bank, sparse recovery."""
+"""Linear sketches: one-sparse cells, sparse recovery, the level grids."""
 
+import hashlib
 import math
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from vcstream.sketch import (_MAX_LIMBS, EMPTY, FAIL, HASH_P, INDEX,
                              PowTable, RecoveryFail, SampleRecovery,
                              _mulmod_exact, derive_seed, fingerprint_prime,
-                             grid_geometry, is_prime, nextprime)
+                             grid_geometry, is_prime, level_capacity,
+                             nextprime)
 
 
 def test_derive_seed_deterministic():
@@ -18,9 +21,8 @@ def test_derive_seed_deterministic():
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
 
 
-def fresh(seed=9, n=1000, cap=50, samplers=4):
-    return SampleRecovery(n_indices=n, capacity=cap, n_samplers=samplers,
-                          seed=seed)
+def fresh(seed=9, n=1000, cap=50, need=4):
+    return SampleRecovery(n_indices=n, capacity=cap, need=need, seed=seed)
 
 
 # -- one-sparse cells -------------------------------------------------------
@@ -56,7 +58,7 @@ def test_detector_rejects_two_sparse():
     shared = 0
     trials = 2000
     for t in range(trials):
-        s = SampleRecovery(n_indices=1000, capacity=1, n_samplers=0, seed=t)
+        s = SampleRecovery(n_indices=1000, capacity=1, need=0, seed=t)
         support = rng.sample(range(1, 1001), rng.randint(2, 5))
         for i in support:
             s.update(i, rng.choice([1, 2, 3]))
@@ -64,7 +66,7 @@ def test_detector_rejects_two_sparse():
         held = np.zeros(s.grid_count.shape, dtype=np.int64)
         for i in support:
             cols = (s.grid_a * i + s.grid_b) % HASH_P % s.buckets
-            held[s._rowidx, cols] += 1
+            held[np.arange(s.rows), cols] += 1
         multi = held >= 2
         shared += int(multi.sum())
         cells = [np.where(multi, a, 0) for a in (
@@ -113,7 +115,7 @@ def test_permutation_invariance():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=0, max_size=20, unique=True))
 def test_recovery_matches_support(support):
-    s = SampleRecovery(n_indices=60, capacity=25, n_samplers=0,
+    s = SampleRecovery(n_indices=60, capacity=25, need=0,
                        seed=derive_seed(tuple(support)))
     for i in support:
         s.update(i, +1)
@@ -131,7 +133,7 @@ def test_sample_empty_and_singleton():
 def test_sample_index_always_in_support():
     rng = random.Random(13)
     for t in range(40):
-        s = fresh(seed=100 + t, samplers=6)
+        s = fresh(seed=100 + t, need=6)
         support = set(rng.sample(range(1, 1001), rng.randint(1, 30)))
         for i in support:
             s.update(i, +1)
@@ -144,11 +146,11 @@ def test_sample_index_always_in_support():
 def test_sample_bad_index():
     s = fresh()
     with pytest.raises(IndexError):
-        s.sample(99)
+        s.sample(-1)
 
 
 def test_over_capacity_recovery_gated_by_support():
-    s = SampleRecovery(n_indices=500, capacity=4, n_samplers=0, seed=21)
+    s = SampleRecovery(n_indices=500, capacity=4, need=0, seed=21)
     for i in range(1, 101):
         s.update(i, +1)
     assert s.support == 100  # caller must gate on this
@@ -190,7 +192,7 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
     rng = random.Random(capacity)
     failures = 0
     for t in range(trials):
-        s = SampleRecovery(n, capacity, n_samplers=0,
+        s = SampleRecovery(n, capacity, need=0,
                            seed=derive_seed("curve", capacity, t))
         support = rng.sample(range(1, n + 1), capacity)
         for i in support:
@@ -203,12 +205,12 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
 
 
 def test_words_positive_and_monotone_in_capacity():
-    small = SampleRecovery(64, capacity=4, n_samplers=2, seed=1)
-    big = SampleRecovery(64, capacity=32, n_samplers=2, seed=1)
+    small = SampleRecovery(64, capacity=4, need=2, seed=1)
+    big = SampleRecovery(64, capacity=32, need=2, seed=1)
     assert 0 < small.words() < big.words()
 
 
-# -- deepest-level bank -----------------------------------------------------
+# -- level grids ------------------------------------------------------------
 
 
 def _bases(s):
@@ -217,80 +219,174 @@ def _bases(s):
     return int(rng.integers(1, s.p1)), int(rng.integers(1, s.p2))
 
 
-def _reference_levels(s, ops):
-    """All-levels detector values, built straight from the hash pairs.
+def _reference_depth(s, i):
+    """Leading zero bits of the index's keyed 64-bit hash, capped."""
+    h = hashlib.blake2b(i.to_bytes(8, "big"), digest_size=8,
+                        key=s.depth_key).digest()
+    bits = format(int.from_bytes(h, "big"), "064b")
+    return min(s.levels - 1, len(bits) - len(bits.lstrip("0")))
 
-    Level l of (sampler, rep) sums every update whose index hashes to a
-    deepest level >= l: the layout the bank's suffix sums must rebuild.
+
+def _reference_levels(s, ops):
+    """All-levels cells, built straight from the hashes.
+
+    Level l sums every update whose index has depth >= l: the subsample
+    grids that the suffix sums of the level grids must rebuild.
     """
-    shape = s.bank_a.shape + (s.levels,)
-    ref = [np.zeros(shape, dtype=object) for _ in range(4)]
+    ref = np.zeros((4, s.levels, s.level_rows, s.level_buckets),
+                   dtype=object)
     r1, r2 = _bases(s)
     for i, d in ops:
-        for which, rep in np.ndindex(s.bank_a.shape):
-            h = (int(s.bank_a[which, rep]) * i
-                 + int(s.bank_b[which, rep])) % HASH_P
-            top = (s.levels - 1 if h == 0 else
-                   min(s.levels - 1, (HASH_P // h).bit_length() - 1))
-            for lvl in range(top + 1):
-                at = (which, rep, lvl)
-                ref[0][at] += d
-                ref[1][at] += d * i
-                ref[2][at] = (ref[2][at] + d * pow(r1, i, s.p1)) % s.p1
-                ref[3][at] = (ref[3][at] + d * pow(r2, i, s.p2)) % s.p2
+        for r in range(s.level_rows):
+            col = (int(s.level_a[r]) * i + int(s.level_b[r])) % HASH_P \
+                % s.level_buckets
+            for lvl in range(_reference_depth(s, i) + 1):
+                at = (lvl, r, col)
+                ref[(0,) + at] += d
+                ref[(1,) + at] += d * i
+                ref[(2,) + at] = (ref[(2,) + at] + d * pow(r1, i, s.p1)) \
+                    % s.p1
+                ref[(3,) + at] = (ref[(3,) + at] + d * pow(r2, i, s.p2)) \
+                    % s.p2
     return ref
-
-
-def _reference_sample(s, ref, which):
-    r1, r2 = _bases(s)
-    for rep in range(s.reps):
-        for lvl in range(s.levels):
-            c, ix, f1, f2 = (int(a[which, rep, lvl]) for a in ref)
-            if c == 0 or ix % c:
-                continue
-            i = ix // c
-            if (1 <= i <= s.n and f1 == c * pow(r1, i, s.p1) % s.p1
-                    and f2 == c * pow(r2, i, s.p2) % s.p2):
-                return i
-    return None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(1, 300), st.sampled_from([1, -1])),
                 min_size=1, max_size=40),
        st.integers(1, 4), st.integers(0, 2 ** 32))
-def test_bank_suffix_sums_match_all_levels_reference(ops, samplers, seed):
-    s = SampleRecovery(n_indices=300, capacity=40, n_samplers=samplers,
-                       seed=seed)
+def test_level_grids_match_all_levels_reference(ops, need, seed):
+    s = SampleRecovery(n_indices=300, capacity=4, need=need, seed=seed,
+                       sampler_fail=1e-6)
     for i, d in ops:
         s.update(i, d)
     ref = _reference_levels(s, ops)
-    banks = (s.bank_count, s.bank_index, s.bank_fp1, s.bank_fp2)
-    for bank, want, p in zip(banks, ref, (None, None, s.p1, s.p2)):
-        got = np.cumsum(bank[..., ::-1], axis=-1)[..., ::-1]
-        if p is not None:
-            got = got % p
-        assert np.array_equal(got, want.astype(np.int64))
+    primes = np.array([s.p1, s.p2]).reshape(2, 1, 1, 1)
+    got = np.cumsum(s.level_grids[:, ::-1], axis=1)[:, ::-1]
+    got[2:] %= primes
+    assert np.array_equal(got, ref.astype(np.int64))
+    depths = [0] * s.levels
+    for i, d in ops:
+        depths[_reference_depth(s, i)] += d
+    assert s.level_support == depths
+    # the level read is the shallowest whose subsample fits the capacity
+    suffix = list(accumulate(reversed(depths)))[::-1]
+    fits = [lvl for lvl in range(s.levels)
+            if suffix[lvl] <= s.level_capacity]
+    lvl = fits[0] if fits else s.levels - 1
+    assert np.array_equal(s._level_cells(), got[:, lvl])
+
     net: dict[int, int] = {}
     for i, d in ops:
         net[i] = net.get(i, 0) + d
     support = {i for i, c in net.items() if c}
-    for which in range(samplers):
+    if s.support > s.capacity:
+        try:
+            assert s.recover(need) <= support
+        except RecoveryFail:
+            pass
+    for which in range(3):
         got = s.sample(which)
         if not s.support:
             assert got.kind == EMPTY
-            continue
-        want = _reference_sample(s, ref, which)
-        if want is None:
-            assert got.kind == FAIL
-        else:
-            assert got.kind == INDEX and got.index == want
-            assert want in support
-    assert s.recover() == support
+        elif got.kind == INDEX:
+            assert got.index in support
+
+
+def _shortfall_bound(need, capacity, n):
+    """``SampleRecovery.recover``'s bound on P[shortfall] for fully random
+    levels: sum over s in (capacity, n] of P[Bin(s, 1/2) < need] /
+    (1 - 2^-s)."""
+    return sum(sum(math.comb(s, j) for j in range(need)) / 2 ** s
+               / (1 - 2.0 ** -s) for s in range(capacity + 1, n + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_level_recovery_failure_curve(k):
+    """``recover(need)`` at need = 2k+1 on supports from C+1 up to N.
+
+    A pdpsa vertex sketch at n=600: N = 600 indices, sampler_fail =
+    delta / 2n.  Each trial must return at least ``need`` indices, all in
+    the support; stalls and shortfalls together stay <= 0.01 at every
+    support size, criterion 9's bound.  With fully random levels the
+    rate is at most ``_shortfall_bound`` (a shortfall) plus
+    sampler_fail (a stall of a level grid at most C full): 2.0e-5 for
+    k=1 (C=25), 2.1e-5 for k=2 (C=32) and 2.7e-5 for k=4 (C=44).  At
+    100 trials a point, the 0.01 bound allows one failure; 1500 trials
+    a point, run once, showed none.
+    """
+    n, fail, trials = 600, 0.01 / 1200, 100
+    need = 2 * k + 1
+    capacity = level_capacity(need, fail)
+    assert _shortfall_bound(need, capacity, n) + fail <= 1e-4
+    rng = random.Random(k)
+    for size in (capacity + 1, 2 * capacity, 4 * capacity, n):
+        failures = 0
+        for t in range(trials):
+            # seeded, so every run draws the same supports and hashes;
+            # a main grid of capacity 1 leaves every read to the levels
+            s = SampleRecovery(n, 1, need, sampler_fail=fail,
+                               seed=derive_seed("level-curve", k, size, t))
+            support = set(rng.sample(range(1, n + 1), size))
+            for i in support:
+                s.update(i, +1)
+            try:
+                got = s.recover(need)
+                failures += len(got) < need or not got <= support
+            except RecoveryFail:
+                failures += 1
+        assert failures / trials <= 0.01, (size, failures)
+
+
+def test_level_capacity_is_the_smallest_that_meets_the_binomial_tail():
+    for need in (1, 3, 5, 9, 17):
+        for fail in (0.01, 8.3e-6, 1e-9):
+            c = level_capacity(need, fail)
+
+            def tail(m):
+                return sum(math.comb(m, j) for j in range(need)) / 2 ** m
+            assert tail(c + 1) <= fail
+            assert c == 1 or tail(c) > fail
+    assert level_capacity(5, 0.01 / 1200) == 32
+
+
+def test_recover_need_reads_the_levels_only_past_capacity():
+    s = SampleRecovery(600, capacity=10, need=5, seed=3, sampler_fail=1e-6)
+    for i in range(1, 11):
+        s.update(i, +1)
+    assert s.recover(5) == set(range(1, 11))  # the exact recovery grid
+    for i in range(11, 301):
+        s.update(i, +1)
+    got = s.recover(5)
+    assert len(got) >= 5 and got <= set(range(1, 301))
+    for bad in (0, 6):
+        with pytest.raises(ValueError):
+            s.recover(bad)
+    no_levels = SampleRecovery(600, capacity=2, need=0, seed=3)
+    for i in (1, 2, 3):
+        no_levels.update(i, +1)
+    with pytest.raises(ValueError):
+        no_levels.recover(1)
+    assert no_levels.sample(0).kind == FAIL
+
+
+def test_large_weight_update_round_trips():
+    # p1 is about 3.2e10 here, so delta * r^i passes 2^63 unless reduced
+    # first; the update used to raise after changing the counters
+    s = SampleRecovery(179700, 25, 0, seed=0)
+    fresh_state = SampleRecovery(179700, 25, 0, seed=0)
+    s.update(1, 1 << 31)
+    assert s.recover() == {1}
+    s.update(1, -(1 << 31))
+    assert s.state_equals(fresh_state)
+    # an index sum past int64 is refused before any field changes
+    with pytest.raises(ValueError):
+        s.update(179700, 1 << 62)
+    assert s.state_equals(fresh_state)
 
 
 def test_vectorised_check_agrees_with_scalar_on_large_counts():
-    s = SampleRecovery(n_indices=10 ** 5, capacity=8, n_samplers=0, seed=4)
+    s = SampleRecovery(n_indices=10 ** 5, capacity=8, need=0, seed=4)
     limit = ((1 << 63) - 1) // s.p2  # |count| above this takes Python ints
     rng = random.Random(8)
     r1, r2 = _bases(s)
@@ -327,14 +423,18 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts():
 
 
 def test_recover_with_weights_past_the_int64_product_bound():
-    s = SampleRecovery(n_indices=60, capacity=4, n_samplers=2, seed=12)
+    s = SampleRecovery(n_indices=60, capacity=4, need=2, seed=12)
     big = 1 << 31
     for _ in range(4):
         s.update(5, big)  # count 2^33, and 2^33 * p2 > 2^63
     s.update(9, 3)
     assert 4 * big * s.p2 >= 1 << 63
     assert s.recover() == {5, 9}
-    assert all(s.sample(w).index in (5, 9) for w in range(2))
+    # level 0's subsample holds every index, so its summed grid peels to
+    # both; the level counters sum weights, so they pick no level here
+    cells = s.level_grids.sum(axis=1)
+    cells[2:] %= s._primes[:, :, None]
+    assert s._peel(cells, s.level_a, s.level_b) == {5, 9}
 
 
 # -- fingerprint power tables -----------------------------------------------
@@ -403,13 +503,13 @@ class _PowByPython:
                         dtype=np.int64)
 
 
-@pytest.mark.parametrize("n,samplers", [(600, 3)] + [
+@pytest.mark.parametrize("n,need", [(600, 3)] + [
     (n, 0) for n in _TABLE_SIZES[1:]])
-def test_tables_build_the_same_sketch_as_pow(n, samplers):
+def test_tables_build_the_same_sketch_as_pow(n, need):
     rng = random.Random(n)
     for seed in range(3):
-        a = SampleRecovery(n, capacity=30, n_samplers=samplers, seed=seed)
-        b = SampleRecovery(n, capacity=30, n_samplers=samplers, seed=seed)
+        a = SampleRecovery(n, capacity=30, need=need, seed=seed)
+        b = SampleRecovery(n, capacity=30, need=need, seed=seed)
         r1, r2 = _bases(a)
         b.pow1, b.pow2 = _PowByPython(r1, a.p1), _PowByPython(r2, a.p2)
         # index n reads the last entry of each ``hi`` table
@@ -419,7 +519,9 @@ def test_tables_build_the_same_sketch_as_pow(n, samplers):
             b.update(i, d)
         assert a.state_equals(b)
         assert a.recover() == b.recover()
-        for which in range(samplers):
+        if need:
+            assert a.recover(need) == b.recover(need)
+        for which in range(3):
             assert a.sample(which) == b.sample(which)
 
 
