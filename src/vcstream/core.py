@@ -24,6 +24,10 @@ class SolverError(RuntimeError):
     """
 
 
+class SketchFail(Exception):
+    """A sketch recovery or sampling step failed; the run is unreliable."""
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Edge:
     """Canonical unordered vertex pair, always stored with u < v."""

@@ -14,11 +14,11 @@ import sys
 import time
 
 from ..core import (INSERT, PROMISE_VIOLATION, Config, InvalidStream,
-                    ShadowGraph, SolverError)
+                    ShadowGraph, SketchFail, SolverError)
 from ..dpsa import DpsaState, dpsa_query, dpsa_update
 from ..fvs import FvsState, check_fvs, fvs_insert, fvs_query
 from ..kernel import check_cover
-from ..pdpsa import MatchingState, SketchFail, pdpsa_query
+from ..pdpsa import MatchingState, pdpsa_query
 from ..psa import PsaState, psa_insert, psa_query
 from .generators import (edges_to_stream, gen_disjointness_gadget,
                          gen_index_gadget, gen_promised_stream,
@@ -82,8 +82,7 @@ def _generate(args) -> str:
         k = args.k if args.k is not None else 3
         cfg = Config(n=n, k=k, delta=args.delta, c=args.c,
                      alpha=args.alpha, seed=args.seed)
-        events = gen_promised_stream(cfg, args.length, args.churn, rng,
-                                     verify=True)
+        events = gen_promised_stream(cfg, args.length, args.churn, rng)
         return emit_stream(StreamFile(n, k, args.mode or "pdpsa",
                                       events + [QUERY]))
     if args.gen == "index":
@@ -105,14 +104,9 @@ def _generate(args) -> str:
 
 
 def _dpsa_query(st: DpsaState, k: int, out):
-    # the sketch module is loaded by now: the state built a sketch
-    from ..sketch import RecoveryFail
     gated = st.live > st.config.n * k
     print(f"recovery_skipped={str(gated).lower()}", file=out)
-    try:
-        return dpsa_query(st, k)
-    except RecoveryFail as exc:
-        raise SketchFail(str(exc)) from exc
+    return dpsa_query(st, k)
 
 
 # mode -> (build(cfg), update(state, event, cfg), query(state, k, out),
@@ -163,7 +157,7 @@ def _run(sf: StreamFile, args, out) -> int:
                 return EXIT_UNRELIABLE
             print(f"answer={ans.kind}", file=out)
             if ans.kind == PROMISE_VIOLATION:
-                print(f"violated_at={st.promise.violated_at}", file=out)
+                print(f"violated_at={st.violated_at}", file=out)
                 return EXIT_PROMISE
             if ans.is_yes:
                 cover = sorted(ans.cover)

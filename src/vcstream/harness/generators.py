@@ -42,14 +42,13 @@ def gen_random_stream(n: int, length: int, churn: float,
 
 
 def gen_promised_stream(cfg: Config, length: int, churn: float,
-                        rng: random.Random,
-                        verify: bool = False) -> list[StreamUpdate]:
+                        rng: random.Random) -> list[StreamUpdate]:
     """Dynamic stream whose every prefix has a vertex cover of size <= k.
 
     A planted cover C with |C| <= k is chosen up front and every inserted
-    edge touches C, so C covers each prefix by construction; ``verify``
-    additionally checks every inserted edge against C.  A deletion
-    cannot break a cover, so that checks every prefix exactly, at any n.
+    edge touches C, so C covers each prefix by construction, and every
+    inserted edge is checked against C.  A deletion cannot break a cover,
+    so that checks every prefix exactly, at any n.
     Raises ``ValueError`` when 50 * length tries reach fewer than
     ``length`` updates, as when C's edges run out with no churn.
     """
@@ -78,7 +77,7 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
         shadow.apply(upd)
         _track(live, upd)
         out.append(upd)
-        if verify and upd.op == INSERT \
+        if upd.op == INSERT \
                 and upd.edge.u not in planted and upd.edge.v not in planted:
             raise RuntimeError(f"generated edge {upd.edge} misses the "
                                f"planted cover {cover}")

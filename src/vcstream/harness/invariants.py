@@ -1,9 +1,9 @@
 """Invariant checker for the promised-dynamic matching state.
 
-Reads the exact sketch mirrors (states built with ``mirror=True``) and
-compares against a shadow graph holding ground truth.  Returns violation
-strings instead of raising so a property test can report all breaks from
-one stream prefix at once.
+Reads the state's exact mirror of its sketches' contents (states built
+with ``mirror=True``) and compares against a shadow graph holding ground
+truth.  Returns violation strings instead of raising so a property test
+can report all breaks from one stream prefix at once.
 """
 
 from __future__ import annotations
@@ -12,19 +12,12 @@ from ..core import Edge, ShadowGraph
 from ..pdpsa import MatchingState
 
 
-def _sketched(st: MatchingState) -> dict[int, set[int]]:
-    """Each sketched vertex's neighborhood, read off its mirror."""
-    out = {}
-    for v, sk in st.sketches.items():
-        if sk.mirror is None:
-            raise ValueError("state was built without mirror=True")
-        out[v] = {i for i, w in sk.mirror.items() if w != 0}
-    return out
-
-
 def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
+    if st.mirror is None:
+        raise ValueError("state was built without mirror=True")
     out: list[str] = []
-    sketched = _sketched(st)
+    # each sketched vertex's neighborhood; the mirror drops zero weights
+    sketched = {v: set(held) for v, held in st.mirror.items()}
 
     # matching well-formedness: edges live, disjoint, endpoints tracked
     seen: set[int] = set()
@@ -73,14 +66,15 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
 
     # sketched support counters agree with the mirrors
     for v, nbrs in sketched.items():
-        if st.sup[v] != len(nbrs):
-            out.append(f"support counter for {v} is {st.sup[v]}, mirror "
+        sup = st.sketches[v].support
+        if sup != len(nbrs):
+            out.append(f"support counter for {v} is {sup}, mirror "
                        f"has {len(nbrs)}")
 
     # no sketched phantom: every mirrored entry is a live edge or dead
     # residue is at least weight-consistent (weights must be +1)
-    for v, sk in st.sketches.items():
-        for i, w in sk.mirror.items():
+    for v, held in st.mirror.items():
+        for i, w in held.items():
             if w != 1:
                 out.append(f"sketch of {v} holds index {i} with net "
                            f"weight {w}")

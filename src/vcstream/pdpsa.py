@@ -24,38 +24,25 @@ raises ``SketchFail``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import (DELETE, Config, Edge, StreamUpdate, VcAnswer)
+from .core import (DELETE, Config, Edge, SketchFail, StreamUpdate,
+                   VcAnswer)
 from .kernel import vc_decide
 
 if TYPE_CHECKING:
     from .sketch import SampleRecovery
 
-INF_TS = math.inf
-
-
-class SketchFail(Exception):
-    """A sketch recovery or sampling step failed; the run is unreliable."""
-
-
-@dataclass
-class PromiseReport:
-    violated_at: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violated_at is None
-
 
 class MatchingState:
     """Sketch-backed maximal matching over a promised dynamic stream.
 
-    ``mirror=True`` makes every sketch carry an exact contents mirror so
-    the invariant checker can read sketched neighborhoods without
-    recovery; diagnostics only, never part of the space account.
+    ``violated_at`` is the clock of the first update after which the
+    matching outgrew k, or None while the promise holds.
+    ``mirror=True`` keeps, beside the sketches, each sketched vertex's
+    exact net contents ``{neighbor: weight}`` so the invariant checker can
+    read sketched neighborhoods without recovery; diagnostics only, never
+    part of the space account.
     """
 
     def __init__(self, config: Config, mirror: bool = False):
@@ -63,21 +50,17 @@ class MatchingState:
         self.clock = 0
         self.matching: set[Edge] = set()
         self.matched: set[int] = set()
-        self.ts: dict[int, float] = {}
+        self.ts: dict[int, int] = {}
         self.sketches: dict[int, SampleRecovery] = {}
-        self.sup: dict[int, int] = {}
         self.tdict: dict[Edge, None] = {}
-        self.promise = PromiseReport()
-        self.mirror = mirror
+        self.violated_at: int | None = None
+        self.mirror: dict[int, dict[int, int]] | None = {} if mirror else None
         self.rematch_count = 0
         self.rematch_miss_count = 0
         self.sketch_fail_count = 0
         self._sketch_epoch = 0
 
     # -- plumbing ----------------------------------------------------------
-
-    def timestamp(self, v: int) -> float:
-        return self.ts.get(v, INF_TS)
 
     def _fresh_sketch(self, v: int) -> None:
         # numpy loads with the first sketch, not with the module
@@ -88,40 +71,46 @@ class MatchingState:
             n_indices=cfg.n, capacity=cfg.x, need=2 * cfg.k + 1,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
             delta=cfg.delta,
-            sampler_fail=cfg.delta / (2 * cfg.n ** cfg.c),
-            track_contents=self.mirror)
-        self.sup[v] = 0
+            sampler_fail=cfg.delta / (2 * cfg.n ** cfg.c))
+        if self.mirror is not None:
+            self.mirror[v] = {}
 
     def _sketch_add(self, v: int, e: Edge) -> None:
-        self.sketches[v].update(e.other(v), +1)
-        self.sup[v] += 1
+        self._sketch_write(v, e.other(v), +1)
 
     def _sketch_remove(self, v: int, e: Edge) -> None:
-        self.sketches[v].update(e.other(v), -1)
-        self.sup[v] -= 1
+        self._sketch_write(v, e.other(v), -1)
+
+    def _sketch_write(self, v: int, z: int, d: int) -> None:
+        self.sketches[v].update(z, d)
+        if self.mirror is not None:
+            held = self.mirror[v]
+            held[z] = held.get(z, 0) + d
+            if held[z] == 0:
+                del held[z]
 
     def _recover_neighbors(self, v: int, need: int | None = None
                            ) -> set[int]:
         """v's sketched neighborhood; with ``need``, past capacity x, at
-        least min(need, sup) distinct neighbors of it."""
-        from .sketch import RecoveryFail
+        least min(need, support) distinct neighbors of it."""
+        sk = self.sketches[v]
         try:
-            got = self.sketches[v].recover(need)
-        except RecoveryFail as exc:
+            got = sk.recover(need)
+        except SketchFail as exc:
             self.sketch_fail_count += 1
             raise SketchFail(f"recovery failed for vertex {v}") from exc
-        if need is not None and len(got) < min(need, self.sup[v]):
+        if need is not None and len(got) < min(need, sk.support):
             self.sketch_fail_count += 1
             raise SketchFail(f"recovered {len(got)} of {need} neighbors "
                              f"for vertex {v}")
         return got
 
     def _is_low(self, v: int) -> bool:
-        return self.sup.get(v, 0) <= self.config.x
+        return self.sketches[v].support <= self.config.x
 
     def _check_promise(self) -> None:
-        if self.promise.ok and len(self.matching) > self.config.k:
-            self.promise.violated_at = self.clock
+        if self.violated_at is None and len(self.matching) > self.config.k:
+            self.violated_at = self.clock
 
     def words(self) -> int:
         sk = sum(s.words() for s in self.sketches.values())
@@ -220,7 +209,8 @@ class MatchingState:
         for e in [e for e in self.tdict if u in (e.u, e.v)]:
             del self.tdict[e]
         del self.sketches[u]
-        del self.sup[u]
+        if self.mirror is not None:
+            del self.mirror[u]
         del self.ts[u]
         self.matched.discard(u)
 
@@ -268,7 +258,7 @@ class MatchingState:
 
 
 def pdpsa_query(st: MatchingState, k: int | None = None) -> VcAnswer:
-    if not st.promise.ok:
+    if st.violated_at is not None:
         return VcAnswer.promise_violation()
     if k is None:
         k = st.config.k

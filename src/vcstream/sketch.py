@@ -12,10 +12,11 @@ operations:
 A one-sparse cell is a (count, index-weighted sum, fingerprint) tuple
 that recognises a vector with one nonzero entry.  Its fingerprints are
 sums of count * r^i modulo two primes near N^2; the powers r^i come from
-two tables of about sqrt(N) entries per prime (``PowTable``), multiplied
-exactly in int64 (``_mulmod_exact``).  Every grid has 2 * capacity
-buckets per row and only as many rows as the pair-collision bound asks
-(``grid_geometry``), so its size does not grow with N.
+two tables of about sqrt(N) entries per prime (``PowTable``), and every
+product mod p, count reduced mod p first, is one exact multiply
+(``_mulmod_exact``).  Every grid has 2 * capacity buckets per row and
+only as many rows as the pair-collision bound asks (``grid_geometry``),
+so its size does not grow with N.
 
 Level grids.  A hash sends each index to a deepest level l* with
 P[l* >= l] = 2^-l, and the index is written once, into the grid of level
@@ -39,12 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import SketchFail
+
 # 31-bit Mersenne prime used by the level / bucket hashes.
 HASH_P = (1 << 31) - 1
 _INT64_MAX = (1 << 63) - 1
 
 
-class RecoveryFail(Exception):
+class RecoveryFail(SketchFail):
     """Peeling stalled before the grid emptied."""
 
 
@@ -93,19 +96,6 @@ def nextprime(lower: int) -> int:
     while not is_prime(n):
         n += 2
     return n
-
-
-def _mulmod(c: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
-    """c * r mod p elementwise for 0 <= r < p, exact for any int64 ``c``.
-
-    int64 holds c * r while |c| * p < 2^63; larger |c| take Python ints.
-    """
-    out = c * r % p
-    lim = _INT64_MAX // p
-    big = (c > lim) | (c < -lim)
-    if big.any():
-        out[big] = [int(cc) * int(rr) % p for cc, rr in zip(c[big], r[big])]
-    return out
 
 
 # limb products stay exact in int64 up to this many limbs, i.e. p < 2^46
@@ -256,16 +246,14 @@ class SampleRecovery:
     below their prime, so the arrays stay within int64 while
     2 * p2 < 2^63.  The powers r^i come from two ``PowTable``s of about
     sqrt(N) entries each.  ``recover`` checks all buckets at once in
-    int64: it forms r^i with ``_mulmod_exact`` (a plain product where
-    p^2 < 2^63, a limb split below 2^46, Python ints past that) and
-    count * r^i exactly while |count| * p < 2^63; cells with a larger
-    |count| take Python integers.
+    int64: it forms r^i and (count mod p) * r^i with ``_mulmod_exact``
+    (a plain product where p^2 < 2^63, a limb split below 2^46, Python
+    ints past that), so any int64 count is checked exactly.
     """
 
     def __init__(self, n_indices: int, capacity: int, need: int,
                  seed: int, delta: float = 0.01,
-                 sampler_fail: float | None = None,
-                 track_contents: bool = False):
+                 sampler_fail: float | None = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if need < 0:
@@ -329,8 +317,6 @@ class SampleRecovery:
             np.arange(self.rows) * self.buckets,
             main + np.arange(self.level_rows) * self.level_buckets])
         self._primes = np.array([[self.p1], [self.p2]], dtype=np.int64)
-        # exact mirror of net contents; diagnostic/test aid only
-        self.mirror: dict[int, int] | None = {} if track_contents else None
 
     # -- updates -----------------------------------------------------------
 
@@ -367,11 +353,6 @@ class SampleRecovery:
         self.cells[:, at] = v
         self.support += d
 
-        if self.mirror is not None:
-            self.mirror[index] = self.mirror.get(index, 0) + d
-            if self.mirror[index] == 0:
-                del self.mirror[index]
-
     # -- queries -----------------------------------------------------------
 
     def _verified(self, c: int, ix: int, f1: int, f2: int) -> int | None:
@@ -399,10 +380,10 @@ class SampleRecovery:
         i = ix // c
         ok = (ix % c == 0) & (i >= 1) & (i <= self.n)
         pos, c, i = pos[ok], c[ok], i[ok]
-        ok = ((fp1.reshape(-1)[pos] == _mulmod(c, self.pow1.gather(i),
-                                               self.p1))
-              & (fp2.reshape(-1)[pos] == _mulmod(c, self.pow2.gather(i),
-                                                 self.p2)))
+        ok = ((fp1.reshape(-1)[pos]
+               == _mulmod_exact(c % self.p1, self.pow1.gather(i), self.p1))
+              & (fp2.reshape(-1)[pos]
+                 == _mulmod_exact(c % self.p2, self.pow2.gather(i), self.p2)))
         return i[ok], c[ok]
 
     def _level_cells(self) -> np.ndarray:
@@ -517,8 +498,8 @@ class SampleRecovery:
             np.subtract.at(index, at, w * peel[:, None])
             for fp, table, p in ((fp1, self.pow1, self.p1),
                                  (fp2, self.pow2, self.p2)):
-                np.subtract.at(fp, at,
-                               _mulmod(weight, table.gather(peel), p)[:, None])
+                np.subtract.at(fp, at, _mulmod_exact(
+                    weight % p, table.gather(peel), p)[:, None])
                 fp[at] %= p
         raise RecoveryFail("peeling did not terminate")
 

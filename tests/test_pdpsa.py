@@ -20,8 +20,7 @@ def mk(**kw):
 
 
 def contents(st, v):
-    sk = st.sketches.get(v)
-    return set() if sk is None else set(sk.mirror)
+    return set(st.mirror.get(v, ()))
 
 
 def test_first_insert_matches_and_seeds_both_sketches():
@@ -101,8 +100,7 @@ def test_promise_violation_detected_and_poisons_query():
     st = mk(k=1)
     st.insertion(Edge(1, 2))
     st.insertion(Edge(3, 4))
-    assert not st.promise.ok
-    assert st.promise.violated_at == 2
+    assert st.violated_at == 2
     assert pdpsa_query(st).kind == "promise-violation"
 
 
@@ -124,6 +122,14 @@ def test_invariant_checker_flags_constructed_break():
 
 def test_fresh_state_empty_graph_ok():
     assert check_invariants(mk(), ShadowGraph(12)) == []
+
+
+def test_invariant_checker_needs_the_mirror():
+    st = MatchingState(Config(**CFG))
+    st.insertion(Edge(1, 2))
+    assert st.mirror is None
+    with pytest.raises(ValueError, match="mirror=True"):
+        check_invariants(st, ShadowGraph(12))
 
 
 def _replay_checked(seed, n=14, k=3, length=150, churn=0.35):
@@ -246,8 +252,8 @@ def test_high_support_rematch_on_hub_stream(seed):
     high_rematches = 0
     for j, upd in enumerate(stream):
         if upd.op == DELETE and upd.edge in st.matching:
-            # sup still counts the deleted edge here
-            high_rematches += any(st.sup[w] - 1 > cfg.x
+            # the support still counts the deleted edge here
+            high_rematches += any(st.sketches[w].support - 1 > cfg.x
                                   for w in (upd.edge.u, upd.edge.v))
         sh.apply(upd)
         st.apply(upd)
@@ -271,7 +277,7 @@ def test_high_support_shortfall_raises_sketch_fail(monkeypatch):
                                churn=0)
     for upd in stream:
         st.apply(upd)
-    assert all(st.sup[h] > cfg.x for h in hubs)
+    assert all(st.sketches[h].support > cfg.x for h in hubs)
     real = SampleRecovery.recover
 
     def short(self, need=None):

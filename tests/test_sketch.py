@@ -385,9 +385,22 @@ def test_large_weight_update_round_trips():
     assert s.state_equals(fresh_state)
 
 
-def test_vectorised_check_agrees_with_scalar_on_large_counts():
-    s = SampleRecovery(n_indices=10 ** 5, capacity=8, need=0, seed=4)
-    limit = ((1 << 63) - 1) // s.p2  # |count| above this takes Python ints
+def _mulmod_path(p):
+    """Which way ``_mulmod_exact`` multiplies modulo p."""
+    if p * p < 1 << 63:
+        return "plain"
+    t = 62 - p.bit_length()
+    return "limbs" if _MAX_LIMBS * t >= p.bit_length() else "python"
+
+
+# one N on each path of _mulmod_exact
+@pytest.mark.parametrize("n, path", [(600, "plain"), (10 ** 5, "limbs"),
+                                     (1 << 23, "python")])
+def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
+    s = SampleRecovery(n_indices=n, capacity=8, need=0, seed=4)
+    assert _mulmod_path(s.p1) == _mulmod_path(s.p2) == path
+    limit = ((1 << 63) - 1) // s.p2  # |count| * p2 passes int64 above this
+    top = ((1 << 63) - 1) // s.n  # the index sum count * i stays in int64
     rng = random.Random(8)
     r1, r2 = _bases(s)
     rows, cols = s.grid_count.shape
@@ -395,8 +408,8 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts():
     index = np.zeros_like(count)
     fp1 = np.zeros_like(count)
     fp2 = np.zeros_like(count)
-    magnitudes = [1, 3, limit - 1, limit, limit + 1, 2 * limit,
-                  ((1 << 63) - 1) // s.n, 1 << 40]
+    magnitudes = [1, 3, limit - 1, limit, limit + 1, 2 * limit, top // 3,
+                  top]
     for r in range(rows):
         for col in range(cols):
             c = rng.choice(magnitudes) * rng.choice([1, -1])

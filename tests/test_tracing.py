@@ -2,13 +2,18 @@
 
 ``perfbench/spans.py`` looks each traced name up in the ``__dict__`` of
 its module or class, so renaming one, or inheriting it from a base
-class, breaks traced benchmark runs and ``perfbench/selftest.py``.
+class, breaks traced benchmark runs and ``perfbench/selftest.py``.  The
+worker, ``perfbench/worker.py``, drives the states through its own
+``_ops`` table and reads run counters by name with a default of 0, so a
+renamed counter would read 0 there without an error.
 """
 
+import ast
 import importlib
 import pathlib
 
 from vcstream import core, dpsa, fvs, kernel, pdpsa, psa, sketch
+from vcstream.harness.streams import QUERY, parse_stream
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +48,60 @@ def test_tracer_install_then_uninstall_restores_the_originals(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"sketch.init", "sketch.update", "sketch.recover",
             "sketch.sample"} <= names
+
+
+# a small stream per mode, each with queries, for the worker's bindings
+WORKER_STREAMS = {
+    "psa": "6 2 psa\n+ 1 2\n+ 2 3\n?\n+ 4 5\n+ 3 4\n?\n",
+    "pdpsa": "8 2 pdpsa\n+ 1 2\n+ 1 3\n+ 1 4\n?\n- 1 2\n+ 5 6\n?\n- 1 3\n?\n",
+    "dpsa": "6 2 dpsa\n+ 1 2\n+ 2 3\n?\n- 1 2\n+ 4 5\n?\n",
+    "fvs": "5 1 fvs\n+ 1 2\n+ 2 3\n?\n+ 1 3\n+ 3 4\n?\n",
+}
+
+
+def _worker(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("worker")
+
+
+def test_worker_ops_replay_each_mode_and_count_words_as_the_states(
+        monkeypatch):
+    worker = _worker(monkeypatch)
+    for mode, text in WORKER_STREAMS.items():
+        sf = parse_stream(text, validate=True)
+        new_state, update, query, words = worker._ops(mode)
+        st = new_state(sf, core.Config(n=sf.n, k=sf.k, seed=0))
+        for ev in sf.events:
+            if ev != QUERY:
+                update(st, sf, ev)
+                continue
+            assert query(st, sf).kind in ("yes", "no"), mode
+            assert words(st, sf) == st.words(), mode
+
+
+def _getattr_counters(source):
+    """Names the worker reads with ``getattr(st, attr, 0)`` in a loop
+    ``for key, attr in ((key, name), ...)``."""
+    names = []
+    for loop in ast.walk(ast.parse(source)):
+        if not (isinstance(loop, ast.For)
+                and isinstance(loop.target, ast.Tuple)):
+            continue
+        bound = [getattr(t, "id", None) for t in loop.target.elts]
+        reads = [c for c in ast.walk(loop) if isinstance(c, ast.Call)
+                 and getattr(c.func, "id", None) == "getattr"
+                 and len(c.args) == 3
+                 and getattr(c.args[1], "id", None) in bound]
+        for call in reads:
+            at = bound.index(call.args[1].id)
+            names += [pair.elts[at].value for pair in loop.iter.elts]
+    return names
+
+
+def test_worker_counters_exist_on_the_matching_state(monkeypatch):
+    worker = _worker(monkeypatch)
+    names = _getattr_counters(pathlib.Path(worker.__file__).read_text())
+    assert len(names) >= 3
+    st = pdpsa.MatchingState(core.Config(n=8, k=2))
+    for name in names:
+        assert isinstance(getattr(st, name), int), name
