@@ -90,17 +90,18 @@ class StreamUpdate:
 class Config:
     """Stream-wide parameters and the derived sketch capacity.
 
-    x follows the sizing formula x = 8ck log2(n/delta): the support up to
-    which a pdpsa vertex sketch recovers its whole neighborhood.  alpha
-    scales it so tests can shrink sketches to probe the failure regime
-    deliberately.
+    x = 2k+1 is the support up to which a pdpsa vertex sketch recovers
+    its whole neighborhood.  Past it the sketch's level grids return
+    2k+1 distinct neighbors, of which at most 2k are matched under the
+    promise, so Rematch finds an exposed one either way; the paper's
+    x = 8ck log2(n/delta) is larger than that argument needs.  delta and
+    c set the failure bounds the sketches are sized for.
     """
 
     n: int
     k: int
     delta: float = 0.01
     c: float = 1.0
-    alpha: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -113,8 +114,7 @@ class Config:
 
     @property
     def x(self) -> int:
-        return max(1, math.ceil(self.alpha * 8 * self.c * self.k
-                                * math.log2(self.n / self.delta)))
+        return 2 * self.k + 1
 
 
 class ShadowGraph:
@@ -175,8 +175,13 @@ PROMISE_VIOLATION = "promise-violation"
 
 @dataclass(frozen=True)
 class VcAnswer:
+    """An answer and its certificate.  ``degraded`` marks an answer from a
+    randomized state after a sketch failure or a Rematch miss: it may be
+    wrong."""
+
     kind: str
     cover: frozenset[int] = field(default_factory=frozenset)
+    degraded: bool = False
 
     @staticmethod
     def yes(cover) -> "VcAnswer":

@@ -9,7 +9,9 @@ re-insert a live edge or delete an absent one.
 
 from __future__ import annotations
 
-from .core import Config, DELETE, Edge, StreamUpdate, VcAnswer
+from dataclasses import replace
+
+from .core import Config, DELETE, Edge, SketchFail, StreamUpdate, VcAnswer
 from .kernel import vc_decide
 
 
@@ -27,6 +29,8 @@ class DpsaState:
             seed=derive_seed(config.seed, "global-edge-sketch"),
             delta=config.delta)
         self.live = 0
+        # set once a recovery fails; every answer from then on carries it
+        self.degraded = False
 
     def words(self) -> int:
         """The sketch plus two words: the live-edge counter and n*k."""
@@ -45,6 +49,12 @@ def dpsa_query(st: DpsaState, k: int | None = None) -> VcAnswer:
     if k is None:
         k = cfg.k
     if st.live > cfg.n * k:
-        return VcAnswer.no()
-    edges = {Edge.from_index(i, cfg.n) for i in st.sketch.recover()}
-    return vc_decide(edges, k)
+        ans = VcAnswer.no()
+    else:
+        try:
+            found = st.sketch.recover()
+        except SketchFail:
+            st.degraded = True
+            raise
+        ans = vc_decide({Edge.from_index(i, cfg.n) for i in found}, k)
+    return replace(ans, degraded=st.degraded)

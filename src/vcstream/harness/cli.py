@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count (generators)")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--validate", action="store_true",
                    help="reject semantically invalid streams while parsing")
@@ -80,8 +79,7 @@ def _generate(args) -> str:
     if args.gen == "promised":
         n = args.n or 20
         k = args.k if args.k is not None else 3
-        cfg = Config(n=n, k=k, delta=args.delta, c=args.c,
-                     alpha=args.alpha, seed=args.seed)
+        cfg = Config(n=n, k=k, delta=args.delta, c=args.c, seed=args.seed)
         events = gen_promised_stream(cfg, args.length, args.churn, rng)
         return emit_stream(StreamFile(n, k, args.mode or "pdpsa",
                                       events + [QUERY]))
@@ -133,8 +131,7 @@ _COUNTERS = (("sketch_fails", "sketch_fail_count"),
 def _run(sf: StreamFile, args, out) -> int:
     mode = args.mode or sf.mode
     k = args.k if args.k is not None else sf.k
-    cfg = Config(n=sf.n, k=k, delta=args.delta, c=args.c,
-                 alpha=args.alpha, seed=args.seed)
+    cfg = Config(n=sf.n, k=k, delta=args.delta, c=args.c, seed=args.seed)
     print(f"mode={mode}", file=out)
     print(f"n={sf.n}", file=out)
     print(f"k={k}", file=out)

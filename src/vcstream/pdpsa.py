@@ -12,18 +12,21 @@ about.  Three invariants tie these together:
    exactly the endpoint whose sketch began later, unless T lists it;
 3. the edge sits in both sketches exactly when T lists it.
 
-Deleting a matched edge triggers Rematch: a low-support endpoint recovers
-its sketched neighborhood exactly and pairs with the smallest exposed
-neighbor.  A high-support endpoint recovers 2k+1 distinct neighbors from
-its sketch's level grids instead (``SampleRecovery.recover(need)``):
-under the promise at most 2k vertices are matched, so one of them is
-exposed.  The query takes k+1 neighbors of each high-support vertex the
-same way.  A recovery that stalls or returns fewer neighbors than asked
-raises ``SketchFail``.
+Deleting a matched edge triggers Rematch: a low-support endpoint
+(support at most x = 2k+1) recovers its sketched neighborhood exactly,
+from the sum of its sketch's level grids, and pairs with the smallest
+exposed neighbor.  A high-support endpoint recovers 2k+1 distinct
+neighbors from one level's subsample instead
+(``SampleRecovery.recover(need)``): under the promise at most 2k
+vertices are matched, so one of them is exposed.  The query takes k+1
+neighbors of each high-support vertex the same way.  A recovery that
+stalls or returns fewer neighbors than asked raises ``SketchFail``; the
+state is then ``degraded``, and so is every later answer.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .core import (DELETE, Config, Edge, SketchFail, StreamUpdate,
@@ -111,6 +114,12 @@ class MatchingState:
     def _check_promise(self) -> None:
         if self.violated_at is None and len(self.matching) > self.config.k:
             self.violated_at = self.clock
+
+    @property
+    def degraded(self) -> bool:
+        """True once a recovery failed or a Rematch missed; every answer
+        from then on carries the flag."""
+        return bool(self.sketch_fail_count or self.rematch_miss_count)
 
     def words(self) -> int:
         sk = sum(s.words() for s in self.sketches.values())
@@ -259,7 +268,8 @@ class MatchingState:
 
 def pdpsa_query(st: MatchingState, k: int | None = None) -> VcAnswer:
     if st.violated_at is not None:
-        return VcAnswer.promise_violation()
-    if k is None:
-        k = st.config.k
-    return vc_decide(st.extract_kernel_edges(), k)
+        ans = VcAnswer.promise_violation()
+    else:
+        ans = vc_decide(st.extract_kernel_edges(),
+                        st.config.k if k is None else k)
+    return replace(ans, degraded=st.degraded)

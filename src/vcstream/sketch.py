@@ -1,13 +1,18 @@
 """Linear sketches over sparse integer vectors indexed by [1, N].
 
-``SampleRecovery`` holds, in one flat numpy array, peelable grids of
-one-sparse cells, so that one update is a handful of vectorised
-operations:
-
-* the recovery grid gives the exact support while it fits within the
-  grid's capacity;
-* the level grids (subsample and recover) give a few distinct support
-  indices, and uniform samples, when the support is larger.
+``SampleRecovery`` holds, in one flat numpy array, L peelable grids of
+one-sparse cells, one per subsampling level and all of one geometry, so
+that one update is a handful of vectorised operations.  A hash sends
+each index to a deepest level l* with P[l* >= l] = 2^-l, capped at L-1,
+and the index is written once, into the grid of level l*; an exact
+counter per level counts the net indices written there.  By linearity
+the grids of levels l..L-1 sum to a grid of the subsample
+{i : l*(i) >= l}.  The sum over all levels peels to the exact support
+while that fits the grid's capacity; past it ``recover(need)`` peels the
+shallowest subsample that fits.  This is the l0-sampler construction of
+Cormode & Firmani ("A unifying framework for l0-sampling", 2014) on the
+invertible Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A
+sketch without ``need`` has one level, a plain recovery grid.
 
 A one-sparse cell is a (count, index-weighted sum, fingerprint) tuple
 that recognises a vector with one nonzero entry.  Its fingerprints are
@@ -18,22 +23,13 @@ product mod p, count reduced mod p first, is one exact multiply
 only as many rows as the pair-collision bound asks (``grid_geometry``),
 so its size does not grow with N.
 
-Level grids.  A hash sends each index to a deepest level l* with
-P[l* >= l] = 2^-l, and the index is written once, into the grid of level
-l*; an exact counter per level counts the net indices written there.
-By linearity the grids of levels l..L-1 sum to a grid of the subsample
-{i : l*(i) >= l}, which ``recover(need)`` peels at the shallowest level
-whose subsample fits the level capacity.  This is the l0-sampler
-construction of Cormode & Firmani ("A unifying framework for l0-sampling",
-2014) on the invertible Bloom lookup tables of Goodrich & Mitzenmacher
-(2011).
-
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -160,14 +156,10 @@ class PowTable:
         return self.lo.size + self.hi.size
 
 
-_prime_cache: dict[int, int] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def fingerprint_prime(lower: int) -> int:
     """Smallest prime strictly above ``lower`` (cached)."""
-    if lower not in _prime_cache:
-        _prime_cache[lower] = nextprime(lower)
-    return _prime_cache[lower]
+    return nextprime(lower)
 
 
 @dataclass(frozen=True)
@@ -201,6 +193,7 @@ def grid_geometry(capacity: int, delta: float) -> tuple[int, int]:
     return rows, buckets
 
 
+@functools.lru_cache(maxsize=64)
 def level_capacity(need: int, fail: float) -> int:
     """Smallest capacity C with P[Bin(C+1, 1/2) < need] <= ``fail``.
 
@@ -216,39 +209,64 @@ def level_capacity(need: int, fail: float) -> int:
     return c
 
 
-# ---------------------------------------------------------------------------
-# s-sparse recovery
+def _binomial_tail(n: int, q: float, c: int) -> float:
+    """P[Bin(n, q) > c] for 0 < q <= 1: 1 minus the terms up to c while
+    the mean passes c, else the falling terms past c, summed until they
+    no longer change the sum, so a tiny tail keeps its digits."""
+    if c >= n or q == 1:
+        return float(c < n)
+
+    def term(j):
+        return math.exp(math.lgamma(n + 1) - math.lgamma(j + 1)
+                        - math.lgamma(n - j + 1) + j * math.log(q)
+                        + (n - j) * math.log1p(-q))
+    if n * q > c:
+        return max(0.0, 1.0 - math.fsum(map(term, range(c + 1))))
+    total = 0.0
+    for t in map(term, range(c + 1, n + 1)):
+        if total + t == total:
+            break
+        total += t
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def level_count(n_indices: int, capacity: int, fail: float) -> int:
+    """Fewest levels L with P[Bin(N, 2^-(L-1)) > C] <= ``fail``.
+
+    The deepest level, L-1, holds a Bin(N, 2^-(L-1)) subsample of a
+    support of N, so with this L it fits the level capacity C but with
+    probability ``fail``: 7 levels for pdpsa at n=600, k=2 (C = 32, fail
+    8.3e-6), 14 at n=10^5.
+    """
+    levels = 1
+    while _binomial_tail(n_indices, 0.5 ** (levels - 1), capacity) > fail:
+        levels += 1
+    return levels
 
 
 class SampleRecovery:
-    """Peelable recovery grid plus per-level grids, one linear structure.
+    """L level grids of one geometry, one linear structure.
 
-    * an R x B grid of one-sparse buckets is peeled for exact recovery
-      whenever the net support fits within ``capacity``.  B = 2 * capacity
-      and R = max(4, ceil(ln(capacity^2 / delta) / ln B)), from the
-      pair-collision bound (``grid_geometry``): 4 rows for both pdpsa
-      and dpsa at their default sizes.
-    * with ``need`` > 0, one grid per level (see the module docstring),
-      each sized ``grid_geometry(C, sampler_fail)`` for the level
-      capacity C = ``level_capacity(need, sampler_fail)``.  The level
-      grids share one set of bucket hashes, so those of levels l..L-1 add
-      up cell by cell.  ``recover(need=m)`` for m <= ``need`` reads them
-      when the support exceeds ``capacity``, and ``sample`` draws from
-      the same level.  ``need`` = 0 builds no level grids (dpsa).
-    * ``support`` is an exact signed counter of net insertions; it equals
-      the l0 norm under valid +/-1 streams.  ``level_support[l]`` is the
-      same counter over the indices whose deepest level is l.
+    With ``need`` = m > 0 the level capacity C is the larger of
+    ``capacity`` and ``level_capacity(m, sampler_fail)``, and L =
+    ``level_count(N, C, sampler_fail)``; with ``need`` = 0, C is
+    ``capacity`` and L = 1.  Every grid is ``grid_geometry(C, f)`` for f
+    the smaller of delta and sampler_fail (5 x 64 for pdpsa at n=600,
+    k=2; 4 x 3600 for dpsa at n=600, k=3), and all share one set of
+    bucket hashes, so the grids of levels l..L-1 add up cell by cell.
+    ``support`` is an exact signed counter of net insertions, the l0
+    norm under valid +/-1 streams; ``level_support[l]`` is the same
+    counter over the indices whose deepest level is l.
 
     One-sparse verification uses two independent prime fingerprints,
     p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
     a pdpsa vertex sketch, 3.2e10 (2^35) for the dpsa edge sketch at
     n=600 and 4.0e12 (2^42) at n=2000.  Stored fingerprints are reduced
-    below their prime, so the arrays stay within int64 while
-    2 * p2 < 2^63.  The powers r^i come from two ``PowTable``s of about
-    sqrt(N) entries each.  ``recover`` checks all buckets at once in
-    int64: it forms r^i and (count mod p) * r^i with ``_mulmod_exact``
-    (a plain product where p^2 < 2^63, a limb split below 2^46, Python
-    ints past that), so any int64 count is checked exactly.
+    below their prime, so a sum over the levels stays within int64 while
+    L * p2 < 2^63.  ``recover`` checks all buckets at once in int64,
+    forming (count mod p) * r^i with ``_mulmod_exact``, so any int64
+    count is checked exactly.
     """
 
     def __init__(self, n_indices: int, capacity: int, need: int,
@@ -264,17 +282,19 @@ class SampleRecovery:
         self.seed = seed
         self.support = 0
 
-        self.levels = max(1, math.ceil(math.log2(max(n_indices, 2)))) + 1
-        self.level_support = [0] * self.levels
-        self.rows, self.buckets = grid_geometry(capacity, delta)
         fail = sampler_fail if sampler_fail is not None else delta
-        self.level_capacity = level_capacity(need, fail) if need else 0
-        self.level_rows, self.level_buckets = (
-            grid_geometry(self.level_capacity, fail) if need else (0, 0))
+        if need:
+            self.level_capacity = max(capacity, level_capacity(need, fail))
+            self.levels = level_count(n_indices, self.level_capacity, fail)
+        else:
+            self.level_capacity, self.levels = capacity, 1
+        self.level_support = [0] * self.levels
+        self.rows, self.buckets = grid_geometry(self.level_capacity,
+                                                min(delta, fail))
 
         self.p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
         self.p2 = fingerprint_prime(self.p1)
-        if need and self.levels * self.p2 > _INT64_MAX:
+        if self.levels * self.p2 > _INT64_MAX:
             # a level sum adds one fingerprint below p2 per level
             raise ValueError(f"{n_indices} indices are too many for "
                              f"level grids")
@@ -284,38 +304,20 @@ class SampleRecovery:
         self.pow1 = PowTable(r1, self.p1, n_indices)
         self.pow2 = PowTable(r2, self.p2, n_indices)
 
-        # bucket hashes, one pair per row: the recovery grid's rows, then
-        # the rows that every level grid shares
-        self.grid_a = rng.integers(1, HASH_P, size=self.rows, dtype=np.int64)
-        self.grid_b = rng.integers(0, HASH_P, size=self.rows, dtype=np.int64)
-        self.level_a = rng.integers(1, HASH_P, size=self.level_rows,
-                                    dtype=np.int64)
-        self.level_b = rng.integers(0, HASH_P, size=self.level_rows,
-                                    dtype=np.int64)
+        # bucket hashes, one pair per row, shared by every level
+        self.hash_a = rng.integers(1, HASH_P, size=self.rows, dtype=np.int64)
+        self.hash_b = rng.integers(0, HASH_P, size=self.rows, dtype=np.int64)
         # key of the hash that picks each index's deepest level
         self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
-        # (count, index, fp1, fp2) of every cell: the recovery grid, then
-        # the level grids, level 0 first; the grids are views into it
-        main = self.rows * self.buckets
-        self._per_level = self.level_rows * self.level_buckets
-        self.cells = np.zeros((4, main + self.levels * self._per_level),
+        # (count, index, fp1, fp2) of every cell, level 0 first
+        self._per_level = self.rows * self.buckets
+        self.cells = np.zeros((4, self.levels * self._per_level),
                               dtype=np.int64)
-        self.grid = self.cells[:, :main].reshape(4, self.rows, self.buckets)
-        self.grid_count, self.grid_index, self.grid_fp1, self.grid_fp2 = \
-            self.grid
-        self.level_grids = self.cells[:, main:].reshape(
-            4, self.levels, self.level_rows, self.level_buckets)
-
-        # per row an update touches: its hash pair, its bucket count and
-        # the cell of its bucket 0 (of level 0, for level rows)
-        self._row_a = np.concatenate([self.grid_a, self.level_a])
-        self._row_b = np.concatenate([self.grid_b, self.level_b])
-        self._row_mod = np.repeat([self.buckets, self.level_buckets],
-                                  [self.rows, self.level_rows])
-        self._row_cell0 = np.concatenate([
-            np.arange(self.rows) * self.buckets,
-            main + np.arange(self.level_rows) * self.level_buckets])
+        self.grids = self.cells.reshape(4, self.levels, self.rows,
+                                        self.buckets)
+        # the cell of bucket 0 of each row, at level 0
+        self._row_cell0 = np.arange(self.rows) * self.buckets
         self._primes = np.array([[self.p1], [self.p2]], dtype=np.int64)
 
     # -- updates -----------------------------------------------------------
@@ -331,6 +333,10 @@ class SampleRecovery:
                             key=self.depth_key).digest()
         return min(self.levels - 1, 64 - int.from_bytes(h, "big").bit_length())
 
+    def _cols(self, index):
+        """Bucket of ``index`` in each row: (a_r i + b_r) % HASH_P % B."""
+        return (self.hash_a * index + self.hash_b) % HASH_P % self.buckets
+
     def update(self, index: int, delta: int) -> None:
         if not 1 <= index <= self.n:
             raise ValueError(f"index {index} out of [1, {self.n}]")
@@ -341,39 +347,23 @@ class SampleRecovery:
         # cell changes nothing below can raise
         add = np.array([[d], [d * index], [d * self.pow1(index) % self.p1],
                         [d * self.pow2(index) % self.p2]], dtype=np.int64)
-        at = self._row_cell0 + (self._row_a * index + self._row_b) \
-            % HASH_P % self._row_mod
-        if self.need:
-            depth = self._depth(index)
-            at[self.rows:] += depth * self._per_level
-            self.level_support[depth] += d
+        depth = self._depth(index) if self.levels > 1 else 0
+        at = self._row_cell0 + self._cols(index) + depth * self._per_level
         v = self.cells[:, at] + add
         fp = v[2:]  # in [0, 2p)
         fp -= self._primes * (fp >= self._primes)
         self.cells[:, at] = v
+        self.level_support[depth] += d
         self.support += d
 
     # -- queries -----------------------------------------------------------
 
-    def _verified(self, c: int, ix: int, f1: int, f2: int) -> int | None:
-        if c == 0 or ix % c != 0:
-            return None
-        i = ix // c
-        if not 1 <= i <= self.n:
-            return None
-        if f1 != c * self.pow1(i) % self.p1:
-            return None
-        if f2 != c * self.pow2(i) % self.p2:
-            return None
-        return i
-
     def _verify_cells(self, count: np.ndarray, index: np.ndarray,
                       fp1: np.ndarray, fp2: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(index, weight) of every one-sparse cell, in row-major order.
-
-        The same test as ``_verified``, over whole arrays at once.
-        """
+        """(index, weight) of every one-sparse cell, in row-major order:
+        the count divides the index sum into an index in [1, N] whose
+        fingerprints match."""
         pos = np.flatnonzero(count)
         c = count.reshape(-1)[pos]
         ix = index.reshape(-1)[pos]
@@ -386,40 +376,64 @@ class SampleRecovery:
                  == _mulmod_exact(c % self.p2, self.pow2.gather(i), self.p2)))
         return i[ok], c[ok]
 
-    def _level_cells(self) -> np.ndarray:
-        """The summed level grid ``recover(need)`` and ``sample`` read.
+    def _level_sum(self, level: int) -> np.ndarray:
+        """The R x B grid of the subsample {i : depth(i) >= level}: the
+        level grids from ``level`` down, summed, fingerprints reduced."""
+        cells = self.grids[:, level:].sum(axis=1)
+        if level < self.levels - 1:  # one grid is reduced already
+            cells[2:] %= self._primes[:, :, None]
+        return cells
 
-        That is levels l..L-1 for the shallowest l whose subsample holds
-        at most ``level_capacity`` indices (the deepest level if none
-        does), fingerprints reduced below their primes.
-        """
+    def _fit_level(self) -> int:
+        """The shallowest level whose subsample holds at most
+        ``level_capacity`` indices by the counters, else the deepest."""
         lvl, suffix = self.levels, 0
         while lvl > 0 and (suffix + self.level_support[lvl - 1]
                            <= self.level_capacity):
             lvl -= 1
             suffix += self.level_support[lvl]
-        cells = self.level_grids[:, min(lvl, self.levels - 1):].sum(axis=1)
-        cells[2:] %= self._primes[:, :, None]
-        return cells
+        return min(lvl, self.levels - 1)
+
+    def _read_levels(self, need: int, whole: bool) -> set[int]:
+        """At least ``need`` support indices from one level's subsample:
+        its grid's one-sparse cells if they name that many (unless
+        ``whole``), else the whole subsample, peeled.  Reads the level
+        ``_fit_level`` picks, then shallower ones while a read stalls or
+        falls short, as it can under weights other than +/-1, since the
+        counters sum weights."""
+        first = self._fit_level()
+        for lvl in range(first, -1, -1):
+            cells = self._level_sum(lvl)
+            if not whole:
+                found = set(self._verify_cells(*cells)[0].tolist())
+                if len(found) >= need:
+                    return found
+            try:
+                found = self._peel(cells)
+            except RecoveryFail:
+                continue
+            if len(found) >= need:
+                return found
+        raise RecoveryFail(f"levels {first}..0 gave under {need} indices")
 
     def sample(self, which: int) -> SampleOutcome:
         """Draw number ``which``: a seeded uniform pick from a recovery.
 
         The recovered set is the support while it fits within
         ``capacity``, and otherwise the whole subsample that
-        ``recover(need)`` reads, peeled.  Each ``which`` >= 0 seeds its
-        own draw, so distinct draws are independent picks from that set.
+        ``recover(need)`` reads, peeled; a sketch without ``need`` has no
+        such read.  Each ``which`` >= 0 seeds its own draw, so distinct
+        draws are independent picks from that set.
         """
         if which < 0:
             raise IndexError(f"draw {which} is negative")
         if self.support == 0:
             return SampleOutcome(EMPTY)
+        if self.support > self.capacity and not self.need:
+            return SampleOutcome(FAIL)
         try:
-            if self.support <= self.capacity:
-                got = self.recover()
-            else:
-                got = self._peel(self._level_cells(), self.level_a,
-                                 self.level_b)
+            got = (self.recover() if self.support <= self.capacity
+                   else self._read_levels(1, whole=True))
         except RecoveryFail:
             return SampleOutcome(FAIL)
         if not got:
@@ -432,47 +446,37 @@ class SampleRecovery:
         """Support indices via grid peeling.
 
         Without ``need``, or while ``support <= capacity``: the exact
-        support, peeled from the recovery grid.  Reliable when the true
-        support fits in ``capacity``; beyond that the peeling either
-        stalls (RecoveryFail) or yields a strict subset, so callers must
-        gate on the support counter.
+        support, peeled from the sum of all level grids.  Reliable when
+        the true support fits in ``capacity``; beyond that the peeling
+        either stalls (RecoveryFail) or yields a strict subset, so callers
+        must gate on the support counter.
 
         With ``need`` = m (1 <= m <= ``self.need``) and a larger support:
-        at least m distinct support indices, from the level grids.  The
-        one-sparse cells of the summed level grid usually name m already;
-        otherwise that grid is peeled and the whole subsample returned,
-        which can stall (RecoveryFail) or fall short of m.
+        at least m distinct support indices from a level's subsample
+        (``_read_levels``), or RecoveryFail.
 
         The depth hash makes the subsample sizes s_0 >= s_1 >= ...
         successive binomial thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a
-        shortfall needs s_l > C >= s_(l+1) with s_(l+1) < m for some l,
-        C = ``level_capacity``.  The chain stays at each size s > C for
-        1 / (1 - 2^-s) levels in expectation, so
+        shortfall at the picked level needs s_l > C >= s_(l+1) with
+        s_(l+1) < m for some l, C = ``level_capacity``.  The chain stays
+        at each size s > C for 1 / (1 - 2^-s) levels in expectation, so
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
         1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, sampler_fail 8.3e-6).
         A level grid at most C full stalls with probability at most
-        sampler_fail (``grid_geometry``).
+        sampler_fail (``grid_geometry``), and the deepest level holds more
+        than C with probability at most sampler_fail (``level_count``).
         """
         if need is None or self.support <= self.capacity:
-            return self._peel(self.grid.copy(), self.grid_a, self.grid_b)
+            return self._peel(self._level_sum(0))
         if not 1 <= need <= self.need:
             raise ValueError(f"need {need} outside [1, {self.need}]")
-        cells = self._level_cells()
-        found = set(self._verify_cells(*cells)[0].tolist())
-        if len(found) >= need:
-            return found
-        return self._peel(cells, self.level_a, self.level_b)
+        return self._read_levels(need, whole=False)
 
-    def _peel(self, grid: np.ndarray, a: np.ndarray, b: np.ndarray
-              ) -> set[int]:
-        """Support of a (count, index, fp1, fp2) grid, peeled in place.
-
-        Row r of the grid puts index i in bucket (a[r] i + b[r]) mod
-        HASH_P mod B.
-        """
+    def _peel(self, grid: np.ndarray) -> set[int]:
+        """Support of a (count, index, fp1, fp2) grid, peeled in place."""
         count, index, fp1, fp2 = grid
-        rowidx = np.arange(count.shape[0])
+        rowidx = np.arange(self.rows)
         found: set[int] = set()
 
         for _ in range(count.size + 1):
@@ -491,8 +495,7 @@ class SampleRecovery:
                     f"peeling stalled with {int(np.abs(count).sum())} "
                     f"residual mass")
             found.update(peel.tolist())
-            cols = (a * peel[:, None] + b) % HASH_P % count.shape[1]
-            at = (rowidx, cols)
+            at = (rowidx, self._cols(peel[:, None]))
             w = weight[:, None]
             np.subtract.at(count, at, w)
             np.subtract.at(index, at, w * peel[:, None])
@@ -511,12 +514,8 @@ class SampleRecovery:
                 and np.array_equal(self.cells, other.cells))
 
     def words(self) -> int:
-        """Stored machine words, for space-census reports.
-
-        Every cell's 4 words, 2 hash words per row, and with level grids
-        the per-level counters and the depth hash key.
-        """
-        hashes = 2 * (self.rows + self.level_rows)
-        levels = self.levels + 1 if self.need else 0
-        return (self.cells.size + hashes + levels + self.pow1.words()
-                + self.pow2.words() + 4)
+        """Stored machine words: every cell's 4, 2 hash words per row, and
+        past one level the per-level counters and the depth hash key."""
+        levels = self.levels + 1 if self.levels > 1 else 0
+        return (self.cells.size + 2 * self.rows + levels
+                + self.pow1.words() + self.pow2.words() + 4)

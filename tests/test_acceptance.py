@@ -103,7 +103,7 @@ def pdpsa_suite():
         k = rng.randint(1, 4)
         length = rng.randint(100, 600)
         churn = rng.uniform(0.3, 0.45)
-        cfg = Config(n=n, k=k, delta=0.01, alpha=1.0, seed=run)
+        cfg = Config(n=n, k=k, delta=0.01, seed=run)
         st = MatchingState(cfg, mirror=True)
         sh = ShadowGraph(n)
         for upd in gen_promised_stream(cfg, length, churn, rng):

@@ -6,10 +6,14 @@ any answer, certificate, space count, counter or error line fails here.
 """
 
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import vcstream
 from vcstream.core import Config
 from vcstream.harness.cli import run_cli
 from vcstream.harness.generators import (edges_to_stream,
@@ -209,7 +213,7 @@ query=8
 answer=yes
 cover=2,6,9
 verified=true
-words_stored=52156
+words_stored=4100
 sketch_fails=0
 rematch_misses=0
 rematches=11
@@ -262,14 +266,17 @@ error=deletion in insertion-only mode
 }
 
 
+def _without_elapsed(report):
+    return "\n".join(line for line in report.splitlines()
+                     if not line.startswith("elapsed_s="))
+
+
 def _report(name, path):
     build, extra = CASES[name]
     path.write_text(build())
     buf = io.StringIO()
     code = run_cli(["--input", str(path)] + extra, out=buf)
-    lines = [line for line in buf.getvalue().splitlines()
-             if not line.startswith("elapsed_s=")]
-    return code, "\n".join(lines)
+    return code, _without_elapsed(buf.getvalue())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -278,3 +285,20 @@ def test_cli_report_matches_golden(name, tmp_path):
     want_code, want_text = GOLDEN[name]
     assert code == want_code
     assert text == want_text.strip("\n")
+
+
+@pytest.mark.parametrize("name", ["pdpsa", "dpsa"])
+def test_cli_report_is_the_same_under_python_O(name, tmp_path):
+    # -O strips assert statements, so no check behind a report may be one
+    build, extra = CASES[name]
+    path = tmp_path / "s.txt"
+    path.write_text(build())
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(vcstream.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "vcstream.harness.cli", "--input",
+         str(path), *extra], env=env, capture_output=True, text=True,
+        timeout=120)
+    want_code, want_text = GOLDEN[name]
+    assert done.returncode == want_code, done.stderr
+    assert _without_elapsed(done.stdout) == want_text.strip("\n")

@@ -102,10 +102,10 @@ def test_shadow_replay_counting():
 
 def test_config_sizes():
     cfg = Config(n=40, k=4, delta=0.01)
-    # x = ceil(8 * 4 * log2(4000))
-    assert cfg.x == 383
-    half = Config(n=40, k=4, delta=0.01, alpha=0.5)
-    assert half.x < cfg.x
+    # x = 2k + 1, whatever n and delta are
+    assert cfg.x == 9
+    assert Config(n=10 ** 6, k=4, delta=1e-6).x == cfg.x
+    assert Config(n=40, k=3, delta=0.01).x < cfg.x
 
 
 def test_config_validation():

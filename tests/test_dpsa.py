@@ -4,8 +4,10 @@ import itertools
 import math
 import random
 
-from vcstream.core import (Config, Edge, ShadowGraph, StreamUpdate, covers,
-                           INSERT, DELETE)
+import pytest
+
+from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
+                           StreamUpdate, covers, INSERT, DELETE)
 from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
 from vcstream.harness.generators import gen_random_stream
 from vcstream.harness.oracles import oracle_vc
@@ -102,3 +104,28 @@ def test_dpsa_space_is_linear_in_n():
         assert table.words() <= 3 * math.isqrt(n_pairs)
     assert big.words() / DpsaState(Config(n=1000, k=3)).words() <= 2.2
     assert DpsaState(Config(n=600, k=3)).words() <= 72_000
+
+
+def test_recovery_fail_flags_every_later_answer(monkeypatch):
+    # the stall of the CLI's exit-5 test
+    from vcstream.sketch import RecoveryFail, SampleRecovery
+    st = mk(n=4, k=1)
+    dpsa_update(st, StreamUpdate(INSERT, Edge(1, 2)))
+    fresh = dpsa_query(st)
+    assert fresh.is_yes and fresh.degraded is False
+
+    def stall(self):
+        raise RecoveryFail("peeling stalled with 2 residual mass")
+    with monkeypatch.context() as patch:
+        patch.setattr(SampleRecovery, "recover", stall)
+        with pytest.raises(SketchFail):
+            dpsa_query(st)
+    assert st.degraded
+    again = dpsa_query(st)
+    assert again.degraded and again.cover == fresh.cover
+    # the n*k gate's No carries the flag too
+    for u, v in itertools.combinations(range(1, 5), 2):
+        if (u, v) != (1, 2):
+            dpsa_update(st, StreamUpdate(INSERT, Edge(u, v)))
+    gated = dpsa_query(st)
+    assert gated.is_no and gated.degraded

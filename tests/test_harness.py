@@ -327,9 +327,9 @@ def test_cli_promised_generator_past_oracle_budget():
 
 
 def _degraded_pdpsa(tmp_path):
-    # a promised stream whose sketches, at alpha 0.003 and below, recover
-    # whole neighborhoods only up to x = 2 (x = 1) and read every larger
-    # one from their level grids
+    # a promised stream whose sketches recover whole neighborhoods only
+    # up to x = 2k+1 = 9 and read the larger ones (up to 19 neighbors,
+    # in Rematch and at queries) from their level grids
     buf = io.StringIO()
     assert run_cli(["--gen", "promised", "--n", "30", "--k", "4", "--seed",
                     "3", "--length", "300"], out=buf) == 0
@@ -342,8 +342,7 @@ def test_cli_pdpsa_degraded_recovery_runs_to_the_end(tmp_path):
     # recovery returned a strict subset of a neighborhood, and a T edge it
     # missed outlived the dropped sketch (KeyError in _sketch_remove)
     f = _degraded_pdpsa(tmp_path)
-    code, report = run(["--input", str(f), "--alpha", "0.003",
-                        "--seed", "9"])
+    code, report = run(["--input", str(f), "--seed", "9"])
     assert code == 0
     assert report["sketch_fails"] == "0"
 
@@ -374,8 +373,7 @@ def test_cli_sketch_fail_at_update_exit_5(tmp_path, monkeypatch):
         return real(self, need)
     monkeypatch.setattr(SampleRecovery, "recover", stall)
     f = _degraded_pdpsa(tmp_path)
-    code, report = run(["--input", str(f), "--alpha", "0.001",
-                        "--seed", "7"])
+    code, report = run(["--input", str(f), "--seed", "7"])
     assert code == 5
     assert report["error"] == "recovery failed for vertex 18"
     assert "answer" not in report

@@ -8,6 +8,7 @@ import pytest
 from vcstream.core import Config, Edge, ShadowGraph, StreamUpdate, covers
 from vcstream.core import INSERT, DELETE
 from vcstream.pdpsa import MatchingState, pdpsa_query
+from vcstream.sketch import level_capacity
 from vcstream.harness.generators import gen_promised_stream
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
@@ -196,10 +197,49 @@ def test_vertex_sketch_space_is_polylog_in_n():
 
 def test_vertex_sketch_words_at_n600_k2():
     # the dynamic-sketch benchmark's hub sketch held 247 764 words with
-    # a sampler bank of 127 samplers x 41 reps x 11 levels
+    # a sampler bank of 127 samplers x 41 reps x 11 levels, and 22 344
+    # with 11 level grids beside a recovery grid for x = 254; now 9 084
     st = MatchingState(Config(n=600, k=2))
     st._fresh_sketch(1)
-    assert st.sketches[1].words() <= 30_000
+    assert st.sketches[1].words() <= 10_000
+
+
+def _state_words(n, k):
+    """Words of a pdpsa state with 2k sketched vertices, the most the
+    promise allows, and nothing else stored."""
+    st = MatchingState(Config(n=n, k=k))
+    for v in range(1, 2 * k + 1):
+        st._fresh_sketch(v)
+    return st.words()
+
+
+@pytest.mark.parametrize("n", [600, 10 ** 5])
+def test_state_words_grow_slower_than_k_to_the_1_5(n):
+    # the paper's bound is O~(k^2); at 2k sketches of about k words each
+    # (the level capacity grows with need = 2k+1) this is about 16 from
+    # k=1 to k=8, and was 32.7 (n=600) and 25.9 (n=10^5) with x = 8ck
+    # log2(n/delta) and a recovery grid sized for it
+    assert _state_words(n, 8) / _state_words(n, 1) <= 8 ** 1.5
+
+
+@pytest.mark.parametrize("n", [10, 600, 10 ** 4, 10 ** 6])
+def test_vertex_sketch_sizing_rules(n):
+    # x fits the level capacity, so the sum of the level grids recovers
+    # a low vertex exactly, and the levels are the fewest whose deepest
+    # subsample fits that capacity but with probability sampler_fail
+    binom = pytest.importorskip("scipy.stats").binom
+    for k in range(1, 9):
+        cfg = Config(n=n, k=k)
+        st = MatchingState(cfg)
+        st._fresh_sketch(1)
+        sk = st.sketches[1]
+        fail = cfg.delta / (2 * n ** cfg.c)
+        assert cfg.x == sk.capacity <= level_capacity(2 * k + 1, fail) \
+            == sk.level_capacity
+        tails = [binom.sf(sk.level_capacity, n, 0.5 ** lvl)
+                 for lvl in range(sk.levels)]
+        assert tails[-1] <= fail
+        assert sk.levels == 1 or tails[-2] > fail
 
 
 # -- high-support vertices --------------------------------------------------
@@ -237,15 +277,15 @@ def _hub_stream(rng, n, k, warm, churn):
     return hubs, out
 
 
-# n=40, k=2, alpha 0.05: x = 10, and each hub holds 15 leaf edges
-HUB_CFG = dict(n=40, k=2, alpha=0.05)
+# n=40, k=2: x = 5, and each hub holds 15 leaf edges
+HUB_CFG = dict(n=40, k=2)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_high_support_rematch_on_hub_stream(seed):
     rng = random.Random(seed)
     cfg = Config(**HUB_CFG, seed=seed)
-    assert cfg.x == 10
+    assert cfg.x == 5
     st = MatchingState(cfg, mirror=True)
     sh = ShadowGraph(cfg.n)
     _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=90)
@@ -292,3 +332,51 @@ def test_high_support_shortfall_raises_sketch_fail(monkeypatch):
     with pytest.raises(SketchFail, match="recovered 1 of 5 neighbors"):
         st.deletion(hub_edge)
     assert st.sketch_fail_count == 2
+
+
+# -- degraded answers -------------------------------------------------------
+
+
+def test_sketch_fail_flags_every_later_answer(monkeypatch):
+    # the stall of the CLI's exit-5 test: every level read fails
+    from vcstream.pdpsa import SketchFail
+    from vcstream.sketch import RecoveryFail, SampleRecovery
+    cfg = Config(**HUB_CFG, seed=1)
+    st = MatchingState(cfg)
+    sh = ShadowGraph(cfg.n)
+    _, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
+                            churn=0)
+    for upd in stream:
+        sh.apply(upd)
+        st.apply(upd)
+    fresh = pdpsa_query(st)
+    assert fresh.kind == oracle_vc(sh.edges(), cfg.k).kind
+    assert fresh.degraded is False and st.degraded is False
+    real = SampleRecovery.recover
+
+    def stall(self, need=None):
+        if need is not None and self.support > self.capacity:
+            raise RecoveryFail("peeling stalled")
+        return real(self, need)
+    with monkeypatch.context() as patch:
+        patch.setattr(SampleRecovery, "recover", stall)
+        with pytest.raises(SketchFail):
+            pdpsa_query(st)
+    assert st.degraded
+    again = pdpsa_query(st)
+    assert again.degraded
+    assert (again.kind, again.cover) == (fresh.kind, fresh.cover)
+
+
+def test_rematch_miss_flags_every_later_answer():
+    # past a broken promise, vertex 1 holds four neighbors, all matched,
+    # when its matching edge goes: Rematch finds no exposed one
+    st = mk(k=1)
+    assert pdpsa_query(st).degraded is False
+    for u, v in ((1, 2), (3, 4), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6)):
+        st.insertion(Edge(u, v))
+    assert st.violated_at == 2 and not st.degraded
+    st.deletion(Edge(1, 2))
+    assert st.rematch_miss_count == 1 and st.degraded
+    ans = pdpsa_query(st)
+    assert ans.kind == "promise-violation" and ans.degraded

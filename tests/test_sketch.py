@@ -28,16 +28,36 @@ def fresh(seed=9, n=1000, cap=50, need=4):
 # -- one-sparse cells -------------------------------------------------------
 
 
+def _bases(s):
+    """The fingerprint bases r1, r2, redrawn from the sketch's seed."""
+    rng = np.random.default_rng(derive_seed(s.seed, "hashes"))
+    return int(rng.integers(1, s.p1)), int(rng.integers(1, s.p2))
+
+
+def _verified(s, c, ix, f1, f2):
+    """The one-sparse test on one cell, in Python ints: the reference for
+    ``SampleRecovery._verify_cells``."""
+    if c == 0 or ix % c != 0:
+        return None
+    i = ix // c
+    if not 1 <= i <= s.n:
+        return None
+    r1, r2 = _bases(s)
+    if f1 != c * pow(r1, i, s.p1) % s.p1 or f2 != c * pow(r2, i, s.p2) % s.p2:
+        return None
+    return i
+
+
 def _grid_cells(s):
-    return s._verify_cells(s.grid_count, s.grid_index, s.grid_fp1,
-                           s.grid_fp2)
+    """One-sparse cells of the grid that holds every index."""
+    return s._verify_cells(*s._level_sum(0))
 
 
 def test_detector_zero_vector():
     s = fresh()
     got_i, _ = _grid_cells(s)
     assert len(got_i) == 0
-    assert s._verified(0, 0, 0, 0) is None
+    assert _verified(s, 0, 0, 0, 0) is None
 
 
 def test_detector_one_sparse():
@@ -63,14 +83,13 @@ def test_detector_rejects_two_sparse():
         for i in support:
             s.update(i, rng.choice([1, 2, 3]))
         # which cell each index landed in, from the grid's own hashes
-        held = np.zeros(s.grid_count.shape, dtype=np.int64)
+        held = np.zeros((s.rows, s.buckets), dtype=np.int64)
         for i in support:
-            cols = (s.grid_a * i + s.grid_b) % HASH_P % s.buckets
+            cols = (s.hash_a * i + s.hash_b) % HASH_P % s.buckets
             held[np.arange(s.rows), cols] += 1
         multi = held >= 2
         shared += int(multi.sum())
-        cells = [np.where(multi, a, 0) for a in (
-            s.grid_count, s.grid_index, s.grid_fp1, s.grid_fp2)]
+        cells = [np.where(multi, a, 0) for a in s._level_sum(0)]
         if len(s._verify_cells(*cells)[0]):
             false_pos += 1
     assert shared > trials  # the sweep does test shared cells
@@ -213,12 +232,6 @@ def test_words_positive_and_monotone_in_capacity():
 # -- level grids ------------------------------------------------------------
 
 
-def _bases(s):
-    """The fingerprint bases r1, r2, redrawn from the sketch's seed."""
-    rng = np.random.default_rng(derive_seed(s.seed, "hashes"))
-    return int(rng.integers(1, s.p1)), int(rng.integers(1, s.p2))
-
-
 def _reference_depth(s, i):
     """Leading zero bits of the index's keyed 64-bit hash, capped."""
     h = hashlib.blake2b(i.to_bytes(8, "big"), digest_size=8,
@@ -233,13 +246,12 @@ def _reference_levels(s, ops):
     Level l sums every update whose index has depth >= l: the subsample
     grids that the suffix sums of the level grids must rebuild.
     """
-    ref = np.zeros((4, s.levels, s.level_rows, s.level_buckets),
-                   dtype=object)
+    ref = np.zeros((4, s.levels, s.rows, s.buckets), dtype=object)
     r1, r2 = _bases(s)
     for i, d in ops:
-        for r in range(s.level_rows):
-            col = (int(s.level_a[r]) * i + int(s.level_b[r])) % HASH_P \
-                % s.level_buckets
+        for r in range(s.rows):
+            col = (int(s.hash_a[r]) * i + int(s.hash_b[r])) % HASH_P \
+                % s.buckets
             for lvl in range(_reference_depth(s, i) + 1):
                 at = (lvl, r, col)
                 ref[(0,) + at] += d
@@ -262,7 +274,7 @@ def test_level_grids_match_all_levels_reference(ops, need, seed):
         s.update(i, d)
     ref = _reference_levels(s, ops)
     primes = np.array([s.p1, s.p2]).reshape(2, 1, 1, 1)
-    got = np.cumsum(s.level_grids[:, ::-1], axis=1)[:, ::-1]
+    got = np.cumsum(s.grids[:, ::-1], axis=1)[:, ::-1]
     got[2:] %= primes
     assert np.array_equal(got, ref.astype(np.int64))
     depths = [0] * s.levels
@@ -274,7 +286,8 @@ def test_level_grids_match_all_levels_reference(ops, need, seed):
     fits = [lvl for lvl in range(s.levels)
             if suffix[lvl] <= s.level_capacity]
     lvl = fits[0] if fits else s.levels - 1
-    assert np.array_equal(s._level_cells(), got[:, lvl])
+    assert s._fit_level() == lvl
+    assert np.array_equal(s._level_sum(lvl), got[:, lvl])
 
     net: dict[int, int] = {}
     for i, d in ops:
@@ -403,7 +416,7 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
     top = ((1 << 63) - 1) // s.n  # the index sum count * i stays in int64
     rng = random.Random(8)
     r1, r2 = _bases(s)
-    rows, cols = s.grid_count.shape
+    rows, cols = s.rows, s.buckets
     count = np.zeros((rows, cols), dtype=np.int64)
     index = np.zeros_like(count)
     fp1 = np.zeros_like(count)
@@ -426,7 +439,7 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
             elif spoil < 0.4:  # index sum not a multiple of the count
                 index[r, col] += 1
     got_i, got_c = s._verify_cells(count, index, fp1, fp2)
-    want = [(s._verified(int(c), int(ix), int(f1), int(f2)), int(c))
+    want = [(_verified(s, int(c), int(ix), int(f1), int(f2)), int(c))
             for c, ix, f1, f2 in zip(count.ravel(), index.ravel(),
                                      fp1.ravel(), fp2.ravel())]
     want = [(i, c) for i, c in want if i is not None]
@@ -443,11 +456,12 @@ def test_recover_with_weights_past_the_int64_product_bound():
     s.update(9, 3)
     assert 4 * big * s.p2 >= 1 << 63
     assert s.recover() == {5, 9}
-    # level 0's subsample holds every index, so its summed grid peels to
-    # both; the level counters sum weights, so they pick no level here
-    cells = s.level_grids.sum(axis=1)
-    cells[2:] %= s._primes[:, :, None]
-    assert s._peel(cells, s.level_a, s.level_b) == {5, 9}
+    # the level counters sum weights, so the level they pick holds
+    # neither index here; the reads move on to shallower levels
+    assert s._fit_level() > max(map(s._depth, (5, 9)))
+    assert s.recover(2) == {5, 9}
+    for which in range(8):
+        assert s.sample(which).index in (5, 9)
 
 
 # -- fingerprint power tables -----------------------------------------------
