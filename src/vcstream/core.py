@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -28,20 +29,22 @@ class SketchFail(Exception):
     """A sketch recovery or sampling step failed; the run is unreliable."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Edge:
-    """Canonical unordered vertex pair, always stored with u < v."""
+class Edge(namedtuple("_VertexPair", "u v")):
+    """Canonical unordered vertex pair: the int pair (u, v) with u < v.
 
-    u: int
-    v: int
+    A ``tuple``, so it hashes, compares and orders as ``(u, v)`` does;
+    its namedtuple base reads ``u`` and ``v`` in C.  Build one with
+    ``Edge(u, v)``: ``_make`` and ``_replace`` skip the ordering.
+    """
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise SelfLoop(f"self-loop on vertex {self.u}")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int) -> "Edge":
+        if u < v:
+            return tuple.__new__(cls, (u, v))
+        if u > v:
+            return tuple.__new__(cls, (v, u))
+        raise SelfLoop(f"self-loop on vertex {u}")
 
     def other(self, w: int) -> int:
         if w == self.u:
@@ -52,7 +55,7 @@ class Edge:
 
     def index(self, n: int) -> int:
         """Bijection from edges over [1, n] to [1, n(n-1)/2]."""
-        u, v = self.u, self.v
+        u, v = self
         # edges (1,2),(1,3),...,(1,n),(2,3),... in lexicographic order
         return (u - 1) * n - u * (u + 1) // 2 + v
 
@@ -207,7 +210,7 @@ class VcAnswer:
 def covers(cover, edges) -> bool:
     """True when every edge has at least one endpoint in cover."""
     cset = set(cover)
-    return all(e.u in cset or e.v in cset for e in edges)
+    return all(u in cset or v in cset for u, v in edges)
 
 
 def matching_exceeds(pairs, budget: int) -> bool:

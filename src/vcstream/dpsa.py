@@ -2,7 +2,8 @@
 
 A graph with a vertex cover of size k has at most n*k edges, so the
 query path first gates on the live-edge count: above n*k the answer is
-No without touching the sketch; otherwise the full edge set is recovered
+No without touching the sketch; otherwise the full edge set is recovered,
+decoded from edge indices to edges in one numpy pass (``decode_edges``)
 and kernelized.  The counter is exact for valid streams, which never
 re-insert a live edge or delete an absent one.
 """
@@ -10,6 +11,7 @@ re-insert a live edge or delete an absent one.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from .core import Config, DELETE, Edge, SketchFail, StreamUpdate, VcAnswer
 from .kernel import vc_decide
@@ -37,6 +39,22 @@ class DpsaState:
         return self.sketch.words() + 2
 
 
+def decode_edges(indices, n: int) -> set[Edge]:
+    """``{Edge.from_index(i, n) for i in indices}`` in one array pass;
+    the float root of the discriminant (< 2^53) is exact or one high."""
+    import numpy as np
+    idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
+    m = 2 * n - 1
+    disc = m * m - 8 * (idx - 1)
+    root = np.sqrt(disc).astype(np.int64)
+    root -= root * root > disc
+    u = (m + 2 - root) // 2
+    u -= (u - 1) * (2 * n - u) // 2 >= idx
+    v = idx - ((u - 1) * n - u * (u + 1) // 2)
+    # each (u, v) has u < v, so it is an Edge as it stands
+    return set(map(partial(tuple.__new__, Edge), zip(u.tolist(), v.tolist())))
+
+
 def dpsa_update(st: DpsaState, upd: StreamUpdate) -> DpsaState:
     delta = -1 if upd.op == DELETE else +1
     st.sketch.update(upd.edge.index(st.config.n), delta)
@@ -56,5 +74,5 @@ def dpsa_query(st: DpsaState, k: int | None = None) -> VcAnswer:
         except SketchFail:
             st.degraded = True
             raise
-        ans = vc_decide({Edge.from_index(i, cfg.n) for i in found}, k)
+        ans = vc_decide(decode_edges(found, cfg.n), k)
     return replace(ans, degraded=st.degraded)

@@ -19,9 +19,9 @@ class KernelInstance:
 
 def _adjacency(edges) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
-    for e in edges:
-        adj.setdefault(e.u, set()).add(e.v)
-        adj.setdefault(e.v, set()).add(e.u)
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     return adj
 
 
@@ -29,32 +29,29 @@ def kernelize(edges, k: int) -> KernelInstance | None:
     """Reduce (edges, k); None means a provable No.
 
     Rule 1: a vertex of degree > k' must join the cover.  Rule 2 drops
-    isolated vertices.  Rule 1 runs exhaustively before each Rule 2 sweep
-    and always picks the smallest-id qualifying vertex, so the forced
-    list is reproducible.  A surviving kernel has <= k'^2 edges; more
-    means No.
+    isolated vertices.  Rule 1 always picks the smallest-id qualifying
+    vertex, so the forced list is reproducible, and Rule 2 runs on the
+    neighbours of each forced vertex, the only vertices its removal can
+    isolate.  A surviving kernel has <= k'^2 edges; more means No.
     """
     adj = _adjacency(edges)
     forced: list[int] = []
     k_res = k
 
     while True:
-        high = [v for v in sorted(adj) if len(adj[v]) > k_res]
-        if not high:
+        v = min((w for w, nbrs in adj.items() if len(nbrs) > k_res),
+                default=None)
+        if v is None:
             break
-        v = high[0]
         if k_res == 0:
             return None
         forced.append(v)
         k_res -= 1
         for w in adj.pop(v):
-            adj[w].discard(v)
-        # Rule 2: drop anything the removal isolated
-        for w in [w for w in adj if not adj[w]]:
-            del adj[w]
-
-    for w in [w for w in adj if not adj[w]]:
-        del adj[w]
+            nbrs = adj[w]
+            nbrs.discard(v)
+            if not nbrs:
+                del adj[w]
 
     kept = {Edge(u, v) for u, nbrs in adj.items() for v in nbrs if u < v}
     if len(kept) > k_res * k_res:

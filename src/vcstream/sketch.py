@@ -19,9 +19,14 @@ that recognises a vector with one nonzero entry.  Its fingerprints are
 sums of count * r^i modulo two primes near N^2; the powers r^i come from
 two tables of about sqrt(N) entries per prime (``PowTable``), and every
 product mod p, count reduced mod p first, is one exact multiply
-(``_mulmod_exact``).  Every grid has 2 * capacity buckets per row and
-only as many rows as the pair-collision bound asks (``grid_geometry``),
-so its size does not grow with N.
+(``_mulmod_exact``): in int64 for p^2 < 2^63, through a float quotient
+for p < 2^50 (dpsa up to n = 8 192), in Python ints past that.  Every
+grid has 2 * capacity buckets per row and only as many rows as the
+pair-collision bound asks (``grid_geometry``), so its size does not
+grow with N.  A grid peels one row at a time: an index has one bucket
+per row, so one row's one-sparse cells name distinct indices, and each
+is subtracted as stored from its index's other buckets, so a peel
+computes fingerprints only to verify cells.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
@@ -94,31 +99,26 @@ def nextprime(lower: int) -> int:
     return n
 
 
-# limb products stay exact in int64 up to this many limbs, i.e. p < 2^46
-_MAX_LIMBS = 3
-
-
 def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a * b mod p elementwise for 0 <= a, b < p, exact.
 
-    Where p^2 < 2^63 the int64 product is exact.  Otherwise b is split
-    into limbs of t = 62 - bits(p) bits and folded in Horner order:
-    acc * 2^t and a * limb each stay below 2^62, so every step is exact
-    in int64.  Past ``_MAX_LIMBS`` limbs, Python ints.
+    Where p^2 < 2^63 the int64 product is exact.  Below p < 2^50, a, b
+    and p are exact doubles, and the two roundings of fl(a) * fl(b) / p
+    move a * b / p < 2^50 by less than 2^50 * 2^-52 = 1/4, so its
+    truncation q is off by at most one.  Then a * b - q * p lies in
+    (-p, 2p), wrapping int64 arithmetic gives it exactly, and one masked
+    correction each way brings it into [0, p).  Past 2^50, Python ints.
     """
     if p * p <= _INT64_MAX:
         return a * b % p
-    bits = p.bit_length()
-    t = 62 - bits
-    if _MAX_LIMBS * t < bits:
+    if p >= 1 << 50:
         return np.array([int(x) * int(y) % p for x, y in zip(a, b)],
                         dtype=np.int64)
-    limbs = -(-bits // t)
-    mask = (1 << t) - 1
-    acc = np.zeros_like(a)
-    for j in reversed(range(limbs)):
-        acc = ((acc << t) + a * ((b >> (j * t)) & mask)) % p
-    return acc
+    q = (a.astype(np.float64) * b / p).astype(np.int64)
+    r = a * b - q * p
+    r[r < 0] += p
+    r[r >= p] -= p
+    return r
 
 
 class PowTable:
@@ -264,7 +264,7 @@ class SampleRecovery:
     a pdpsa vertex sketch, 3.2e10 (2^35) for the dpsa edge sketch at
     n=600 and 4.0e12 (2^42) at n=2000.  Stored fingerprints are reduced
     below their prime, so a sum over the levels stays within int64 while
-    L * p2 < 2^63.  ``recover`` checks all buckets at once in int64,
+    L * p2 < 2^63.  ``recover`` checks a row's buckets at once in int64,
     forming (count mod p) * r^i with ``_mulmod_exact``, so any int64
     count is checked exactly.
     """
@@ -360,11 +360,13 @@ class SampleRecovery:
 
     def _verify_cells(self, count: np.ndarray, index: np.ndarray,
                       fp1: np.ndarray, fp2: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """(index, weight) of every one-sparse cell, in row-major order:
-        the count divides the index sum into an index in [1, N] whose
-        fingerprints match."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, weight, flat position) of every one-sparse cell, in
+        row-major order: the count divides the index sum into an index in
+        [1, N] whose fingerprints match."""
         pos = np.flatnonzero(count)
+        if not len(pos):
+            return pos, pos, pos
         c = count.reshape(-1)[pos]
         ix = index.reshape(-1)[pos]
         i = ix // c
@@ -374,14 +376,16 @@ class SampleRecovery:
                == _mulmod_exact(c % self.p1, self.pow1.gather(i), self.p1))
               & (fp2.reshape(-1)[pos]
                  == _mulmod_exact(c % self.p2, self.pow2.gather(i), self.p2)))
-        return i[ok], c[ok]
+        return i[ok], c[ok], pos[ok]
 
     def _level_sum(self, level: int) -> np.ndarray:
         """The R x B grid of the subsample {i : depth(i) >= level}: the
-        level grids from ``level`` down, summed, fingerprints reduced."""
+        level grids from ``level`` down, summed, fingerprints reduced; a
+        copy of the deepest grid, which is reduced already."""
+        if level == self.levels - 1:
+            return self.grids[:, level].copy()
         cells = self.grids[:, level:].sum(axis=1)
-        if level < self.levels - 1:  # one grid is reduced already
-            cells[2:] %= self._primes[:, :, None]
+        cells[2:] %= self._primes[:, :, None]
         return cells
 
     def _fit_level(self) -> int:
@@ -474,36 +478,38 @@ class SampleRecovery:
         return self._read_levels(need, whole=False)
 
     def _peel(self, grid: np.ndarray) -> set[int]:
-        """Support of a (count, index, fp1, fp2) grid, peeled in place."""
-        count, index, fp1, fp2 = grid
-        rowidx = np.arange(self.rows)
-        found: set[int] = set()
+        """Support of a (count, index, fp1, fp2) grid, peeled in place.
 
-        for _ in range(count.size + 1):
+        A pass peels the rows in order, all of a row's one-sparse cells at
+        once, and ends at an all-zero row: an index left in the grid has a
+        nonzero cell in every row, but for a cancellation the fingerprints
+        all but rule out.  A pass that peels nothing, or an index peeled
+        twice, stalls.
+        """
+        found: set[int] = set()
+        for _ in range(grid[0].size + 1):
             if not grid.any():
                 return found
-            peel, weight = self._verify_cells(count, index, fp1, fp2)
-            # an index's first one-sparse bucket gives its weight
-            _, first = np.unique(peel, return_index=True)
-            first.sort()
-            peel, weight = peel[first], weight[first]
-            if found:
-                fresh = ~np.isin(peel, list(found))
-                peel, weight = peel[fresh], weight[fresh]
-            if not len(peel):
+            before = len(found)
+            for r in range(self.rows):
+                peel, _, pos = self._verify_cells(*grid[:, r])
+                if not len(peel):
+                    if not grid[:, r].any():
+                        break
+                    continue
+                size = len(found) + len(peel)
+                found.update(peel.tolist())
+                if len(found) < size:
+                    raise RecoveryFail("an index peeled twice")
+                at = self._row_cell0 + self._cols(peel[:, None])
+                for field, cell in zip(grid, grid[:, r, pos]):
+                    np.subtract.at(field.reshape(-1), at, cell[:, None])
+                for fp, p in ((grid[2], self.p1), (grid[3], self.p2)):
+                    fp.reshape(-1)[at] %= p
+            if len(found) == before:
                 raise RecoveryFail(
-                    f"peeling stalled with {int(np.abs(count).sum())} "
+                    f"peeling stalled with {int(np.abs(grid[0]).sum())} "
                     f"residual mass")
-            found.update(peel.tolist())
-            at = (rowidx, self._cols(peel[:, None]))
-            w = weight[:, None]
-            np.subtract.at(count, at, w)
-            np.subtract.at(index, at, w * peel[:, None])
-            for fp, table, p in ((fp1, self.pow1, self.p1),
-                                 (fp2, self.pow2, self.p2)):
-                np.subtract.at(fp, at, _mulmod_exact(
-                    weight % p, table.gather(peel), p)[:, None])
-                fp[at] %= p
         raise RecoveryFail("peeling did not terminate")
 
     # -- comparison (linearity tests) -------------------------------------

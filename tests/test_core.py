@@ -1,6 +1,7 @@
 """Domain types: edges, stream replay, configuration."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,30 @@ def test_canonical_orders_endpoints():
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
         Edge(4, 4)
+
+
+def test_edge_is_a_canonical_int_pair():
+    e = Edge(3, 1)
+    assert isinstance(e, tuple) and e == Edge(1, 3) == (1, 3)
+    assert hash(e) == hash(Edge(1, 3)) == hash((1, 3))
+    assert (e.u, e.v) == tuple(e) == (1, 3)
+    assert e.other(1) == 3 and e.other(3) == 1
+    with pytest.raises(ValueError):
+        e.other(2)
+    assert repr(e) == "Edge(u=1, v=3)"
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is Edge and back == e
+    # the benchmark's tracer patches ``from_index`` by name on the class
+    assert isinstance(Edge.__dict__["from_index"], staticmethod)
+
+
+def test_edges_sort_by_u_then_v():
+    rng = random.Random(4)
+    pairs = [tuple(rng.sample(range(1, 30), 2)) for _ in range(300)]
+    edges = [Edge(u, v) for u, v in pairs]
+    assert [(e.u, e.v) for e in sorted(edges)] \
+        == sorted((min(p), max(p)) for p in pairs)
+    assert Edge(1, 9) < Edge(2, 3) < Edge(2, 4)
 
 
 def test_all_pairs_n5_distinct():

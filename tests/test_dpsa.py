@@ -8,7 +8,7 @@ import pytest
 
 from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
                            StreamUpdate, covers, INSERT, DELETE)
-from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
+from vcstream.dpsa import DpsaState, decode_edges, dpsa_query, dpsa_update
 from vcstream.harness.generators import gen_random_stream
 from vcstream.harness.oracles import oracle_vc
 
@@ -129,3 +129,41 @@ def test_recovery_fail_flags_every_later_answer(monkeypatch):
             dpsa_update(st, StreamUpdate(INSERT, Edge(u, v)))
     gated = dpsa_query(st)
     assert gated.is_no and gated.degraded
+
+
+# -- decoding a recovery ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_decode_edges_matches_from_index_everywhere(n):
+    pairs = n * (n - 1) // 2
+    for i in range(1, pairs + 1):
+        assert decode_edges([i], n) == {Edge.from_index(i, n)}
+    got = decode_edges(range(1, pairs + 1), n)
+    assert got == {Edge.from_index(i, n) for i in range(1, pairs + 1)}
+    assert all(type(e) is Edge and type(e.u) is int for e in got)
+
+
+def _row_ends(n):
+    """The first and last index of every row u: the edges (u, u+1) and
+    (u, n)."""
+    starts = [(u - 1) * (2 * n - u) // 2 + 1 for u in range(1, n)]
+    return starts + [s - 1 for s in starts[1:]] + [n * (n - 1) // 2]
+
+
+# n = 77 936 is the largest n whose one-level edge sketch keeps p2 < 2^63
+@pytest.mark.parametrize("n", [10 ** 4, 77_934, 77_936])
+def test_decode_edges_matches_from_index_at_large_n(n):
+    from vcstream.sketch import fingerprint_prime
+    pairs = n * (n - 1) // 2
+    if n == 77_936:
+        for m, fits in ((n, True), (n + 1, False)):
+            slots = m * (m - 1) // 2
+            p2 = fingerprint_prime(fingerprint_prime(slots * slots))
+            assert (p2 < 1 << 63) == fits
+    rng = random.Random(n)
+    for i in [1, pairs] + [rng.randint(1, pairs) for _ in range(2000)]:
+        assert decode_edges([i], n) == {Edge.from_index(i, n)}
+    ends = _row_ends(n)
+    assert len(set(ends)) == 2 * (n - 1) - 1  # row n-1 holds one edge
+    assert decode_edges(ends, n) == {Edge.from_index(i, n) for i in ends}

@@ -103,3 +103,69 @@ def test_forced_list_reproducible():
     a = kernelize(edges, 4)
     b = kernelize(list(reversed(edges)), 4)
     assert a.forced == b.forced
+
+
+def _reference_kernelize(edges, k):
+    """The sweep-and-sort kernelization that ``kernelize`` replaced:
+    every round sorts all vertices for the first one past k', and every
+    removal sweeps the whole graph for isolated vertices."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e.u, set()).add(e.v)
+        adj.setdefault(e.v, set()).add(e.u)
+    forced, k_res = [], k
+    while True:
+        high = [v for v in sorted(adj) if len(adj[v]) > k_res]
+        if not high:
+            break
+        v = high[0]
+        if k_res == 0:
+            return None
+        forced.append(v)
+        k_res -= 1
+        for w in adj.pop(v):
+            adj[w].discard(v)
+        for w in [w for w in adj if not adj[w]]:
+            del adj[w]
+    kept = {Edge(u, v) for u, nbrs in adj.items() for v in nbrs if u < v}
+    if len(kept) > k_res * k_res:
+        return None
+    return KernelInstance(set(adj), kept, k_res, forced)
+
+
+def _hub_graph(rng, hubs, leaves, extra):
+    """``hubs`` hubs on ``leaves`` leaves each, as in a dpsa query's
+    recovered edge set, plus ``extra`` random leaf-leaf edges."""
+    n = hubs * (leaves + 1)
+    edges = {Edge(h, hubs + h * leaves + j) for h in range(1, hubs + 1)
+             for j in range(leaves)}
+    extra = min(extra, (n - hubs) * (n - hubs - 1) // 2)
+    while extra:
+        u, v = rng.sample(range(hubs + 1, n + 1), 2)
+        if Edge(u, v) not in edges:
+            edges.add(Edge(u, v))
+            extra -= 1
+    return edges
+
+
+def test_kernelize_matches_the_reference():
+    rng = random.Random(12)
+    cases = [(_random_graph(rng, rng.randint(2, 40), rng.random() * 0.4),
+              rng.randint(0, 8)) for _ in range(300)]
+    cases += [(_hub_graph(rng, 3, 100, rng.randint(0, 12)), 3)
+              for _ in range(40)]
+    cases += [(_hub_graph(rng, rng.randint(1, 5), rng.randint(1, 30),
+                          rng.randint(0, 20)), rng.randint(0, 6))
+              for _ in range(100)]
+    outcomes = set()
+    for edges, k in cases:
+        want = _reference_kernelize(edges, k)
+        got = kernelize(edges, k)
+        if want is None:
+            assert got is None
+            outcomes.add("none")
+            continue
+        assert (got.forced, got.edges, got.k_residual, got.vertices) \
+            == (want.forced, want.edges, want.k_residual, want.vertices)
+        outcomes.add("empty" if not got.edges else "kernel")
+    assert outcomes == {"none", "empty", "kernel"}

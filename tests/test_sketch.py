@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.sketch import (_MAX_LIMBS, EMPTY, FAIL, HASH_P, INDEX,
+from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX,
                              PowTable, RecoveryFail, SampleRecovery,
                              _mulmod_exact, derive_seed, fingerprint_prime,
                              grid_geometry, is_prime, level_capacity,
@@ -55,7 +55,7 @@ def _grid_cells(s):
 
 def test_detector_zero_vector():
     s = fresh()
-    got_i, _ = _grid_cells(s)
+    got_i, _, _ = _grid_cells(s)
     assert len(got_i) == 0
     assert _verified(s, 0, 0, 0, 0) is None
 
@@ -63,10 +63,11 @@ def test_detector_zero_vector():
 def test_detector_one_sparse():
     s = fresh()
     s.update(7, +1)
-    got_i, got_c = _grid_cells(s)
+    got_i, got_c, got_pos = _grid_cells(s)
     assert got_i.tolist() == [7] * s.rows and got_c.tolist() == [1] * s.rows
+    assert got_pos.tolist() == (s._row_cell0 + s._cols(7)).tolist()
     s.update(7, +2)
-    got_i, got_c = _grid_cells(s)
+    got_i, got_c, _ = _grid_cells(s)
     assert got_i.tolist() == [7] * s.rows and got_c.tolist() == [3] * s.rows
 
 
@@ -188,6 +189,105 @@ def test_support_counter_tracks_deletions():
         s.update(i, -1)
     assert s.support == 4
     assert s.recover() == {5, 6, 7, 8}
+
+
+def _reference_peel(s, grid):
+    """The all-rows peel that ``_peel`` replaced: each pass verifies every
+    cell, keeps each index's first one-sparse cell that names an index
+    not yet found, and recomputes the fingerprints it subtracts."""
+    count, index, fp1, fp2 = grid
+    rowidx = np.arange(s.rows)
+    found = set()
+    for _ in range(count.size + 1):
+        if not grid.any():
+            return found
+        peel, weight, _ = s._verify_cells(count, index, fp1, fp2)
+        _, first = np.unique(peel, return_index=True)
+        first.sort()
+        peel, weight = peel[first], weight[first]
+        if found:
+            fresh = ~np.isin(peel, list(found))
+            peel, weight = peel[fresh], weight[fresh]
+        if not len(peel):
+            raise RecoveryFail("stalled")
+        found.update(peel.tolist())
+        at = (rowidx, s._cols(peel[:, None]))
+        w = weight[:, None]
+        np.subtract.at(count, at, w)
+        np.subtract.at(index, at, w * peel[:, None])
+        for fp, table, p in ((fp1, s.pow1, s.p1), (fp2, s.pow2, s.p2)):
+            np.subtract.at(fp, at, _mulmod_exact(
+                weight % p, table.gather(peel), p)[:, None])
+            fp[at] %= p
+    raise RecoveryFail("did not terminate")
+
+
+def _peeled(peel, grid):
+    try:
+        return peel(grid)
+    except RecoveryFail:
+        return "fail"
+
+
+def _filled(n, cap, seed, size, weights=(1,), **kw):
+    s = SampleRecovery(n_indices=n, capacity=cap, seed=seed,
+                       need=kw.pop("need", 0), **kw)
+    rng = random.Random(seed)
+    for i in rng.sample(range(1, n + 1), size):
+        s.update(i, rng.choice(weights))
+    return s
+
+
+def test_row_peel_matches_the_all_rows_peel():
+    dpsa_n = 600 * 599 // 2  # the edge slots of dpsa at n=600
+    sketches = []
+    # dpsa edge sketches filled to capacity, through ``recover``
+    for cap, trials in ((50, 300), (120, 100), (254, 40), (600, 12),
+                        (1800, 4)):
+        for t in range(trials):
+            s = _filled(dpsa_n, cap, t, cap)
+            assert _peeled(lambda g: s.recover(), None) \
+                == _peeled(lambda g: _reference_peel(s, g), s._level_sum(0))
+            sketches.append(s)
+    # grids filled past the peeling threshold, weighted vectors, and the
+    # level sums of pdpsa vertex sketches at n=600, k=2
+    grids = []
+    for t in range(200):
+        s = _filled(200, 10, t, random.Random(t).randint(40, 90))
+        grids.append((s, s._level_sum(0)))
+    for t in range(200):
+        s = _filled(1000, 30, t, random.Random(t).randint(1, 200),
+                    weights=(-3, -2, -1, 1, 2, 3, 1 << 20))
+        grids.append((s, s._level_sum(0)))
+    for t in range(100):
+        s = _filled(600, 5, t, random.Random(t).randint(1, 60), need=5,
+                    sampler_fail=0.01 / 1200)
+        grids += [(s, s._level_sum(lvl)) for lvl in range(s.levels)]
+    outcomes = []
+    for s, grid in grids:
+        got = _peeled(s._peel, grid.copy())
+        assert got == _peeled(lambda g: _reference_peel(s, g), grid)
+        outcomes.append(got == "fail")
+    assert len(sketches) + len(outcomes) >= 1000
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_an_index_peeled_twice_stalls(row):
+    # a forged cell that verifies as index 5, in an empty bucket of the
+    # row of 5's first bucket or of the row after it
+    s = SampleRecovery(n_indices=1000, capacity=8, need=0, seed=3)
+    for i in (5, 17, 40):
+        s.update(i, +1)
+    assert s.recover() == {5, 17, 40}
+    grid = s.grids[:, 0, row]
+    col = next(c for c in range(s.buckets) if not grid[:, c].any())
+    r1, r2 = _bases(s)
+    grid[:, col] = [1, 5, pow(r1, 5, s.p1), pow(r2, 5, s.p2)]
+    with pytest.raises(RecoveryFail):
+        s.recover()
+    with pytest.raises(RecoveryFail):
+        _reference_peel(s, s._level_sum(0))
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
@@ -402,13 +502,13 @@ def _mulmod_path(p):
     """Which way ``_mulmod_exact`` multiplies modulo p."""
     if p * p < 1 << 63:
         return "plain"
-    t = 62 - p.bit_length()
-    return "limbs" if _MAX_LIMBS * t >= p.bit_length() else "python"
+    return "float" if p < 1 << 50 else "python"
 
 
-# one N on each path of _mulmod_exact
-@pytest.mark.parametrize("n, path", [(600, "plain"), (10 ** 5, "limbs"),
-                                     (1 << 23, "python")])
+# one N on each path of _mulmod_exact, and both ends of the float path
+@pytest.mark.parametrize("n, path", [(600, "plain"), (10 ** 5, "float"),
+                                     (1 << 23, "float"),
+                                     (1 << 26, "python")])
 def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
     s = SampleRecovery(n_indices=n, capacity=8, need=0, seed=4)
     assert _mulmod_path(s.p1) == _mulmod_path(s.p2) == path
@@ -438,7 +538,7 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
                 fp2[r, col] = (fp2[r, col] + 1) % s.p2
             elif spoil < 0.4:  # index sum not a multiple of the count
                 index[r, col] += 1
-    got_i, got_c = s._verify_cells(count, index, fp1, fp2)
+    got_i, got_c, _ = s._verify_cells(count, index, fp1, fp2)
     want = [(_verified(s, int(c), int(ix), int(f1), int(f2)), int(c))
             for c, ix, f1, f2 in zip(count.ravel(), index.ravel(),
                                      fp1.ravel(), fp2.ravel())]
@@ -500,13 +600,13 @@ def _prev_prime(n):
 
 def test_mulmod_exact_at_the_edges_of_each_path():
     plain_top = _prev_prime(math.isqrt((1 << 63) - 1))  # p^2 < 2^63
-    # L limbs of 62 - b bits cover a b-bit prime while b <= 62 L / (L + 1)
-    limb_top = _prev_prime((1 << (62 * _MAX_LIMBS // (_MAX_LIMBS + 1))) - 1)
-    past = nextprime(limb_top)  # the Python-int fallback
-    assert _MAX_LIMBS * (62 - limb_top.bit_length()) >= limb_top.bit_length()
-    assert _MAX_LIMBS * (62 - past.bit_length()) < past.bit_length()
+    float_top = _prev_prime((1 << 50) - 1)  # the float quotient's limit
+    past = nextprime(float_top)  # the Python-int fallback
+    assert [_mulmod_path(p) for p in (plain_top, nextprime(plain_top),
+                                      float_top, past)] \
+        == ["plain", "float", "float", "python"]
     rng = random.Random(3)
-    for p in (1 << 30, plain_top, nextprime(plain_top), limb_top, past):
+    for p in (1 << 30, plain_top, nextprime(plain_top), float_top, past):
         a = [p - 1, p - 1, 0, 1, p - 2]
         b = [p - 1, 1, p - 1, p - 1, p - 2]
         a += [rng.randrange(p) for _ in range(200)]
@@ -514,6 +614,23 @@ def test_mulmod_exact_at_the_edges_of_each_path():
         got = _mulmod_exact(np.array(a, dtype=np.int64),
                             np.array(b, dtype=np.int64), p)
         assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("bits", [31.5, 35, 46, 50])
+def test_mulmod_float_quotient_is_exact(bits):
+    # the first float-path prime, two inside, and the last one; every
+    # pair of {0, 1, p - 1}, then random draws
+    p = (nextprime(int(2 ** bits)) if bits < 50
+         else _prev_prime((1 << 50) - 1))
+    assert _mulmod_path(p) == "float"
+    rng = random.Random(p)
+    ends = [0, 1, p - 1]
+    a = [x for x in ends for _ in ends] + [rng.randrange(p)
+                                          for _ in range(20000)]
+    b = ends * len(ends) + [rng.randrange(p) for _ in range(20000)]
+    got = _mulmod_exact(np.array(a, dtype=np.int64),
+                        np.array(b, dtype=np.int64), p)
+    assert got.tolist() == [x * y % p for x, y in zip(a, b)]
 
 
 class _PowByPython:

@@ -105,3 +105,30 @@ def test_worker_counters_exist_on_the_matching_state(monkeypatch):
     st = pdpsa.MatchingState(core.Config(n=8, k=2))
     for name in names:
         assert isinstance(getattr(st, name), int), name
+
+
+def test_traced_dpsa_stream_records_the_query_path(monkeypatch):
+    worker = _worker(monkeypatch)
+    spans = importlib.import_module("spans")
+    sf = parse_stream(WORKER_STREAMS["dpsa"], validate=True)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        new_state, update, query, _ = worker._ops("dpsa")
+        st = new_state(sf, core.Config(n=sf.n, k=sf.k, seed=0))
+        live = []
+        for ev in sf.events:
+            if ev != QUERY:
+                update(st, sf, ev)
+                continue
+            live.append(st.live)
+            query(st, sf)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert {"dpsa.query", "sketch.recover", "kernel.kernelize"} <= set(names)
+    recovers = [span for span in tracer.spans if span[0] == "sketch.recover"]
+    assert [span[4] for span in recovers] == live
+    assert all(tracer.spans[span[3]][0] == "dpsa.query" for span in recovers)
+    # the query decodes its recovery in one pass, not edge by edge
+    assert "core.edge_from_index" not in names
