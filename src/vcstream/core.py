@@ -108,6 +108,8 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if not 0 < self.delta < 1:

@@ -20,13 +20,15 @@ sums of count * r^i modulo two primes near N^2; the powers r^i come from
 two tables of about sqrt(N) entries per prime (``PowTable``), and every
 product mod p, count reduced mod p first, is one exact multiply
 (``_mulmod_exact``): in int64 for p^2 < 2^63, through a float quotient
-for p < 2^50 (dpsa up to n = 8 192), in Python ints past that.  Every
-grid has 2 * capacity buckets per row and only as many rows as the
-pair-collision bound asks (``grid_geometry``), so its size does not
-grow with N.  A grid peels one row at a time: an index has one bucket
-per row, so one row's one-sparse cells name distinct indices, and each
-is subtracted as stored from its index's other buckets, so a peel
-computes fingerprints only to verify cells.
+for p < 2^50 (dpsa up to n = 8 192), in Python ints past that.  Each
+row hashes an index to one of B buckets with splitmix64 of the index
+plus the row's key, so that buckets behave as independent uniform draws
+on any support.  A grid is the R x B with the fewest cells whose
+first-moment bound on a stalled peel (``stall_bound``) meets the target
+(``grid_geometry``), so its size does not grow with N.  A grid peels a
+block of rows at a time, and each one-sparse cell is subtracted as
+stored from its index's other buckets, so a peel computes fingerprints
+only to verify cells.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
@@ -43,9 +45,13 @@ import numpy as np
 
 from .core import SketchFail
 
-# 31-bit Mersenne prime used by the level / bucket hashes.
-HASH_P = (1 << 31) - 1
 _INT64_MAX = (1 << 63) - 1
+# splitmix64's increment and multipliers (Steele, Lea & Flood, 2014),
+# the bucket hash of every row
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 
 class RecoveryFail(SketchFail):
@@ -177,20 +183,198 @@ FAIL = "fail"
 EMPTY = "empty"
 
 
-def grid_geometry(capacity: int, delta: float) -> tuple[int, int]:
-    """(rows, buckets per row) of a recovery grid for ``capacity`` indices.
+# Q_s(B) is exact up to this many indices and bounded by the saddle
+# point past it; the most rows ``grid_geometry`` considers.
+_EXACT_STALL = 12
+MAX_ROWS = 32
+# ``_peel`` verifies at once as many rows as fit in this many cells; of
+# 256, 1 300, 2 000 and 3 220 it was fastest on dpsa's grid at n=600
+_PEEL_BLOCK = 1500
 
-    Each row hashes an index to one of B = 2 * capacity buckets.  Peeling
-    a grid filled to capacity stalls, at this load, almost only when two
-    indices share a bucket in every row (Goodrich & Mitzenmacher,
-    "Invertible Bloom Lookup Tables", 2011), which happens with
-    probability at most capacity^2 / B^R over all pairs.  R rows with
-    B^R >= capacity^2 / delta hold that below delta; at least 4 rows.
+
+def _no_singleton_partitions() -> np.ndarray:
+    """log P[s, j] for s, j <= ``_EXACT_STALL``, P[s, j] the partitions of
+    s labelled indices into j blocks of at least two (associated
+    Stirling numbers of the second kind)."""
+    table = [[0] * (_EXACT_STALL + 1) for _ in range(_EXACT_STALL + 1)]
+    table[0][0] = 1
+    for s in range(2, _EXACT_STALL + 1):
+        for j in range(1, s // 2 + 1):
+            # index s joins one of the j blocks of the others, or pairs
+            # with one of them to open a block
+            table[s][j] = j * table[s - 1][j] + (s - 1) * table[s - 2][j - 1]
+    with np.errstate(divide="ignore"):
+        return np.log(np.array(table, dtype=np.float64))
+
+
+_LOG_PARTITIONS = _no_singleton_partitions()
+
+
+@functools.lru_cache(maxsize=4096)
+def _exact_no_singleton(buckets: int) -> np.ndarray:
+    """log Q_s(B) for s = 2..``_EXACT_STALL``, Q_s(B) the chance that s
+    indices hashed uniformly into B buckets leave no bucket holding
+    exactly one of them: sum over j of P[s, j] B (B-1) ... (B-j+1) / B^s,
+    the assignments that fill j buckets with blocks of two or more,
+    summed in logs, every term positive."""
+    j = np.arange(_EXACT_STALL + 1)
+    s = j[2:, None]
+    with np.errstate(divide="ignore"):
+        log_left = np.log(np.maximum(0.0, 1.0 - j[:-1] / buckets))
+    log_falling = np.concatenate(([0.0], np.cumsum(log_left)))
+    terms = _LOG_PARTITIONS[2:] + log_falling + (j - s) * math.log(buckets)
+    top = terms.max(axis=1)
+    out = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    out.setflags(write=False)  # cached, so shared by every caller
+    return out
+
+
+def _log_e_t_minus_t(t: np.ndarray) -> np.ndarray:
+    """log(e^t - t), computed without overflow or cancellation."""
+    small = np.minimum(t, 1.0)
+    big = np.maximum(t, 1.0)
+    return np.where(t < 1.0, np.log1p(np.expm1(small) - small),
+                    big + np.log1p(-big * np.exp(-big)))
+
+
+@functools.lru_cache(maxsize=1)
+def _saddle_table() -> tuple[np.ndarray, np.ndarray]:
+    """(log g(t), log t) on a grid of t, g(t) = t(e^t - 1)/(e^t - t),
+    which rises from t^2 near 0 to t for large t."""
+    t = np.exp(np.linspace(math.log(1e-9), math.log(1e8), 4096))
+    small = np.minimum(t, 1.0)
+    big = np.maximum(t, 1.0)
+    g = np.where(t < 1.0,
+                 small * np.expm1(small) / (1.0 + np.expm1(small) - small),
+                 big * -np.expm1(-big) / (1.0 - big * np.exp(-big)))
+    return np.log(g), np.log(t)
+
+
+def _saddle_no_singleton(s: np.ndarray, log_fact: np.ndarray,
+                         buckets: int) -> np.ndarray:
+    """log of s! (e^t - t)^B / (B^s t^s) >= log Q_s(B), elementwise, for
+    ``log_fact`` = log s!.
+
+    s! [z^s] (e^z - z)^B counts the assignments of s indices to B
+    buckets with no singleton, and a power series with nonnegative
+    coefficients has [z^s] f <= f(t) / t^s at every t > 0.  t solves
+    t(e^t - 1)/(e^t - t) = s/B, the minimiser, read off a log-log table;
+    any t > 0 gives a valid bound.
     """
-    buckets = 2 * capacity
-    rows = max(4, math.ceil(math.log(capacity * capacity / delta)
-                            / math.log(buckets)))
-    return rows, buckets
+    log_g, log_t = _saddle_table()
+    log_b = math.log(buckets)
+    t = np.exp(np.interp(np.log(s) - log_b, log_g, log_t))
+    return np.minimum(0.0, log_fact + buckets * _log_e_t_minus_t(t)
+                      - s * (log_b + np.log(t)))
+
+
+@functools.lru_cache(maxsize=64)
+def _stall_sizes(capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, log C(capacity, s), log s!) for s = 2..capacity."""
+    j = np.arange(1, capacity + 1)
+    log_j = np.log(j)
+    out = (j[1:], np.cumsum(np.log(capacity - j + 1) - log_j)[1:],
+           np.cumsum(log_j)[1:])
+    for a in out:
+        a.setflags(write=False)  # cached, so shared by every caller
+    return out
+
+
+def _log_no_singleton(capacity: int, buckets: int,
+                      pick=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(log C(capacity, s), log Q_s(B)) for s = 2..capacity, or for the
+    sizes ``pick`` selects: exact up to ``_EXACT_STALL``, the
+    saddle-point bound past it."""
+    s, subsets, log_fact = (a[pick] for a in _stall_sizes(capacity))
+    small = s <= _EXACT_STALL
+    q = np.empty(len(s))
+    q[small] = _exact_no_singleton(buckets)[s[small] - 2]
+    q[~small] = _saddle_no_singleton(s[~small], log_fact[~small], buckets)
+    return subsets, q
+
+
+def _log_sum_exp(x: np.ndarray) -> float:
+    if not len(x):
+        return -math.inf
+    top = float(x.max())
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
+@functools.lru_cache(maxsize=64)
+def stall_bound(capacity: int, rows: int, buckets: int) -> float:
+    """First-moment bound on the chance that peeling a grid of ``rows``
+    rows of ``buckets`` buckets stalls on ``capacity`` indices.
+
+    A peel stalls exactly when some s >= 2 of the indices leave no bucket
+    holding exactly one of them in every row (a stopping set).  With
+    independent uniform buckets that has probability Q_s(B)^R for a given
+    set, so the chance is at most sum over s of C(capacity, s) Q_s(B)^R
+    (Goodrich & Mitzenmacher, "Invertible Bloom Lookup Tables", 2011).
+    """
+    subsets, q = _log_no_singleton(capacity, buckets)
+    log = _log_sum_exp(subsets + rows * q)
+    return math.exp(log) if log < 700 else math.inf
+
+
+@functools.lru_cache(maxsize=64)
+def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
+    """(rows R, buckets per row B) of a recovery grid for ``capacity``
+    indices: the smallest R * B, fewest rows on a tie, with R at most
+    ``MAX_ROWS``, whose ``stall_bound`` is at most ``target``.
+
+    The s = 2 term alone, C(capacity, 2) / B^R, gives each R its least B;
+    the search steps B up from there, doubling the step, and bisects the
+    last step.  Past the first fit an R is tried only if the largest B
+    that would beat it meets the bound.  Each B's Q_s terms serve every R.
+    5 x 644 for dpsa at n=600, k=3 (capacity 1 800, target 2.8e-8); 7 x 17
+    for a pdpsa level grid at n=600, k=2 (capacity 32, target 8.3e-6).
+    """
+    if capacity < 2:
+        return 1, 1  # a lone index always peels
+    log_target = math.log(target)
+    # the exact sizes and every 32nd past them: a sum over some sizes
+    # that passes the target rules a B out at a fraction of the cost
+    coarse = np.r_[:_EXACT_STALL - 1, _EXACT_STALL - 1:capacity - 1:32]
+    terms: dict[int, tuple] = {}
+
+    def fits(rows: int, buckets: int) -> bool:
+        if capacity > 4 * len(coarse):
+            subsets, q = _log_no_singleton(capacity, buckets, coarse)
+            if _log_sum_exp(subsets + rows * q) > log_target:
+                return False
+        if buckets not in terms:
+            terms[buckets] = _log_no_singleton(capacity, buckets)
+        subsets, q = terms[buckets]
+        return _log_sum_exp(subsets + rows * q) <= log_target
+
+    pairs = math.comb(capacity, 2)
+    best = None
+    # 4 rows first: its least B by the pair term mostly fits at once, and
+    # the best so far rules most other R out by the B they would need
+    for rows in (4, *range(1, 4), *range(5, MAX_ROWS + 1)):
+        low = max(2, math.ceil((pairs / target) ** (1 / rows)))
+        while low > 2 and pairs / (low - 1) ** rows <= target:
+            low -= 1
+        # the largest B that beats the best: a smaller R * B, or the same
+        # with fewer rows
+        high = None if best is None else (
+            (best[0] * best[1] - (rows >= best[0])) // rows)
+        if high is not None and (high < low or not fits(rows, high)):
+            continue
+        bad, step, good = low - 1, 1, low
+        while not fits(rows, good):
+            bad, step = good, 2 * step
+            good = low + step - 1
+            if high is not None:
+                good = min(high, good)
+        while good - bad > 1:
+            mid = (good + bad) // 2
+            if fits(rows, mid):
+                good = mid
+            else:
+                bad = mid
+        best = rows, good
+    return best
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,13 +435,16 @@ class SampleRecovery:
     With ``need`` = m > 0 the level capacity C is the larger of
     ``capacity`` and ``level_capacity(m, sampler_fail)``, and L =
     ``level_count(N, C, sampler_fail)``; with ``need`` = 0, C is
-    ``capacity`` and L = 1.  Every grid is ``grid_geometry(C, f)`` for f
-    the smaller of delta and sampler_fail (5 x 64 for pdpsa at n=600,
-    k=2; 4 x 3600 for dpsa at n=600, k=3), and all share one set of
-    bucket hashes, so the grids of levels l..L-1 add up cell by cell.
-    ``support`` is an exact signed counter of net insertions, the l0
-    norm under valid +/-1 streams; ``level_support[l]`` is the same
-    counter over the indices whose deepest level is l.
+    ``capacity`` and L = 1.  sampler_fail defaults to delta / 2N, each
+    index's share of delta.  Every grid is ``grid_geometry(C, f)`` for f
+    the smaller of delta and sampler_fail (7 x 17 for pdpsa at n=600,
+    k=2; 5 x 644 for dpsa at n=600, k=3), and ``stall_bound`` is the
+    bound on a stalled peel of C indices that this grid meets.  All
+    grids share one set of bucket hashes, so the grids of levels l..L-1
+    add up cell by cell.  ``support`` is an exact signed counter of net
+    insertions, the l0 norm under valid +/-1 streams;
+    ``level_support[l]`` is the same counter over the indices whose
+    deepest level is l.
 
     One-sparse verification uses two independent prime fingerprints,
     p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
@@ -276,13 +463,17 @@ class SampleRecovery:
             raise ValueError("capacity must be >= 1")
         if need < 0:
             raise ValueError("need must be >= 0")
+        if n_indices < 0:
+            raise ValueError("n_indices must be >= 0")
         self.n = n_indices
         self.capacity = capacity
         self.need = need
         self.seed = seed
         self.support = 0
 
-        fail = sampler_fail if sampler_fail is not None else delta
+        # by default each index's share of delta, as pdpsa gives its levels
+        fail = (sampler_fail if sampler_fail is not None
+                else delta / (2 * max(1, n_indices)))
         if need:
             self.level_capacity = max(capacity, level_capacity(need, fail))
             self.levels = level_count(n_indices, self.level_capacity, fail)
@@ -291,6 +482,8 @@ class SampleRecovery:
         self.level_support = [0] * self.levels
         self.rows, self.buckets = grid_geometry(self.level_capacity,
                                                 min(delta, fail))
+        self.stall_bound = stall_bound(self.level_capacity, self.rows,
+                                       self.buckets)
 
         self.p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
         self.p2 = fingerprint_prime(self.p1)
@@ -298,20 +491,24 @@ class SampleRecovery:
             # a level sum adds one fingerprint below p2 per level
             raise ValueError(f"{n_indices} indices are too many for "
                              f"level grids")
+        self._per_level = self.rows * self.buckets
         rng = np.random.default_rng(derive_seed(seed, "hashes"))
         r1 = int(rng.integers(1, self.p1))
         r2 = int(rng.integers(1, self.p2))
         self.pow1 = PowTable(r1, self.p1, n_indices)
         self.pow2 = PowTable(r2, self.p2, n_indices)
 
-        # bucket hashes, one pair per row, shared by every level
-        self.hash_a = rng.integers(1, HASH_P, size=self.rows, dtype=np.int64)
-        self.hash_b = rng.integers(0, HASH_P, size=self.rows, dtype=np.int64)
+        # one bucket-hash key per row, shared by every level; the hashes
+        # add splitmix64's increment to it once, here
+        self.hash_keys = rng.integers(0, 1 << 64, size=self.rows,
+                                      dtype=np.uint64)
+        self._keys = self.hash_keys + np.uint64(_GAMMA)
+        self._row_keys = list(zip(range(0, self._per_level, self.buckets),
+                                  self._keys.tolist()))
         # key of the hash that picks each index's deepest level
         self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
         # (count, index, fp1, fp2) of every cell, level 0 first
-        self._per_level = self.rows * self.buckets
         self.cells = np.zeros((4, self.levels * self._per_level),
                               dtype=np.int64)
         self.grids = self.cells.reshape(4, self.levels, self.rows,
@@ -333,9 +530,31 @@ class SampleRecovery:
                             key=self.depth_key).digest()
         return min(self.levels - 1, 64 - int.from_bytes(h, "big").bit_length())
 
-    def _cols(self, index):
-        """Bucket of ``index`` in each row: (a_r i + b_r) % HASH_P % B."""
-        return (self.hash_a * index + self.hash_b) % HASH_P % self.buckets
+    def _cells_of(self, index: int, level: int) -> np.ndarray:
+        """Cell of ``index`` in each row of a level's grid: splitmix64 of
+        index + key_r, mod B, in Python ints, which beat numpy on a few
+        rows."""
+        mask, buckets = _MASK64, self.buckets
+        base = level * self._per_level
+        out = []
+        for cell0, key in self._row_keys:
+            z = (index + key) & mask
+            z = (z ^ z >> 30) * _MIX1 & mask
+            z = (z ^ z >> 27) * _MIX2 & mask
+            out.append(base + cell0 + (z ^ z >> 31) % buckets)
+        return np.array(out)
+
+    def _cols(self, index) -> np.ndarray:
+        """Bucket of ``index`` in each row, the rows on the last axis of
+        an array of indices: ``_cells_of``'s hash in wrapping uint64."""
+        z = np.asarray(index).astype(np.uint64) + self._keys
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z %= np.uint64(self.buckets)
+        return z.astype(np.int64)
 
     def update(self, index: int, delta: int) -> None:
         if not 1 <= index <= self.n:
@@ -345,13 +564,12 @@ class SampleRecovery:
             raise ValueError(f"weight {d} at index {index} overflows int64")
         # each added value is formed and reduced in Python ints, so once a
         # cell changes nothing below can raise
-        add = np.array([[d], [d * index], [d * self.pow1(index) % self.p1],
-                        [d * self.pow2(index) % self.p2]], dtype=np.int64)
+        add = np.array([d, d * index, d * self.pow1(index) % self.p1,
+                        d * self.pow2(index) % self.p2], dtype=np.int64)
         depth = self._depth(index) if self.levels > 1 else 0
-        at = self._row_cell0 + self._cols(index) + depth * self._per_level
-        v = self.cells[:, at] + add
-        fp = v[2:]  # in [0, 2p)
-        fp -= self._primes * (fp >= self._primes)
+        at = self._cells_of(int(index), depth)
+        v = self.cells[:, at] + add[:, None]
+        v[2:] %= self._primes  # from [0, 2p)
         self.cells[:, at] = v
         self.level_support[depth] += d
         self.support += d
@@ -468,8 +686,9 @@ class SampleRecovery:
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
         1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, sampler_fail 8.3e-6).
         A level grid at most C full stalls with probability at most
-        sampler_fail (``grid_geometry``), and the deepest level holds more
-        than C with probability at most sampler_fail (``level_count``).
+        ``stall_bound`` <= sampler_fail (``grid_geometry``; 1.4e-6 for
+        the 7 x 17 grids there), and the deepest level holds more than C
+        with probability at most sampler_fail (``level_count``).
         """
         if need is None or self.support <= self.capacity:
             return self._peel(self._level_sum(0))
@@ -480,30 +699,42 @@ class SampleRecovery:
     def _peel(self, grid: np.ndarray) -> set[int]:
         """Support of a (count, index, fp1, fp2) grid, peeled in place.
 
-        A pass peels the rows in order, all of a row's one-sparse cells at
-        once, and ends at an all-zero row: an index left in the grid has a
-        nonzero cell in every row, but for a cancellation the fingerprints
-        all but rule out.  A pass that peels nothing, or an index peeled
-        twice, stalls.
+        A pass peels the rows in order, a block of rows at a time: as many
+        as fit in ``_PEEL_BLOCK`` cells, two rows of dpsa's 5 x 644 grid at
+        n=600, k=3 and all rows of a small grid.  All of a block's
+        one-sparse cells peel at once, the first cell of each index among
+        them; one row's cells name distinct indices, since an index has
+        one bucket per row.  A pass ends at an all-zero block: an index
+        left in the grid has a nonzero cell in every row, but for a
+        cancellation the fingerprints all but rule out.  A pass that peels
+        nothing, or an index peeled twice, stalls.
         """
         found: set[int] = set()
+        step = max(1, _PEEL_BLOCK // self.buckets)
         for _ in range(grid[0].size + 1):
             if not grid.any():
                 return found
             before = len(found)
-            for r in range(self.rows):
-                peel, _, pos = self._verify_cells(*grid[:, r])
+            for r in range(0, self.rows, step):
+                block = grid[:, r:r + step]
+                peel, _, pos = self._verify_cells(*block)
                 if not len(peel):
-                    if not grid[:, r].any():
+                    if not block.any():
                         break
                     continue
+                if step > 1:
+                    peel, first = np.unique(peel, return_index=True)
+                    pos = pos[first]
                 size = len(found) + len(peel)
                 found.update(peel.tolist())
                 if len(found) < size:
                     raise RecoveryFail("an index peeled twice")
-                at = self._row_cell0 + self._cols(peel[:, None])
-                for field, cell in zip(grid, grid[:, r, pos]):
-                    np.subtract.at(field.reshape(-1), at, cell[:, None])
+                # flat positions and values, numpy's fast path for ufunc.at
+                at = (self._row_cell0 + self._cols(peel[:, None])).ravel()
+                cells = np.repeat(block.reshape(4, -1)[:, pos], self.rows,
+                                  axis=1)
+                for field, cell in zip(grid, cells):
+                    np.subtract.at(field.reshape(-1), at, cell)
                 for fp, p in ((grid[2], self.p1), (grid[3], self.p2)):
                     fp.reshape(-1)[at] %= p
             if len(found) == before:
@@ -520,8 +751,8 @@ class SampleRecovery:
                 and np.array_equal(self.cells, other.cells))
 
     def words(self) -> int:
-        """Stored machine words: every cell's 4, 2 hash words per row, and
+        """Stored machine words: every cell's 4, a hash key per row, and
         past one level the per-level counters and the depth hash key."""
         levels = self.levels + 1 if self.levels > 1 else 0
-        return (self.cells.size + 2 * self.rows + levels
+        return (self.cells.size + self.rows + levels
                 + self.pow1.words() + self.pow2.words() + 4)

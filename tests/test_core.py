@@ -134,6 +134,9 @@ def test_config_sizes():
 
 
 def test_config_validation():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be"):
+            Config(n=n, k=1)
     with pytest.raises(ValueError):
         Config(n=5, k=-1)
     with pytest.raises(ValueError):

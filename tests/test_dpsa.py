@@ -103,7 +103,21 @@ def test_dpsa_space_is_linear_in_n():
     for table in (big.sketch.pow1, big.sketch.pow2):
         assert table.words() <= 3 * math.isqrt(n_pairs)
     assert big.words() / DpsaState(Config(n=1000, k=3)).words() <= 2.2
-    assert DpsaState(Config(n=600, k=3)).words() <= 72_000
+    # 5 x 644 grid cells, 14 617 words; 59 340 with 4 x 3 600
+    assert DpsaState(Config(n=600, k=3)).words() <= 16_000
+
+
+def test_dpsa_space_is_at_most_linear_in_k():
+    # the grid holds n*k edge indices
+    words = DpsaState(Config(n=600, k=6)).words()
+    assert words / DpsaState(Config(n=600, k=3)).words() <= 2.1
+
+
+def test_dpsa_builds_at_a_single_vertex():
+    # no edge slots: the per-index failure share guards N = 0
+    st = DpsaState(Config(n=1, k=1))
+    assert st.sketch.n == 0 and st.sketch.rows * st.sketch.buckets == 1
+    assert dpsa_query(st).is_yes
 
 
 def test_recovery_fail_flags_every_later_answer(monkeypatch):

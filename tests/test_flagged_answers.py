@@ -4,11 +4,13 @@ A hypothesis property over the failure parameter delta and the seeds:
 dpsa on random +/-1 streams that stay within its n*k gate, and pdpsa on
 promised streams.  Each query's answer must match the exhaustive oracle
 or be flagged; a raised ``SketchFail`` counts as flagged, and a state
-that raised one flags every later answer.
+that raised one flags every later answer.  The flag rate at three
+values of delta is committed for one (n, k) per mode.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcstream.core import Config, ShadowGraph, SketchFail, covers
@@ -69,3 +71,42 @@ def test_every_answer_matches_the_oracle_or_is_flagged(delta, seed, n, k,
         checked, _ = _replay(stream, cfg, st_.apply,
                              lambda: pdpsa_query(st_), every=7)
     assert checked >= 1
+
+
+def _flag_counts(mode, n, k, delta, runs=30):
+    """(flagged, checked) answers over ``runs`` seeded streams, a query
+    every 5 updates: for dpsa, random streams of 5nk/4 updates, a tenth
+    of them deletions, that end near n*k live edges, the capacity of its
+    grid; for pdpsa, promised streams of 4n updates."""
+    checked = flagged = 0
+    for seed in range(runs):
+        rng = random.Random(seed)
+        cfg = Config(n=n, k=k, delta=delta, seed=seed)
+        if mode == "dpsa":
+            stream = gen_random_stream(n, n * k * 5 // 4, 0.1, rng)
+            st_ = DpsaState(cfg)
+            got = _replay(stream, cfg, lambda upd: dpsa_update(st_, upd),
+                          lambda: dpsa_query(st_), every=5)
+        else:
+            stream = gen_promised_stream(cfg, 4 * n, 0.3, rng)
+            st_ = MatchingState(cfg)
+            got = _replay(stream, cfg, st_.apply, lambda: pdpsa_query(st_),
+                          every=5)
+        checked += got[0]
+        flagged += got[1]
+    return flagged, checked
+
+
+# the measured (flagged, checked) answers per delta at one (n, k) a mode
+_FLAG_CURVE = {
+    ("dpsa", 30, 3): {0.1: (0, 690), 0.01: (0, 690), 1e-4: (0, 690)},
+    ("pdpsa", 30, 2): {0.1: (0, 720), 0.01: (0, 720), 1e-4: (0, 720)},
+}
+
+
+@pytest.mark.parametrize(("mode", "n", "k"), sorted(_FLAG_CURVE))
+def test_flag_rate_is_at_most_delta(mode, n, k):
+    for delta, measured in _FLAG_CURVE[mode, n, k].items():
+        flagged, checked = _flag_counts(mode, n, k, delta)
+        assert (flagged, checked) == measured, delta
+        assert flagged / checked <= delta

@@ -198,10 +198,11 @@ def test_vertex_sketch_space_is_polylog_in_n():
 def test_vertex_sketch_words_at_n600_k2():
     # the dynamic-sketch benchmark's hub sketch held 247 764 words with
     # a sampler bank of 127 samplers x 41 reps x 11 levels, and 22 344
-    # with 11 level grids beside a recovery grid for x = 254; now 9 084
+    # with 11 level grids beside a recovery grid for x = 254, 9 084 with
+    # 7 level grids of 5 x 64 buckets, and 3 453 with 7 of 7 x 17
     st = MatchingState(Config(n=600, k=2))
     st._fresh_sketch(1)
-    assert st.sketches[1].words() <= 10_000
+    assert st.sketches[1].words() <= 4_000
 
 
 def _state_words(n, k):

@@ -3,17 +3,18 @@
 import hashlib
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.sketch import (EMPTY, FAIL, HASH_P, INDEX,
+from vcstream import sketch
+from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_ROWS,
                              PowTable, RecoveryFail, SampleRecovery,
                              _mulmod_exact, derive_seed, fingerprint_prime,
                              grid_geometry, is_prime, level_capacity,
-                             nextprime)
+                             nextprime, stall_bound)
 
 
 def test_derive_seed_deterministic():
@@ -48,6 +49,32 @@ def _verified(s, c, ix, f1, f2):
     return i
 
 
+def _splitmix64(x):
+    """The splitmix64 output for state x (Steele, Lea & Flood, 2014)."""
+    z = (x + 0x9E3779B97F4A7C15) % 2 ** 64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+    return z ^ (z >> 31)
+
+
+def _bucket(s, row, i):
+    """Bucket of index i in a row: splitmix64 of i + the row's key, mod B;
+    the reference for ``SampleRecovery._cols`` and ``_cells_of``."""
+    return _splitmix64(i + int(s.hash_keys[row])) % s.buckets
+
+
+@pytest.mark.parametrize("n, cap, need", [(1000, 50, 0), (179700, 1800, 0),
+                                          (600, 5, 5)])
+def test_bucket_hashes_match_splitmix64(n, cap, need):
+    s = SampleRecovery(n_indices=n, capacity=cap, need=need, seed=n)
+    rng = random.Random(n)
+    idx = [1, n] + [rng.randint(1, n) for _ in range(300)]
+    want = [[_bucket(s, r, i) for r in range(s.rows)] for i in idx]
+    assert s._cols(np.array(idx)[:, None]).tolist() == want
+    for i, cols in zip(idx, want):
+        assert (s._cells_of(i, 0) - s._row_cell0).tolist() == cols
+
+
 def _grid_cells(s):
     """One-sparse cells of the grid that holds every index."""
     return s._verify_cells(*s._level_sum(0))
@@ -79,15 +106,15 @@ def test_detector_rejects_two_sparse():
     shared = 0
     trials = 2000
     for t in range(trials):
-        s = SampleRecovery(n_indices=1000, capacity=1, need=0, seed=t)
+        s = SampleRecovery(n_indices=1000, capacity=2, need=0, seed=t)
         support = rng.sample(range(1, 1001), rng.randint(2, 5))
         for i in support:
             s.update(i, rng.choice([1, 2, 3]))
         # which cell each index landed in, from the grid's own hashes
         held = np.zeros((s.rows, s.buckets), dtype=np.int64)
         for i in support:
-            cols = (s.hash_a * i + s.hash_b) % HASH_P % s.buckets
-            held[np.arange(s.rows), cols] += 1
+            for r in range(s.rows):
+                held[r, _bucket(s, r, i)] += 1
         multi = held >= 2
         shared += int(multi.sum())
         cells = [np.where(multi, a, 0) for a in s._level_sum(0)]
@@ -293,14 +320,97 @@ def test_an_index_peeled_twice_stalls(row):
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
 @pytest.mark.parametrize("delta", [0.01, 1e-6])
 def test_grid_geometry_meets_the_pair_collision_bound(capacity, delta):
+    # two indices share a bucket in every row with probability B^-R; the
+    # pairs are the s = 2 term of the stall bound
     rows, buckets = grid_geometry(capacity, delta)
-    assert buckets == 2 * capacity and rows >= 4
-    assert capacity ** 2 / buckets ** rows <= delta
-    # one row fewer would not meet it, unless the floor of 4 rows binds
-    assert rows == 4 or capacity ** 2 / buckets ** (rows - 1) > delta
+    assert math.comb(capacity, 2) / buckets ** rows <= delta
 
 
-# capacity -> trials; the default pdpsa and dpsa sizes use 4 rows
+@pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
+@pytest.mark.parametrize("delta", [0.01, 1e-6])
+def test_grid_geometry_is_the_smallest_grid_within_the_stall_bound(capacity,
+                                                                   delta):
+    rows, buckets = grid_geometry(capacity, delta)
+    assert stall_bound(capacity, rows, buckets) <= delta
+    # one bucket fewer breaks the bound
+    assert buckets == 1 or stall_bound(capacity, rows, buckets - 1) > delta
+    # no number of rows does better: at each R, the most buckets that
+    # give fewer cells, or as many with fewer rows, break the bound
+    cells = rows * buckets
+    for r in range(1, MAX_ROWS + 1):
+        b = (cells - (r >= rows)) // r
+        assert b < 1 or stall_bound(capacity, r, b) > delta, r
+
+
+def _no_singleton_by_enumeration(s, b):
+    """Q_s(B) over all B^s assignments of s indices to B buckets."""
+    hit = sum(all(a.count(x) != 1 for x in range(b))
+              for a in product(range(b), repeat=s))
+    return hit / b ** s
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+@pytest.mark.parametrize("b", range(1, 6))
+def test_no_singleton_chance_matches_enumeration(s, b):
+    want = _no_singleton_by_enumeration(s, b)
+    exact = math.exp(sketch._exact_no_singleton(b)[s - 2])
+    assert math.isclose(exact, want, rel_tol=1e-12)
+    saddle = math.exp(sketch._saddle_no_singleton(
+        np.array([s]), np.array([math.lgamma(s + 1)]), b)[0])
+    assert saddle >= want
+
+
+def _progression(rng, n, size):
+    d = rng.randint(1, (n - 1) // (size - 1))
+    x = rng.randint(1, n - (size - 1) * d)
+    return [x + i * d for i in range(size)]
+
+
+def _parallelograms(rng, n, size):
+    """A side x side lattice x + i d1 + j d2: every four points
+    {y, y + d1, y + d2, y + d1 + d2} of it form a parallelogram."""
+    side = math.isqrt(size)
+    while True:
+        d1, d2 = (rng.randint(1, n // (4 * side)) for _ in range(2))
+        x = rng.randint(1, n - side * (d1 + d2))
+        got = {x + i * d1 + j * d2 for i in range(side) for j in range(side)}
+        if len(got) == size:
+            return sorted(got)
+
+
+def test_structured_supports_stall_within_the_bound():
+    """Full-capacity peels of additively structured supports on a 3-row
+    grid: arithmetic progressions and lattices of parallelograms.
+
+    A linear bucket hash (a i + b) mod p mod B keeps their additive
+    structure: once a difference maps to a multiple of B in a row, every
+    pair at that difference shares a bucket there, and three such
+    differences span a cube of 8 indices that stalls every row.  On this
+    grid it stalled 58 of these 200 peels (29%), against a bound of
+    0.9%; splitmix64 stalled 2.  The stall count must stay within the
+    first-moment bound plus 3 binomial standard deviations (5.8 here).
+    """
+    n, capacity, trials = 10 ** 6, 400, 200
+    rng = random.Random(7)
+    stalls = 0
+    for t in range(trials):
+        build = _progression if t % 2 == 0 else _parallelograms
+        support = build(rng, n, capacity)
+        s = SampleRecovery(n, capacity, need=0, delta=0.01,
+                           sampler_fail=0.01,
+                           seed=derive_seed("structured", t))
+        assert s.rows == 3
+        for i in support:
+            s.update(i, +1)
+        try:
+            stalls += s.recover() != set(support)
+        except RecoveryFail:
+            stalls += 1
+    mean = trials * s.stall_bound
+    assert stalls <= mean + 3 * math.sqrt(mean * (1 - s.stall_bound))
+
+
+# capacity -> trials
 _CURVE = {1: 800, 2: 800, 5: 800, 10: 500, 50: 300, 254: 100, 1800: 20}
 
 
@@ -324,9 +434,12 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
 
 
 def test_words_positive_and_monotone_in_capacity():
-    small = SampleRecovery(64, capacity=4, need=2, seed=1)
-    big = SampleRecovery(64, capacity=32, need=2, seed=1)
-    assert 0 < small.words() < big.words()
+    # at 1000 indices; with 64, capacity 32 is half the index range and
+    # needs fewer levels than capacity 4, so it takes fewer words
+    for need in (0, 2):
+        small = SampleRecovery(1000, capacity=4, need=need, seed=1)
+        big = SampleRecovery(1000, capacity=32, need=need, seed=1)
+        assert 0 < small.words() < big.words()
 
 
 # -- level grids ------------------------------------------------------------
@@ -350,8 +463,7 @@ def _reference_levels(s, ops):
     r1, r2 = _bases(s)
     for i, d in ops:
         for r in range(s.rows):
-            col = (int(s.hash_a[r]) * i + int(s.hash_b[r])) % HASH_P \
-                % s.buckets
+            col = _bucket(s, r, i)
             for lvl in range(_reference_depth(s, i) + 1):
                 at = (lvl, r, col)
                 ref[(0,) + at] += d
@@ -704,3 +816,18 @@ def test_nextprime_matches_sympy():
 def test_is_prime_refuses_beyond_exact_range():
     with pytest.raises(ValueError):
         is_prime(10 ** 25)
+
+
+def test_index_count_must_not_be_negative():
+    with pytest.raises(ValueError, match="n_indices"):
+        SampleRecovery(n_indices=-1, capacity=1, need=0, seed=0)
+
+
+def test_default_failure_share_is_per_index():
+    # delta / 2N for N indices, as pdpsa gives its level grids; N = 0 (dpsa
+    # at n = 1) has no share to divide
+    s = SampleRecovery(n_indices=1000, capacity=20, need=0, seed=0)
+    assert s.stall_bound <= 0.01 / 2000
+    assert s.stall_bound == stall_bound(20, s.rows, s.buckets)
+    empty = SampleRecovery(n_indices=0, capacity=1, need=0, seed=0)
+    assert empty.recover() == set() and empty.stall_bound == 0
