@@ -27,8 +27,8 @@ on any support.  A grid is the R x B with the fewest cells whose
 first-moment bound on a stalled peel (``stall_bound``) meets the target
 (``grid_geometry``), so its size does not grow with N.  A grid peels a
 block of rows at a time, and each one-sparse cell is subtracted as
-stored from its index's other buckets, so a peel computes fingerprints
-only to verify cells.
+stored from its index's buckets, so a peel computes fingerprints only
+to verify cells.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.
@@ -187,8 +187,10 @@ EMPTY = "empty"
 # point past it; the most rows ``grid_geometry`` considers.
 _EXACT_STALL = 12
 MAX_ROWS = 32
-# ``_peel`` verifies at once as many rows as fit in this many cells; of
-# 256, 1 300, 2 000 and 3 220 it was fastest on dpsa's grid at n=600
+# ``_peel`` verifies a block of rows at once, as many as fit in this many
+# cells and at least two: on dpsa's grids at n=600 and n=2000, at 1/6 of
+# capacity and full, two rows a block peeled fastest of 1, 2, 3 and all
+# 5, and a grid that fits whole peels fastest in one block
 _PEEL_BLOCK = 1500
 
 
@@ -280,12 +282,11 @@ def _stall_sizes(capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _log_no_singleton(capacity: int, buckets: int,
-                      pick=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """(log C(capacity, s), log Q_s(B)) for s = 2..capacity, or for the
-    sizes ``pick`` selects: exact up to ``_EXACT_STALL``, the
-    saddle-point bound past it."""
-    s, subsets, log_fact = (a[pick] for a in _stall_sizes(capacity))
+def _log_no_singleton(capacity: int,
+                      buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log C(capacity, s), log Q_s(B)) for s = 2..capacity: exact up to
+    ``_EXACT_STALL``, the saddle-point bound past it."""
+    s, subsets, log_fact = _stall_sizes(capacity)
     small = s <= _EXACT_STALL
     q = np.empty(len(s))
     q[small] = _exact_no_singleton(buckets)[s[small] - 2]
@@ -324,33 +325,23 @@ def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
 
     The s = 2 term alone, C(capacity, 2) / B^R, gives each R its least B;
     the search steps B up from there, doubling the step, and bisects the
-    last step.  Past the first fit an R is tried only if the largest B
-    that would beat it meets the bound.  Each B's Q_s terms serve every R.
-    5 x 644 for dpsa at n=600, k=3 (capacity 1 800, target 2.8e-8); 7 x 17
-    for a pdpsa level grid at n=600, k=2 (capacity 32, target 8.3e-6).
+    last step.  Past the first R, an R is tried only if the largest B
+    that would beat the best so far meets the bound; 4 rows go first, as
+    they come close to the best at every capacity, so that this rules
+    most other R out.  5 x 644 for dpsa at n=600, k=3 (capacity 1 800,
+    target 2.8e-8); 7 x 17 for a pdpsa level grid at n=600, k=2
+    (capacity 32, target 8.3e-6).
     """
     if capacity < 2:
         return 1, 1  # a lone index always peels
     log_target = math.log(target)
-    # the exact sizes and every 32nd past them: a sum over some sizes
-    # that passes the target rules a B out at a fraction of the cost
-    coarse = np.r_[:_EXACT_STALL - 1, _EXACT_STALL - 1:capacity - 1:32]
-    terms: dict[int, tuple] = {}
 
     def fits(rows: int, buckets: int) -> bool:
-        if capacity > 4 * len(coarse):
-            subsets, q = _log_no_singleton(capacity, buckets, coarse)
-            if _log_sum_exp(subsets + rows * q) > log_target:
-                return False
-        if buckets not in terms:
-            terms[buckets] = _log_no_singleton(capacity, buckets)
-        subsets, q = terms[buckets]
+        subsets, q = _log_no_singleton(capacity, buckets)
         return _log_sum_exp(subsets + rows * q) <= log_target
 
     pairs = math.comb(capacity, 2)
     best = None
-    # 4 rows first: its least B by the pair term mostly fits at once, and
-    # the best so far rules most other R out by the B they would need
     for rows in (4, *range(1, 4), *range(5, MAX_ROWS + 1)):
         low = max(2, math.ceil((pairs / target) ** (1 / rows)))
         while low > 2 and pairs / (low - 1) ** rows <= target:
@@ -433,18 +424,19 @@ class SampleRecovery:
     """L level grids of one geometry, one linear structure.
 
     With ``need`` = m > 0 the level capacity C is the larger of
-    ``capacity`` and ``level_capacity(m, sampler_fail)``, and L =
-    ``level_count(N, C, sampler_fail)``; with ``need`` = 0, C is
-    ``capacity`` and L = 1.  sampler_fail defaults to delta / 2N, each
-    index's share of delta.  Every grid is ``grid_geometry(C, f)`` for f
-    the smaller of delta and sampler_fail (7 x 17 for pdpsa at n=600,
-    k=2; 5 x 644 for dpsa at n=600, k=3), and ``stall_bound`` is the
-    bound on a stalled peel of C indices that this grid meets.  All
-    grids share one set of bucket hashes, so the grids of levels l..L-1
-    add up cell by cell.  ``support`` is an exact signed counter of net
-    insertions, the l0 norm under valid +/-1 streams;
-    ``level_support[l]`` is the same counter over the indices whose
-    deepest level is l.
+    ``capacity`` and C_m = ``level_capacity(m, sampler_fail)``, and L =
+    ``level_count(N, C_m, sampler_fail)``, enough for any C >= C_m, so
+    that a larger capacity widens the grids and never drops a level;
+    with ``need`` = 0, C is ``capacity`` and L = 1.  sampler_fail
+    defaults to delta / 2N, each index's share of delta.  Every grid is
+    ``grid_geometry(C, f)`` for f the smaller of delta and sampler_fail
+    (7 x 17 for pdpsa at n=600, k=2; 5 x 644 for dpsa at n=600, k=3),
+    and ``stall_bound`` is the bound on a stalled peel of C indices that
+    this grid meets.  All grids share one set of bucket hashes, so the
+    grids of levels l..L-1 add up cell by cell.  ``support`` is an exact
+    signed counter of net insertions, the l0 norm under valid +/-1
+    streams; ``level_support[l]`` is the same counter over the indices
+    whose deepest level is l.
 
     One-sparse verification uses two independent prime fingerprints,
     p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
@@ -475,8 +467,9 @@ class SampleRecovery:
         fail = (sampler_fail if sampler_fail is not None
                 else delta / (2 * max(1, n_indices)))
         if need:
-            self.level_capacity = max(capacity, level_capacity(need, fail))
-            self.levels = level_count(n_indices, self.level_capacity, fail)
+            least = level_capacity(need, fail)
+            self.level_capacity = max(capacity, least)
+            self.levels = level_count(n_indices, least, fail)
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
@@ -700,17 +693,17 @@ class SampleRecovery:
         """Support of a (count, index, fp1, fp2) grid, peeled in place.
 
         A pass peels the rows in order, a block of rows at a time: as many
-        as fit in ``_PEEL_BLOCK`` cells, two rows of dpsa's 5 x 644 grid at
-        n=600, k=3 and all rows of a small grid.  All of a block's
-        one-sparse cells peel at once, the first cell of each index among
-        them; one row's cells name distinct indices, since an index has
-        one bucket per row.  A pass ends at an all-zero block: an index
-        left in the grid has a nonzero cell in every row, but for a
+        as fit in ``_PEEL_BLOCK`` cells, and at least two, so two rows of
+        dpsa's 5 x 644 grid at n=600, k=3 and all rows of a small grid.
+        All of a block's one-sparse cells peel at once, the first cell of
+        each index among them, and each is subtracted as stored from all
+        of its index's buckets.  A pass ends at an all-zero block: an
+        index left in the grid has a nonzero cell in every row, but for a
         cancellation the fingerprints all but rule out.  A pass that peels
         nothing, or an index peeled twice, stalls.
         """
         found: set[int] = set()
-        step = max(1, _PEEL_BLOCK // self.buckets)
+        step = max(2, _PEEL_BLOCK // self.buckets)
         for _ in range(grid[0].size + 1):
             if not grid.any():
                 return found
@@ -722,17 +715,15 @@ class SampleRecovery:
                     if not block.any():
                         break
                     continue
-                if step > 1:
-                    peel, first = np.unique(peel, return_index=True)
-                    pos = pos[first]
+                peel, first = np.unique(peel, return_index=True)
                 size = len(found) + len(peel)
                 found.update(peel.tolist())
                 if len(found) < size:
                     raise RecoveryFail("an index peeled twice")
                 # flat positions and values, numpy's fast path for ufunc.at
                 at = (self._row_cell0 + self._cols(peel[:, None])).ravel()
-                cells = np.repeat(block.reshape(4, -1)[:, pos], self.rows,
-                                  axis=1)
+                cells = np.repeat(block.reshape(4, -1)[:, pos[first]],
+                                  self.rows, axis=1)
                 for field, cell in zip(grid, cells):
                     np.subtract.at(field.reshape(-1), at, cell)
                 for fp, p in ((grid[2], self.p1), (grid[3], self.p2)):

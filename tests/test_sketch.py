@@ -434,12 +434,18 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
 
 
 def test_words_positive_and_monotone_in_capacity():
-    # at 1000 indices; with 64, capacity 32 is half the index range and
-    # needs fewer levels than capacity 4, so it takes fewer words
+    small = SampleRecovery(64, capacity=4, need=2, seed=1)
+    big = SampleRecovery(64, capacity=32, need=2, seed=1)
+    assert 0 < small.words() < big.words()
     for need in (0, 2):
         small = SampleRecovery(1000, capacity=4, need=need, seed=1)
         big = SampleRecovery(1000, capacity=32, need=need, seed=1)
         assert 0 < small.words() < big.words()
+        # no capacity takes fewer cells than a smaller one; words() adds
+        # a key per row, and a grid one cell larger can have fewer rows
+        cells = [SampleRecovery(64, capacity=c, need=need, seed=1).cells.size
+                 for c in range(1, 65)]
+        assert cells == sorted(cells)
 
 
 # -- level grids ------------------------------------------------------------
