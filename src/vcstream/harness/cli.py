@@ -70,19 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _generate(args) -> str:
     rng = random.Random(args.seed)
-    if args.gen == "random":
-        n = args.n or 20
+    if args.gen in ("random", "promised"):
+        n = 20 if args.n is None else args.n
+        if n < 1:
+            raise ValueError(f"--n {n}: a stream needs at least one vertex")
         k = args.k if args.k is not None else 3
-        events = gen_random_stream(n, args.length, args.churn, rng)
-        return emit_stream(StreamFile(n, k, args.mode or "dpsa",
-                                      events + [QUERY]))
-    if args.gen == "promised":
-        n = args.n or 20
-        k = args.k if args.k is not None else 3
-        cfg = Config(n=n, k=k, delta=args.delta, c=args.c, seed=args.seed)
-        events = gen_promised_stream(cfg, args.length, args.churn, rng)
-        return emit_stream(StreamFile(n, k, args.mode or "pdpsa",
-                                      events + [QUERY]))
+        if args.gen == "random":
+            events = gen_random_stream(n, args.length, args.churn, rng)
+        else:
+            cfg = Config(n=n, k=k, delta=args.delta, c=args.c,
+                         seed=args.seed)
+            events = gen_promised_stream(cfg, args.length, args.churn, rng)
+        mode = args.mode or ("dpsa" if args.gen == "random" else "pdpsa")
+        return emit_stream(StreamFile(n, k, mode, events + [QUERY]))
     if args.gen == "index":
         gk = args.gadget_k
         x = [[rng.randint(0, 1) for _ in range(gk)] for _ in range(gk)]

@@ -22,6 +22,10 @@ vertices are matched, so one of them is exposed.  The query takes k+1
 neighbors of each high-support vertex the same way.  A recovery that
 stalls or returns fewer neighbors than asked raises ``SketchFail``; the
 state is then ``degraded``, and so is every later answer.
+
+A recovery is a function of the sketch's cells alone, so each vertex
+keeps its last successful one until the next write to its sketch, and a
+query re-reads only the sketches written since the last read.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ class MatchingState:
         self.rematch_miss_count = 0
         self.sketch_fail_count = 0
         self._sketch_epoch = 0
+        # v -> (need, neighbors): the last successful recovery of v's
+        # sketch, need None when it was the whole peel; a write drops it
+        self._recovered: dict[int, tuple[int | None, frozenset[int]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -70,6 +77,7 @@ class MatchingState:
         from .sketch import SampleRecovery, derive_seed
         cfg = self.config
         self._sketch_epoch += 1
+        self._recovered.pop(v, None)
         self.sketches[v] = SampleRecovery(
             n_indices=cfg.n, capacity=cfg.x, need=2 * cfg.k + 1,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
@@ -86,6 +94,7 @@ class MatchingState:
 
     def _sketch_write(self, v: int, z: int, d: int) -> None:
         self.sketches[v].update(z, d)
+        self._recovered.pop(v, None)
         if self.mirror is not None:
             held = self.mirror[v]
             held[z] = held.get(z, 0) + d
@@ -93,19 +102,28 @@ class MatchingState:
                 del held[z]
 
     def _recover_neighbors(self, v: int, need: int | None = None
-                           ) -> set[int]:
+                           ) -> frozenset[int]:
         """v's sketched neighborhood; with ``need``, past capacity x, at
-        least min(need, support) distinct neighbors of it."""
+        least min(need, support) distinct neighbors of it.  The last
+        successful read stands for the same ``need`` until v's sketch is
+        written; up to capacity every ``need`` reads the whole peel.
+        """
         sk = self.sketches[v]
-        try:
-            got = sk.recover(need)
-        except SketchFail as exc:
-            self.sketch_fail_count += 1
-            raise SketchFail(f"recovery failed for vertex {v}") from exc
+        key = None if sk.support <= sk.capacity else need
+        held = self._recovered.get(v)
+        if held is not None and held[0] == key:
+            got = held[1]
+        else:
+            try:
+                got = frozenset(sk.recover(need))
+            except SketchFail as exc:
+                self.sketch_fail_count += 1
+                raise SketchFail(f"recovery failed for vertex {v}") from exc
         if need is not None and len(got) < min(need, sk.support):
             self.sketch_fail_count += 1
             raise SketchFail(f"recovered {len(got)} of {need} neighbors "
                              f"for vertex {v}")
+        self._recovered[v] = key, got
         return got
 
     def _is_low(self, v: int) -> bool:
@@ -122,9 +140,13 @@ class MatchingState:
         return bool(self.sketch_fail_count or self.rematch_miss_count)
 
     def words(self) -> int:
+        """Sketch words, 2 per edge of T and of the matching, 3 per
+        matched vertex, and per memoised recovery its vertex, its need
+        and one word per neighbor."""
         sk = sum(s.words() for s in self.sketches.values())
+        memo = sum(2 + len(got) for _, got in self._recovered.values())
         return sk + 2 * len(self.tdict) + 2 * len(self.matching) \
-            + 3 * len(self.matched)
+            + 3 * len(self.matched) + memo
 
     # -- stream entry points -----------------------------------------------
 
@@ -218,6 +240,7 @@ class MatchingState:
         for e in [e for e in self.tdict if u in (e.u, e.v)]:
             del self.tdict[e]
         del self.sketches[u]
+        self._recovered.pop(u, None)
         if self.mirror is not None:
             del self.mirror[u]
         del self.ts[u]

@@ -31,19 +31,27 @@ stored from its index's buckets, so a peel computes fingerprints only
 to verify cells.
 
 All structures are linear: the state after a sequence of updates depends
-only on the net vector, never on update order.
+only on the net vector, never on update order.  The fingerprint bases
+r1, r2, the row keys and the depth key are blake2b hashes of the
+sketch's seed (``derive_seed``'s chain), so a sketch loads neither
+``numpy.random`` nor hashlib's OpenSSL backend.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SketchFail
+
+try:
+    # CPython's own blake2, without hashlib's import of OpenSSL
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 _INT64_MAX = (1 << 63) - 1
 # splitmix64's increment and multipliers (Steele, Lea & Flood, 2014),
@@ -58,10 +66,15 @@ class RecoveryFail(SketchFail):
     """Peeling stalled before the grid emptied."""
 
 
+def _hash64(*parts) -> int:
+    """Deterministic 64-bit hash of an arbitrary tuple of parts."""
+    h = blake2b(repr(parts).encode(), digest_size=8)
+    return int.from_bytes(h.digest(), "big")
+
+
 def derive_seed(*parts) -> int:
     """Deterministic 63-bit seed from an arbitrary tuple of parts."""
-    h = hashlib.blake2b(repr(parts).encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big") >> 1
+    return _hash64(*parts) >> 1
 
 
 # Miller-Rabin with these bases is exact below this bound (Sorenson &
@@ -485,16 +498,18 @@ class SampleRecovery:
             raise ValueError(f"{n_indices} indices are too many for "
                              f"level grids")
         self._per_level = self.rows * self.buckets
-        rng = np.random.default_rng(derive_seed(seed, "hashes"))
-        r1 = int(rng.integers(1, self.p1))
-        r2 = int(rng.integers(1, self.p2))
-        self.pow1 = PowTable(r1, self.p1, n_indices)
-        self.pow2 = PowTable(r2, self.p2, n_indices)
+        # fingerprint bases in [1, p), each from its own 64-bit hash of
+        # the seed
+        self.r1 = 1 + _hash64(seed, "r1") % (self.p1 - 1)
+        self.r2 = 1 + _hash64(seed, "r2") % (self.p2 - 1)
+        self.pow1 = PowTable(self.r1, self.p1, n_indices)
+        self.pow2 = PowTable(self.r2, self.p2, n_indices)
 
-        # one bucket-hash key per row, shared by every level; the hashes
-        # add splitmix64's increment to it once, here
-        self.hash_keys = rng.integers(0, 1 << 64, size=self.rows,
-                                      dtype=np.uint64)
+        # one 64-bit bucket-hash key per row, shared by every level; the
+        # hashes add splitmix64's increment to it once, here
+        self.hash_keys = np.array(
+            [_hash64(seed, "row-key", r) for r in range(self.rows)],
+            dtype=np.uint64)
         self._keys = self.hash_keys + np.uint64(_GAMMA)
         self._row_keys = list(zip(range(0, self._per_level, self.buckets),
                                   self._keys.tolist()))
@@ -519,8 +534,8 @@ class SampleRecovery:
         behave as independent draws; a linear hash on a run of
         consecutive indices leaves subsamples far from binomial.
         """
-        h = hashlib.blake2b(int(index).to_bytes(8, "big"), digest_size=8,
-                            key=self.depth_key).digest()
+        h = blake2b(int(index).to_bytes(8, "big"), digest_size=8,
+                    key=self.depth_key).digest()
         return min(self.levels - 1, 64 - int.from_bytes(h, "big").bit_length())
 
     def _cells_of(self, index: int, level: int) -> np.ndarray:

@@ -114,6 +114,24 @@ def test_cli_promised_generator_short_stream_exit_2(capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("gen", ["random", "promised"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_cli_generator_rejects_fewer_than_one_vertex(gen, n, capsys):
+    # an explicit --n 0 is not "no --n": it used to write a 20-vertex stream
+    buf = io.StringIO()
+    assert run_cli(["--gen", gen, "--n", str(n), "--length", "3"],
+                   out=buf) == 2
+    assert buf.getvalue() == ""
+    assert f"error=--n {n}:" in capsys.readouterr().err
+
+
+def test_cli_generator_defaults_to_20_vertices():
+    for gen in ("random", "promised"):
+        buf = io.StringIO()
+        assert run_cli(["--gen", gen, "--length", "3"], out=buf) == 0
+        assert parse_stream(buf.getvalue(), validate=True).n == 20
+
+
 # The generators as they were before they kept a sorted live-edge list;
 # every seeded stream must come out the same.
 
@@ -416,15 +434,18 @@ for mode in ("psa", "fvs"):
         f.write(f"3 1 {mode}\\n+ 1 2\\n+ 2 3\\n?\\n")
     assert vcstream.harness.cli.run_cli(["--input", "s.txt"],
                                         out=io.StringIO()) == 0
-before = [m for m in ("numpy", "hashlib") if m in sys.modules]
+heavy = ("numpy", "numpy.random", "hashlib", "_hashlib")
+before = [m for m in heavy if m in sys.modules]
 from vcstream.core import Config
 dpsa.DpsaState(Config(n=5, k=1))
-after = [m for m in ("numpy", "hashlib") if m in sys.modules]
+after = [m for m in heavy if m in sys.modules]
 print(before, after)
 """
+    # a sketch needs numpy itself, but neither numpy.random nor OpenSSL's
+    # hashes (_hashlib)
     done = _python(["-c", code], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[]", "['numpy',", "'hashlib']"]
+    assert done.stdout.split() == ["[]", "['numpy']"]
 
 
 def test_lazy_exports_resolve():

@@ -4,11 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vcstream.core import Config, Edge, ShadowGraph, StreamUpdate, covers
+from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
+                           StreamUpdate, covers)
 from vcstream.core import INSERT, DELETE
+from vcstream.dpsa import DpsaState
 from vcstream.pdpsa import MatchingState, pdpsa_query
-from vcstream.sketch import level_capacity
+from vcstream.sketch import SampleRecovery, level_capacity
 from vcstream.harness.generators import gen_promised_stream
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
@@ -343,14 +346,17 @@ def test_sketch_fail_flags_every_later_answer(monkeypatch):
     from vcstream.pdpsa import SketchFail
     from vcstream.sketch import RecoveryFail, SampleRecovery
     cfg = Config(**HUB_CFG, seed=1)
-    st = MatchingState(cfg)
+    # the fresh answer comes from a twin, so that st holds no memoised
+    # recovery and the stall below hits a real read
+    st, twin = MatchingState(cfg), MatchingState(cfg)
     sh = ShadowGraph(cfg.n)
     _, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
                             churn=0)
     for upd in stream:
         sh.apply(upd)
         st.apply(upd)
-    fresh = pdpsa_query(st)
+        twin.apply(upd)
+    fresh = pdpsa_query(twin)
     assert fresh.kind == oracle_vc(sh.edges(), cfg.k).kind
     assert fresh.degraded is False and st.degraded is False
     real = SampleRecovery.recover
@@ -381,3 +387,113 @@ def test_rematch_miss_flags_every_later_answer():
     assert st.rematch_miss_count == 1 and st.degraded
     ans = pdpsa_query(st)
     assert ans.kind == "promise-violation" and ans.degraded
+
+
+# -- memoised recoveries ----------------------------------------------------
+
+
+class _NoMemo(MatchingState):
+    """A state that forgets every memoised recovery before each read."""
+
+    def _recover_neighbors(self, v, need=None):
+        self._recovered.clear()
+        return super()._recover_neighbors(v, need)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SketchFail as exc:
+        return str(exc)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(["promised", "hubs"]), st.integers(0, 2 ** 16),
+       st.integers(2, 6))
+def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
+    rng = random.Random(seed)
+    if kind == "promised":
+        cfg = Config(n=14, k=3, seed=seed)
+        stream = gen_promised_stream(cfg, 80, 0.35, rng)
+    else:
+        cfg = Config(**HUB_CFG, seed=seed)
+        _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=50)
+    memo, plain = MatchingState(cfg, mirror=True), _NoMemo(cfg, mirror=True)
+    sh = ShadowGraph(cfg.n)
+    for j, upd in enumerate(stream):
+        sh.apply(upd)
+        assert _outcome(memo.apply, upd) == _outcome(plain.apply, upd)
+        assert check_invariants(memo, sh) == check_invariants(plain, sh)
+        assert (memo.matching, memo.tdict, memo.ts) == \
+            (plain.matching, plain.tdict, plain.ts)
+        assert memo._recovered.keys() <= memo.sketches.keys()
+        if j % every == 0:
+            a, b = _outcome(pdpsa_query, memo), _outcome(pdpsa_query, plain)
+            if isinstance(a, str):
+                assert a == b
+            else:
+                assert (a.kind, a.cover, a.degraded) == \
+                    (b.kind, b.cover, b.degraded)
+        assert (memo.rematch_count, memo.rematch_miss_count,
+                memo.sketch_fail_count, memo.degraded, memo.violated_at) == \
+            (plain.rematch_count, plain.rematch_miss_count,
+             plain.sketch_fail_count, plain.degraded, plain.violated_at)
+
+
+def _hub_state():
+    cfg = Config(**HUB_CFG, seed=1)
+    st = MatchingState(cfg, mirror=True)
+    hubs, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
+                               churn=0)
+    for upd in stream:
+        st.apply(upd)
+    return st, hubs
+
+
+def test_a_write_forces_a_real_read_of_that_vertex(monkeypatch):
+    st, hubs = _hub_state()
+    real, reads = SampleRecovery.recover, []
+
+    def counted(self, need=None):
+        reads.append(self)
+        return real(self, need)
+    monkeypatch.setattr(SampleRecovery, "recover", counted)
+    first = pdpsa_query(st)
+    assert len(reads) == len(st.matched)
+    reads.clear()
+    assert pdpsa_query(st) == first and reads == []
+    # a fresh leaf edge at a hub writes the hub's sketch alone
+    h = hubs[0]
+    leaf = next(z for z in range(1, st.config.n + 1)
+                if z not in st.matched and z not in st.mirror[h])
+    st.insertion(Edge(h, leaf))
+    reads.clear()
+    pdpsa_query(st)
+    assert reads == [st.sketches[h]]
+    # past capacity a read of another need is a real one too
+    reads.clear()
+    assert len(st._recover_neighbors(h, 2 * st.config.k + 1)) >= 5
+    assert reads == [st.sketches[h]]
+
+
+def test_words_count_the_memo_and_stay_under_dpsa():
+    st, _ = _hub_state()
+    bare = st.words()
+    pdpsa_query(st)
+    held = sum(2 + len(got) for _, got in st._recovered.values())
+    assert held > 0 and st.words() == bare + held
+    # the dynamic-sketch benchmark's pdpsa shape, n=600, k=2, two hubs
+    # past capacity under churn: with its memo the state stays below the
+    # dpsa state at n=600, k=3, which sets that benchmark's words_peak
+    cfg = Config(n=600, k=2, seed=5)
+    st = MatchingState(cfg)
+    _, stream = _hub_stream(random.Random(5), cfg.n, cfg.k, warm=80,
+                            churn=80)
+    peak = 0
+    for j, upd in enumerate(stream):
+        st.apply(upd)
+        if j % 4 == 0:
+            pdpsa_query(st)
+            assert st._recovered
+        peak = max(peak, st.words())
+    assert peak < DpsaState(Config(n=600, k=3)).words()

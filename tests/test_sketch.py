@@ -22,6 +22,25 @@ def test_derive_seed_deterministic():
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
 
 
+def test_derive_seed_is_hashlibs_blake2b():
+    # the seed chain is the same with or without hashlib's blake2b
+    for parts in ((1, "a", 2), (0, "vertex-sketch", 7, 3), ("x",)):
+        h = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
+        assert derive_seed(*parts) == int.from_bytes(h, "big") >> 1
+
+
+@pytest.mark.parametrize("n, need", [(600, 5), (179700, 0)])
+def test_bases_and_row_keys_come_from_the_seed(n, need):
+    a, b, c = (SampleRecovery(n_indices=n, capacity=5, need=need, seed=s)
+               for s in (3, 3, 4))
+    for s in (a, b, c):
+        assert 1 <= s.r1 < s.p1 and 1 <= s.r2 < s.p2
+        assert len(set(s.hash_keys.tolist())) == s.rows
+    assert (a.r1, a.r2) == (b.r1, b.r2) != (c.r1, c.r2)
+    assert np.array_equal(a.hash_keys, b.hash_keys)
+    assert not np.array_equal(a.hash_keys, c.hash_keys)
+
+
 def fresh(seed=9, n=1000, cap=50, need=4):
     return SampleRecovery(n_indices=n, capacity=cap, need=need, seed=seed)
 
@@ -30,9 +49,8 @@ def fresh(seed=9, n=1000, cap=50, need=4):
 
 
 def _bases(s):
-    """The fingerprint bases r1, r2, redrawn from the sketch's seed."""
-    rng = np.random.default_rng(derive_seed(s.seed, "hashes"))
-    return int(rng.integers(1, s.p1)), int(rng.integers(1, s.p2))
+    """The sketch's fingerprint bases r1, r2."""
+    return s.r1, s.r2
 
 
 def _verified(s, c, ix, f1, f2):
