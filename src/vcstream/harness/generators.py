@@ -22,7 +22,20 @@ def _track(live: list[Edge], upd: StreamUpdate) -> None:
 
 def gen_random_stream(n: int, length: int, churn: float,
                       rng: random.Random) -> list[StreamUpdate]:
-    """Valid dynamic stream: inserts of absent edges, deletes of live ones."""
+    """Valid dynamic stream: inserts of absent edges, deletes of live ones.
+
+    Raises ``ValueError``, before any draw, when no such stream exists:
+    fewer than two vertices, or no churn and more updates than the
+    n(n-1)/2 edges there are to insert.
+    """
+    if length > 0 and n < 2:
+        raise ValueError(f"a random stream needs n >= 2 to insert an "
+                         f"edge, not n={n}")
+    pairs = n * (n - 1) // 2
+    if churn <= 0 and length > pairs:
+        raise ValueError(f"a random stream with churn {churn} never "
+                         f"deletes, so n={n} allows at most {pairs} "
+                         f"updates, not {length}")
     shadow = ShadowGraph(n)
     live: list[Edge] = []
     out: list[StreamUpdate] = []
@@ -54,6 +67,9 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
     """
     if cfg.k < 1:
         raise ValueError("promised streams need k >= 1")
+    if length > 0 and cfg.n < 2:
+        raise ValueError(f"a promised stream needs n >= 2 to insert an "
+                         f"edge, not n={cfg.n}")
     cover = sorted(rng.sample(range(1, cfg.n + 1),
                               rng.randint(1, cfg.k)))
     planted = set(cover)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
@@ -148,14 +149,21 @@ def test_recovery_fail_flags_every_later_answer(monkeypatch):
 # -- decoding a recovery ----------------------------------------------------
 
 
+def _decoded(indices, n):
+    """The pairs of ``decode_edges``'s endpoint arrays, in input order."""
+    u, v = decode_edges(indices, n)
+    assert u.dtype == v.dtype == np.int64 and len(u) == len(v)
+    return list(zip(u.tolist(), v.tolist()))
+
+
 @pytest.mark.parametrize("n", range(2, 61))
 def test_decode_edges_matches_from_index_everywhere(n):
     pairs = n * (n - 1) // 2
     for i in range(1, pairs + 1):
-        assert decode_edges([i], n) == {Edge.from_index(i, n)}
-    got = decode_edges(range(1, pairs + 1), n)
-    assert got == {Edge.from_index(i, n) for i in range(1, pairs + 1)}
-    assert all(type(e) is Edge and type(e.u) is int for e in got)
+        assert _decoded([i], n) == [Edge.from_index(i, n)]
+    got = _decoded(range(1, pairs + 1), n)
+    assert got == [Edge.from_index(i, n) for i in range(1, pairs + 1)]
+    assert _decoded([], n) == []
 
 
 def _row_ends(n):
@@ -177,7 +185,7 @@ def test_decode_edges_matches_from_index_at_large_n(n):
             assert (p2 < 1 << 63) == fits
     rng = random.Random(n)
     for i in [1, pairs] + [rng.randint(1, pairs) for _ in range(2000)]:
-        assert decode_edges([i], n) == {Edge.from_index(i, n)}
+        assert _decoded([i], n) == [Edge.from_index(i, n)]
     ends = _row_ends(n)
     assert len(set(ends)) == 2 * (n - 1) - 1  # row n-1 holds one edge
-    assert decode_edges(ends, n) == {Edge.from_index(i, n) for i in ends}
+    assert _decoded(ends, n) == [Edge.from_index(i, n) for i in ends]

@@ -125,6 +125,29 @@ def test_cli_generator_rejects_fewer_than_one_vertex(gen, n, capsys):
     assert f"error=--n {n}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    # without churn the generator retried inserts into K3 for ever
+    (["random", "--n", "3", "--length", "5", "--churn", "0"],
+     "a random stream with churn 0.0 never deletes, so n=3 allows at "
+     "most 3 updates, not 5"),
+    (["random", "--n", "1", "--length", "3"],
+     "a random stream needs n >= 2 to insert an edge, not n=1"),
+    (["promised", "--n", "1", "--length", "3"],
+     "a promised stream needs n >= 2 to insert an edge, not n=1"),
+])
+def test_cli_generator_rejects_impossible_streams(args, message):
+    done = _python(["-m", "vcstream.harness.cli", "--gen", *args])
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"error={message}\n"
+
+
+def test_random_stream_without_churn_fills_the_graph():
+    events = gen_random_stream(3, 3, 0.0, random.Random(0))
+    assert sorted(upd.edge for upd in events) == [(1, 2), (1, 3), (2, 3)]
+    assert gen_random_stream(1, 0, 0.0, random.Random(0)) == []
+
+
 def test_cli_generator_defaults_to_20_vertices():
     for gen in ("random", "promised"):
         buf = io.StringIO()

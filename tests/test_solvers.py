@@ -16,8 +16,8 @@ import types
 from hypothesis import given, settings, strategies as st
 
 import vcstream
-from vcstream import fvs, kernel
-from vcstream.core import Edge, VcAnswer, covers
+from vcstream import dpsa, fvs, kernel
+from vcstream.core import Config, Edge, INSERT, StreamUpdate, VcAnswer, covers
 from vcstream.harness.oracles import _acyclic, oracle_fvs, oracle_vc
 
 SRC = os.path.dirname(os.path.dirname(vcstream.__file__))
@@ -204,6 +204,44 @@ def test_vc_decide_equals_reference_and_oracle(edges, k):
         assert len(ans.cover) <= k and covers(ans.cover, edges)
 
 
+@st.composite
+def vc_instances(draw):
+    """(n, edges, k) with n <= 40 and k <= 6: random edges, a star whose
+    hub may pass k, and edges on a planted set of about k vertices, so
+    that both answers and both of Buss's No rules occur near the
+    threshold.  Each part may be empty, and so may the graph."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(0, 6))
+    vertex = st.integers(1, n)
+    edges = {Edge(u, v) for u, v in draw(st.lists(
+        st.tuples(vertex, vertex).filter(lambda t: t[0] != t[1]),
+        max_size=draw(st.sampled_from([0, 4, 12, 40]))))}
+    hub = draw(vertex)
+    edges |= {Edge(hub, w) for w in draw(st.sets(
+        vertex.filter(lambda w: w != hub), max_size=k + 3))}
+    planted = draw(st.sets(vertex, max_size=min(n, k + 1)))
+    for c in sorted(planted):
+        edges |= {Edge(c, w) for w in draw(st.sets(
+            vertex.filter(lambda w: w != c), max_size=k + 2))}
+    return n, sorted(edges), k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(vc_instances())
+def test_dpsa_array_decision_equals_kernelize_and_reference(instance):
+    n, edges, k = instance
+    u, v = dpsa.decode_edges([e.index(n) for e in edges], n)
+    assert dpsa.kernelize_arrays(u, v, k, n) == kernel.kernelize(edges, k)
+    want = kernel.vc_decide(edges, k)
+    _same(want, ref_vc_decide(edges, k))
+    _same(dpsa.vc_decide_arrays(u, v, k, n), want)
+    # the whole query: sketch, n*k gate, recovery and decode
+    state = dpsa.DpsaState(Config(n=n, k=6, seed=n))
+    for e in edges:
+        dpsa.dpsa_update(state, StreamUpdate(INSERT, e))
+    _same(dpsa.dpsa_query(state, k), want)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs, st.integers(0, 4))
 def test_fvs_decide_equals_reference_and_oracle(edges, k):
@@ -313,24 +351,37 @@ def _run_optimised(code):
 def test_forged_certificates_raise_under_optimisation():
     code = """
 import sys
-from vcstream import SolverError, fvs, kernel
-from vcstream.core import Edge, VcAnswer
+from vcstream import SolverError, dpsa, fvs, kernel
+from vcstream.core import Config, Edge, INSERT, StreamUpdate, VcAnswer
 assert False, "-O strips this"
 tri = [Edge(1, 2), Edge(1, 3), Edge(2, 3)]
+# a recovered triangle at k=2 forces no vertex, so its kernel is solved
+state = dpsa.DpsaState(Config(n=3, k=2))
+for e in tri:
+    dpsa.dpsa_update(state, StreamUpdate(INSERT, e))
 caught = []
 # a solver that returns a cover missing an edge
 kernel.solve_kernel = lambda kern: VcAnswer.yes({3})
 for call in (lambda: kernel.vc_decide(tri, 2),
              lambda: kernel.check_cover({1, 2, 3}, tri, 2),
              lambda: fvs.check_fvs(set(), tri, 1),
-             lambda: fvs.check_fvs({1, 2}, tri, 1)):
+             lambda: fvs.check_fvs({1, 2}, tri, 1),
+             lambda: dpsa.dpsa_query(state, 2)):
     try:
         call()
     except SolverError as exc:
         caught.append(str(exc))
+# a solver that returns a cover with more than k vertices
+kernel.solve_kernel = lambda kern: VcAnswer.yes({1, 2, 3})
+try:
+    dpsa.dpsa_query(state, 2)
+except SolverError as exc:
+    caught.append(str(exc))
 print(len(caught))
 print(caught)
 """
     done = _run_optimised(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "4", done.stdout
+    assert done.stdout.splitlines()[0] == "6", done.stdout
+    assert "'certificate misses an edge', 'certificate has 3 vertices, " \
+        "k=2']" in done.stdout, done.stdout

@@ -126,9 +126,17 @@ def test_traced_dpsa_stream_records_the_query_path(monkeypatch):
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
-    assert {"dpsa.query", "sketch.recover", "kernel.kernelize"} <= set(names)
+    parents = [tracer.spans[span[3]][0] if span[3] >= 0 else None
+               for span in tracer.spans]
     recovers = [span for span in tracer.spans if span[0] == "sketch.recover"]
     assert [span[4] for span in recovers] == live
     assert all(tracer.spans[span[3]][0] == "dpsa.query" for span in recovers)
-    # the query decodes its recovery in one pass, not edge by edge
+    # both queries leave a kernel (no vertex of degree > 2, 2 <= 4 edges)
+    assert [parent for name, parent in zip(names, parents)
+            if name == "kernel.solve"] == ["dpsa.query"] * len(live)
+    # the query decodes its recovery and runs Buss's rule on arrays, not
+    # edge by edge, so only the recovery and the solver sit under it
+    assert {name for name, parent in zip(names, parents)
+            if parent == "dpsa.query"} == {"sketch.recover", "kernel.solve"}
+    assert "kernel.kernelize" not in names
     assert "core.edge_from_index" not in names
