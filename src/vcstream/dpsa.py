@@ -2,15 +2,19 @@
 
 A graph with a vertex cover of size k has at most n*k edges, so the
 query path first gates on the live-edge count: above n*k the answer is
-No without touching the sketch.  Otherwise the full edge set is
-recovered and decoded into two int64 endpoint arrays in one numpy pass
-(``decode_edges``), and Buss's rule runs on those arrays
-(``kernelize_arrays``): degrees by ``bincount``, high-degree vertices
-forced in ``kernel.kernelize``'s order.  Only the surviving kernel, at
-most k'^2 edges, becomes ``Edge`` objects for ``kernel.solve_kernel``,
-and a Yes certificate is checked against every recovered edge with a
-vertex mask.  The counter is exact for valid streams, which never
-re-insert a live edge or delete an absent one.
+No without touching the sketch.  The sketch holds n*``config.k`` edges,
+so a query with a larger k whose live count lies between the two raises
+``ValueError``, before it reads the sketch.  Otherwise the full edge
+set is recovered, checked against the live count (a mismatch raises
+``RecoveryFail`` and marks the state degraded), and decoded into two
+int64 endpoint arrays in one numpy pass (``decode_edges``), and Buss's
+rule runs on those arrays (``kernelize_arrays``): degrees by
+``bincount``, high-degree vertices forced in ``kernel.kernelize``'s
+order.  Only the surviving kernel, at most k'^2 edges, becomes ``Edge``
+objects for ``kernel.solve_kernel``, and a Yes certificate is checked
+against every recovered edge with a vertex mask.  The counter is exact
+for valid streams, which never re-insert a live edge or delete an
+absent one.
 """
 
 from __future__ import annotations
@@ -137,14 +141,23 @@ def dpsa_update(st: DpsaState, upd: StreamUpdate) -> DpsaState:
 
 
 def dpsa_query(st: DpsaState, k: int | None = None) -> VcAnswer:
+    from .sketch import RecoveryFail
     cfg = st.config
     if k is None:
         k = cfg.k
     if st.live > cfg.n * k:
         ans = VcAnswer.no()
+    elif st.live > st.sketch.capacity:
+        # a sound sketch that cannot hold this many edges: not degraded
+        raise ValueError(f"{st.live} live edges exceed the sketch's "
+                         f"capacity of {st.sketch.capacity} (n*k for "
+                         f"k={cfg.k}); query with k <= {cfg.k}")
     else:
         try:
             found = st.sketch.recover()
+            if len(found) != st.live:
+                raise RecoveryFail(f"recovered {len(found)} edges of "
+                                   f"{st.live} live")
         except SketchFail:
             st.degraded = True
             raise

@@ -1,9 +1,10 @@
 """Command-line driver: run stream files or generate instances.
 
 Reports are line-oriented ``key=value`` text on stdout.  Exit codes:
-0 ok, 2 parse error, 3 invalid stream, 4 promise violation, 5 unreliable
-run (a sketch failed, or a Yes certificate failed its check against the
-replayed stream).
+0 ok, 2 parse error or a header the states refuse (such as a dpsa n
+past its sketch's index limit), 3 invalid stream, 4 promise violation,
+5 unreliable run (a sketch failed, or a Yes certificate failed its
+check against the replayed stream).
 """
 
 from __future__ import annotations
@@ -131,15 +132,20 @@ _COUNTERS = (("sketch_fails", "sketch_fail_count"),
 def _run(sf: StreamFile, args, out) -> int:
     mode = args.mode or sf.mode
     k = args.k if args.k is not None else sf.k
-    cfg = Config(n=sf.n, k=k, delta=args.delta, c=args.c, seed=args.seed)
     print(f"mode={mode}", file=out)
     print(f"n={sf.n}", file=out)
     print(f"k={k}", file=out)
     print(f"seed={args.seed}", file=out)
 
     build, update, query, check, insertion_only = _MODES[mode]
+    try:
+        cfg = Config(n=sf.n, k=k, delta=args.delta, c=args.c,
+                     seed=args.seed)
+        st = build(cfg)
+    except ValueError as exc:
+        print(f"error={exc}", file=out)
+        return EXIT_PARSE
     shadow = ShadowGraph(sf.n)
-    st = build(cfg)
     started = time.perf_counter()
     n_queries = 0
 

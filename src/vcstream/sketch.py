@@ -14,26 +14,36 @@ Cormode & Firmani ("A unifying framework for l0-sampling", 2014) on the
 invertible Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A
 sketch without ``need`` has one level, a plain recovery grid.
 
-A one-sparse cell is a (count, index-weighted sum, fingerprint) tuple
-that recognises a vector with one nonzero entry.  Its fingerprints are
-sums of count * r^i modulo two primes near N^2; the powers r^i come from
-two tables of about sqrt(N) entries per prime (``PowTable``), and every
-product mod p, count reduced mod p first, is one exact multiply
-(``_mulmod_exact``): in int64 for p^2 < 2^63, through a float quotient
-for p < 2^50 (dpsa up to n = 8 192), in Python ints past that.  Each
-row hashes an index to one of B buckets with splitmix64 of the index
-plus the row's key, so that buckets behave as independent uniform draws
-on any support.  A grid is the R x B with the fewest cells whose
+A one-sparse cell is a (count, index-weighted sum, fingerprint) triple
+that recognises a vector with one nonzero entry.  The fingerprint is the
+rational sum of x_j (j + r)^-1 modulo the prime P = 2^50 - 27, the
+largest below 2^50, for r drawn from [0, P - N), so that no j + r is 0
+mod P.  A cell (c, S, fp) whose count divides S into an index i in
+[1, N] passes when fp (i + r) = c mod P: one exact multiply through a
+float quotient (``_mulmod_exact``), with no power table.  For a cell of
+support s that is not c e_i, its difference z from c e_i is nonzero mod
+P, and clearing the denominators of sum z_j / (j + r) gives a nonzero
+polynomial in r of degree at most s; so the check passes the cell with
+probability at most s / (P - N), whatever N is: 1.6e-12 for a dpsa
+cell at n=600, k=3, which holds at most 1 800 edges.  A sketch takes
+N <= P/2 (``MAX_INDICES``).  Stored fingerprints lie in [0, P), and
+2^63 / P = 8 192 of them sum within int64, so a level sum (at most 64
+levels) and a peel block's subtractions (at most 8 192 indices) reduce
+mod P once, after them.
+
+Each row hashes an index to one of B buckets with splitmix64 of the
+index plus the row's key, so that buckets behave as independent uniform
+draws on any support.  A grid is the R x B with the fewest cells whose
 first-moment bound on a stalled peel (``stall_bound``) meets the target
 (``grid_geometry``), so its size does not grow with N.  A grid peels a
 block of rows at a time, and each one-sparse cell is subtracted as
-stored from its index's buckets, so a peel computes fingerprints only
-to verify cells.
+stored from its index's buckets, so a peel forms no fingerprint of its
+own.
 
 All structures are linear: the state after a sequence of updates depends
-only on the net vector, never on update order.  The fingerprint bases
-r1, r2, the row keys and the depth key are blake2b hashes of the
-sketch's seed (``derive_seed``'s chain), so a sketch loads neither
+only on the net vector, never on update order.  The fingerprint offset
+r, the row keys and the depth key are blake2b hashes of the sketch's
+seed (``derive_seed``'s chain), so a sketch loads neither
 ``numpy.random`` nor hashlib's OpenSSL backend.
 """
 
@@ -77,108 +87,29 @@ def derive_seed(*parts) -> int:
     return _hash64(*parts) >> 1
 
 
-# Miller-Rabin with these bases is exact below this bound (Sorenson &
-# Webster 2015), far above any prime an int64 sketch can use.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 3.3e24."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is beyond the exact Miller-Rabin range")
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def nextprime(lower: int) -> int:
-    """Smallest prime strictly above ``lower``."""
-    if lower < 2:
-        return 2
-    n = lower + 1 + (lower % 2)  # first odd number above lower
-    while not is_prime(n):
-        n += 2
-    return n
+# the fingerprints' prime, the largest below 2^50, so that products of
+# two residues take the float-quotient multiply; the most indices a
+# sketch takes, so that its offset r has at least P/2 values to draw from
+PRIME = (1 << 50) - 27
+MAX_INDICES = PRIME // 2
+# residues below PRIME that an int64 sums without overflow: 8 192
+_HEADROOM = _INT64_MAX // PRIME
 
 
 def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a * b mod p elementwise for 0 <= a, b < p, exact.
+    """a * b mod p elementwise for 0 <= a, b < p < 2^50, exact.
 
-    Where p^2 < 2^63 the int64 product is exact.  Below p < 2^50, a, b
-    and p are exact doubles, and the two roundings of fl(a) * fl(b) / p
-    move a * b / p < 2^50 by less than 2^50 * 2^-52 = 1/4, so its
-    truncation q is off by at most one.  Then a * b - q * p lies in
-    (-p, 2p), wrapping int64 arithmetic gives it exactly, and one masked
-    correction each way brings it into [0, p).  Past 2^50, Python ints.
+    a, b and p are exact doubles, and the two roundings of
+    fl(a) * fl(b) / p move a * b / p < 2^50 by less than
+    2^50 * 2^-52 = 1/4, so its truncation q is off by at most one.  Then
+    a * b - q * p lies in (-p, 2p), wrapping int64 arithmetic gives it
+    exactly, and one masked correction each way brings it into [0, p).
     """
-    if p * p <= _INT64_MAX:
-        return a * b % p
-    if p >= 1 << 50:
-        return np.array([int(x) * int(y) % p for x, y in zip(a, b)],
-                        dtype=np.int64)
     q = (a.astype(np.float64) * b / p).astype(np.int64)
     r = a * b - q * p
     r[r < 0] += p
     r[r >= p] -= p
     return r
-
-
-class PowTable:
-    """r^i mod p for 0 <= i <= n from two tables of about sqrt(n) entries.
-
-    With s = ceil(bits(n) / 2), ``lo[j] = r^j`` for j < 2^s and
-    ``hi[j] = r^(j * 2^s)`` for j <= n >> s, so that
-    r^i = lo[i & (2^s - 1)] * hi[i >> s] mod p.
-    """
-
-    def __init__(self, r: int, p: int, n: int):
-        self.p = p
-        self.shift = (n.bit_length() + 1) // 2
-        self.mask = (1 << self.shift) - 1
-        self.lo = self._powers(r, p, 1 << self.shift)
-        self.hi = self._powers(pow(r, 1 << self.shift, p), p,
-                               (n >> self.shift) + 1)
-
-    @staticmethod
-    def _powers(base: int, p: int, m: int) -> np.ndarray:
-        out = [1] * m
-        for j in range(1, m):
-            out[j] = out[j - 1] * base % p
-        return np.array(out, dtype=np.int64)
-
-    def __call__(self, i: int) -> int:
-        return (int(self.lo[i & self.mask]) * int(self.hi[i >> self.shift])
-                % self.p)
-
-    def gather(self, i: np.ndarray) -> np.ndarray:
-        return _mulmod_exact(self.lo[i & self.mask], self.hi[i >> self.shift],
-                             self.p)
-
-    def words(self) -> int:
-        return self.lo.size + self.hi.size
-
-
-@functools.lru_cache(maxsize=64)
-def fingerprint_prime(lower: int) -> int:
-    """Smallest prime strictly above ``lower`` (cached)."""
-    return nextprime(lower)
 
 
 @dataclass(frozen=True)
@@ -388,13 +319,28 @@ def level_capacity(need: int, fail: float) -> int:
     ``recover(need)`` reads the shallowest level whose subsample holds at
     most C indices; the level above it holds more than C, and each of
     those reaches the next level with probability 1/2.  C = 32 for
-    need = 5 at fail 8.3e-6 (pdpsa at n=600, k=2).
+    need = 5 at fail 8.3e-6 (pdpsa at n=600, k=2).  The tail falls as C
+    grows, so a doubling then a bisection take O(log C) tails.
     """
-    c = max(1, need - 1)
-    while sum(math.comb(c + 1, j) for j in range(need)) / 2 ** (c + 1) \
-            > fail:
-        c += 1
-    return c
+    def fits(c: int) -> bool:
+        # sum of C(c+1, j) for j < need, each binomial from the last
+        term = total = 1
+        for j in range(1, need):
+            term = term * (c + 2 - j) // j
+            total += term
+        return total / 2 ** (c + 1) <= fail
+
+    least = max(1, need - 1)
+    bad, good = least - 1, least
+    while not fits(good):
+        bad, good = good, 2 * good
+    while good - bad > 1:
+        mid = (good + bad) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def _binomial_tail(n: int, q: float, c: int) -> float:
@@ -451,14 +397,16 @@ class SampleRecovery:
     streams; ``level_support[l]`` is the same counter over the indices
     whose deepest level is l.
 
-    One-sparse verification uses two independent prime fingerprints,
-    p1 = nextprime(max(N^2, 2^30)) and p2 = nextprime(p1): about 2^30 for
-    a pdpsa vertex sketch, 3.2e10 (2^35) for the dpsa edge sketch at
-    n=600 and 4.0e12 (2^42) at n=2000.  Stored fingerprints are reduced
-    below their prime, so a sum over the levels stays within int64 while
-    L * p2 < 2^63.  ``recover`` checks a row's buckets at once in int64,
-    forming (count mod p) * r^i with ``_mulmod_exact``, so any int64
-    count is checked exactly.
+    One-sparse verification uses one rational fingerprint mod
+    ``PRIME``, sum x_j (j + r)^-1 for an offset r in [0, P - N), so that
+    a cell (c, S, fp) naming index i = S / c passes when
+    fp (i + r) = c mod P, one ``_mulmod_exact`` a cell with c reduced
+    mod P, so any int64 count is checked exactly.  ``update`` forms the
+    inverse in Python ints.  A full peel ends by comparing the weight it
+    peeled with the exact counters (``support``, or a level subsample's
+    suffix of ``level_support``), and raises ``RecoveryFail`` when they
+    differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
+    or an unpickled sketch reads the cells it updates.
     """
 
     def __init__(self, n_indices: int, capacity: int, need: int,
@@ -470,6 +418,10 @@ class SampleRecovery:
             raise ValueError("need must be >= 0")
         if n_indices < 0:
             raise ValueError("n_indices must be >= 0")
+        if n_indices > MAX_INDICES:
+            # before any sizing, so a refused sketch costs nothing
+            raise ValueError(f"{n_indices} indices exceed the sketch's "
+                             f"limit of {MAX_INDICES} (P/2, P = 2^50 - 27)")
         self.n = n_indices
         self.capacity = capacity
         self.need = need
@@ -490,20 +442,9 @@ class SampleRecovery:
                                                 min(delta, fail))
         self.stall_bound = stall_bound(self.level_capacity, self.rows,
                                        self.buckets)
-
-        self.p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
-        self.p2 = fingerprint_prime(self.p1)
-        if self.levels * self.p2 > _INT64_MAX:
-            # a level sum adds one fingerprint below p2 per level
-            raise ValueError(f"{n_indices} indices are too many for "
-                             f"level grids")
         self._per_level = self.rows * self.buckets
-        # fingerprint bases in [1, p), each from its own 64-bit hash of
-        # the seed
-        self.r1 = 1 + _hash64(seed, "r1") % (self.p1 - 1)
-        self.r2 = 1 + _hash64(seed, "r2") % (self.p2 - 1)
-        self.pow1 = PowTable(self.r1, self.p1, n_indices)
-        self.pow2 = PowTable(self.r2, self.p2, n_indices)
+        # the fingerprint offset, so that every index + r lies in [1, P)
+        self.r = _hash64(seed, "r") % (PRIME - n_indices)
 
         # one 64-bit bucket-hash key per row, shared by every level; the
         # hashes add splitmix64's increment to it once, here
@@ -516,14 +457,17 @@ class SampleRecovery:
         # key of the hash that picks each index's deepest level
         self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
-        # (count, index, fp1, fp2) of every cell, level 0 first
-        self.cells = np.zeros((4, self.levels * self._per_level),
+        # (count, index, fingerprint) of every cell, level 0 first
+        self.cells = np.zeros((3, self.levels * self._per_level),
                               dtype=np.int64)
-        self.grids = self.cells.reshape(4, self.levels, self.rows,
-                                        self.buckets)
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
-        self._primes = np.array([[self.p1], [self.p2]], dtype=np.int64)
+
+    @property
+    def grids(self) -> np.ndarray:
+        """``cells`` as (field, level, row, bucket): a view, so writes
+        through it land in ``cells``."""
+        return self.cells.reshape(3, self.levels, self.rows, self.buckets)
 
     # -- updates -----------------------------------------------------------
 
@@ -572,12 +516,12 @@ class SampleRecovery:
             raise ValueError(f"weight {d} at index {index} overflows int64")
         # each added value is formed and reduced in Python ints, so once a
         # cell changes nothing below can raise
-        add = np.array([d, d * index, d * self.pow1(index) % self.p1,
-                        d * self.pow2(index) % self.p2], dtype=np.int64)
+        add = np.array([d, d * index, d * pow(index + self.r, -1, PRIME)
+                        % PRIME], dtype=np.int64)
         depth = self._depth(index) if self.levels > 1 else 0
         at = self._cells_of(int(index), depth)
         v = self.cells[:, at] + add[:, None]
-        v[2:] %= self._primes  # from [0, 2p)
+        v[2] %= PRIME  # from [0, 2P)
         self.cells[:, at] = v
         self.level_support[depth] += d
         self.support += d
@@ -585,11 +529,11 @@ class SampleRecovery:
     # -- queries -----------------------------------------------------------
 
     def _verify_cells(self, count: np.ndarray, index: np.ndarray,
-                      fp1: np.ndarray, fp2: np.ndarray
+                      fp: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index, weight, flat position) of every one-sparse cell, in
-        row-major order: the count divides the index sum into an index in
-        [1, N] whose fingerprints match."""
+        row-major order: the count c divides the index sum into an index
+        i in [1, N] with fp (i + r) = c mod P."""
         pos = np.flatnonzero(count)
         if not len(pos):
             return pos, pos, pos
@@ -598,20 +542,20 @@ class SampleRecovery:
         i = ix // c
         ok = (ix % c == 0) & (i >= 1) & (i <= self.n)
         pos, c, i = pos[ok], c[ok], i[ok]
-        ok = ((fp1.reshape(-1)[pos]
-               == _mulmod_exact(c % self.p1, self.pow1.gather(i), self.p1))
-              & (fp2.reshape(-1)[pos]
-                 == _mulmod_exact(c % self.p2, self.pow2.gather(i), self.p2)))
+        ok = (_mulmod_exact(fp.reshape(-1)[pos], i + self.r, PRIME)
+              == c % PRIME)
         return i[ok], c[ok], pos[ok]
 
     def _level_sum(self, level: int) -> np.ndarray:
         """The R x B grid of the subsample {i : depth(i) >= level}: the
-        level grids from ``level`` down, summed, fingerprints reduced; a
-        copy of the deepest grid, which is reduced already."""
+        level grids from ``level`` down, summed, fingerprints reduced once
+        (at most 64 levels of residues below P fit int64); a copy of the
+        deepest grid, which is reduced already."""
+        grids = self.grids
         if level == self.levels - 1:
-            return self.grids[:, level].copy()
-        cells = self.grids[:, level:].sum(axis=1)
-        cells[2:] %= self._primes[:, :, None]
+            return grids[:, level].copy()
+        cells = grids[:, level:].sum(axis=1)
+        cells[2] %= PRIME
         return cells
 
     def _fit_level(self) -> int:
@@ -639,7 +583,7 @@ class SampleRecovery:
                 if len(found) >= need:
                     return found
             try:
-                found = self._peel(cells)
+                found = self._peel(cells, sum(self.level_support[lvl:]))
             except RecoveryFail:
                 continue
             if len(found) >= need:
@@ -678,8 +622,9 @@ class SampleRecovery:
         Without ``need``, or while ``support <= capacity``: the exact
         support, peeled from the sum of all level grids.  Reliable when
         the true support fits in ``capacity``; beyond that the peeling
-        either stalls (RecoveryFail) or yields a strict subset, so callers
-        must gate on the support counter.
+        stalls, or the weight it peels differs from ``support``; either
+        raises RecoveryFail, so callers should gate on the support
+        counter.
 
         With ``need`` = m (1 <= m <= ``self.need``) and a larger support:
         at least m distinct support indices from a level's subsample
@@ -699,28 +644,36 @@ class SampleRecovery:
         with probability at most sampler_fail (``level_count``).
         """
         if need is None or self.support <= self.capacity:
-            return self._peel(self._level_sum(0))
+            return self._peel(self._level_sum(0), self.support)
         if not 1 <= need <= self.need:
             raise ValueError(f"need {need} outside [1, {self.need}]")
         return self._read_levels(need, whole=False)
 
-    def _peel(self, grid: np.ndarray) -> set[int]:
-        """Support of a (count, index, fp1, fp2) grid, peeled in place.
+    def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
+        """Support of a (count, index, fingerprint) grid, peeled in place,
+        whose exact counters sum to ``weight``.
 
         A pass peels the rows in order, a block of rows at a time: as many
         as fit in ``_PEEL_BLOCK`` cells, and at least two, so two rows of
         dpsa's 5 x 644 grid at n=600, k=3 and all rows of a small grid.
         All of a block's one-sparse cells peel at once, the first cell of
-        each index among them, and each is subtracted as stored from all
-        of its index's buckets.  A pass ends at an all-zero block: an
-        index left in the grid has a nonzero cell in every row, but for a
-        cancellation the fingerprints all but rule out.  A pass that peels
-        nothing, or an index peeled twice, stalls.
+        each index among them, up to 8 192 indices so that the
+        fingerprints' int64 sums cannot overflow, and each is subtracted
+        as stored from all of its index's buckets.  A pass ends at an
+        all-zero block: an index left in the grid has a nonzero cell in
+        every row, but for a cancellation the fingerprint all but rules
+        out.  A pass that peels nothing, or an index peeled twice, stalls,
+        and so does an emptied grid whose peeled weights do not sum to
+        ``weight``: cells that disagree with their counters.
         """
         found: set[int] = set()
+        peeled = 0
         step = max(2, _PEEL_BLOCK // self.buckets)
         for _ in range(grid[0].size + 1):
             if not grid.any():
+                if peeled != weight:
+                    raise RecoveryFail(f"peeled weight {peeled}, counters "
+                                       f"{weight}")
                 return found
             before = len(found)
             for r in range(0, self.rows, step):
@@ -731,18 +684,19 @@ class SampleRecovery:
                         break
                     continue
                 peel, first = np.unique(peel, return_index=True)
+                peel, first = peel[:_HEADROOM], first[:_HEADROOM]
                 size = len(found) + len(peel)
                 found.update(peel.tolist())
                 if len(found) < size:
                     raise RecoveryFail("an index peeled twice")
                 # flat positions and values, numpy's fast path for ufunc.at
                 at = (self._row_cell0 + self._cols(peel[:, None])).ravel()
-                cells = np.repeat(block.reshape(4, -1)[:, pos[first]],
-                                  self.rows, axis=1)
-                for field, cell in zip(grid, cells):
+                taken = block.reshape(3, -1)[:, pos[first]]
+                peeled += int(taken[0].sum())
+                for field, cell in zip(grid, np.repeat(taken, self.rows,
+                                                       axis=1)):
                     np.subtract.at(field.reshape(-1), at, cell)
-                for fp, p in ((grid[2], self.p1), (grid[3], self.p2)):
-                    fp.reshape(-1)[at] %= p
+                grid[2].reshape(-1)[at] %= PRIME
             if len(found) == before:
                 raise RecoveryFail(
                     f"peeling stalled with {int(np.abs(grid[0]).sum())} "
@@ -757,8 +711,8 @@ class SampleRecovery:
                 and np.array_equal(self.cells, other.cells))
 
     def words(self) -> int:
-        """Stored machine words: every cell's 4, a hash key per row, and
-        past one level the per-level counters and the depth hash key."""
+        """Stored machine words: every cell's 3, a hash key per row, past
+        one level the per-level counters and the depth hash key, and 3
+        more: the support counter, the capacity and the offset r."""
         levels = self.levels + 1 if self.levels > 1 else 0
-        return (self.cells.size + self.rows + levels
-                + self.pow1.words() + self.pow2.words() + 4)
+        return self.cells.size + self.rows + levels + 3

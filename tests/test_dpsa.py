@@ -1,7 +1,6 @@
 """Unrestricted dynamic mode: global sketch, edge gate."""
 
 import itertools
-import math
 import random
 
 import numpy as np
@@ -97,15 +96,13 @@ def test_gate_exact_at_boundary():
 
 
 def test_dpsa_space_is_linear_in_n():
-    # the fingerprint powers take two tables of about sqrt(N) entries
-    # each, for N = n(n-1)/2 edge slots, not N + 1 entries
+    # three words a cell and no power tables, so the grid alone grows
+    # with n at fixed k
     big = DpsaState(Config(n=2000, k=3))
-    n_pairs = 2000 * 1999 // 2
-    for table in (big.sketch.pow1, big.sketch.pow2):
-        assert table.words() <= 3 * math.isqrt(n_pairs)
     assert big.words() / DpsaState(Config(n=1000, k=3)).words() <= 2.2
-    # 5 x 644 grid cells, 14 617 words; 59 340 with 4 x 3 600
-    assert DpsaState(Config(n=600, k=3)).words() <= 16_000
+    # 5 x 644 grid cells, 9 670 words; 14 617 with two fingerprints and
+    # their power tables, 59 340 with 4 x 3 600
+    assert DpsaState(Config(n=600, k=3)).words() <= 10_000
 
 
 def test_dpsa_space_is_at_most_linear_in_k():
@@ -146,6 +143,52 @@ def test_recovery_fail_flags_every_later_answer(monkeypatch):
     assert gated.is_no and gated.degraded
 
 
+def test_query_past_the_sketch_capacity_is_refused_not_degraded(
+        monkeypatch):
+    # the sketch holds n * config.k = 12 edges; a query with k = 3 may
+    # read up to n * k = 36 and must not peel an overfull grid
+    from vcstream.sketch import SampleRecovery
+    st = mk(n=12, k=1)
+    assert st.sketch.capacity == 12
+    sh = ShadowGraph(12)
+    pairs = iter(itertools.combinations(range(1, 13), 2))
+
+    def insert(count):
+        for _ in range(count):
+            e = Edge(*next(pairs))
+            dpsa_update(st, StreamUpdate(INSERT, e))
+            sh.insert(e)
+    insert(12)
+    assert dpsa_query(st, 3).kind == oracle_vc(sh.edges(), 3).kind
+    insert(1)
+    reads = []
+    real = SampleRecovery.recover
+    monkeypatch.setattr(SampleRecovery, "recover",
+                        lambda self: reads.append(1) or real(self))
+    with pytest.raises(ValueError, match="capacity of 12"):
+        dpsa_query(st, 3)
+    assert not reads and not st.degraded
+    assert dpsa_query(st).is_no  # past n * config.k
+    insert(36 - 13)
+    with pytest.raises(ValueError):
+        dpsa_query(st, 3)
+    insert(1)  # past n * k = 36
+    ans = dpsa_query(st, 3)
+    assert ans.is_no and not ans.degraded and not reads
+
+
+def test_a_recovery_short_of_the_live_count_fails(monkeypatch):
+    from vcstream.sketch import SampleRecovery
+    st = mk(n=6, k=1)
+    for e in (Edge(1, 2), Edge(3, 4)):
+        dpsa_update(st, StreamUpdate(INSERT, e))
+    monkeypatch.setattr(SampleRecovery, "recover",
+                        lambda self: {Edge(1, 2).index(6)})
+    with pytest.raises(SketchFail, match="recovered 1 edges of 2 live"):
+        dpsa_query(st)
+    assert st.degraded
+
+
 # -- decoding a recovery ----------------------------------------------------
 
 
@@ -173,16 +216,23 @@ def _row_ends(n):
     return starts + [s - 1 for s in starts[1:]] + [n * (n - 1) // 2]
 
 
-# n = 77 936 is the largest n whose one-level edge sketch keeps p2 < 2^63
+# n = 77 936 was the largest n whose two-prime edge sketch kept its
+# fingerprint sums in int64; one fingerprint mod P = 2^50 - 27 takes any
+# N <= P/2 edge slots, up to n = 2^25
 @pytest.mark.parametrize("n", [10 ** 4, 77_934, 77_936])
 def test_decode_edges_matches_from_index_at_large_n(n):
-    from vcstream.sketch import fingerprint_prime
+    from vcstream.sketch import MAX_INDICES, SampleRecovery
     pairs = n * (n - 1) // 2
     if n == 77_936:
-        for m, fits in ((n, True), (n + 1, False)):
+        for m, fits in ((n + 1, True), (1 << 25, True),
+                        ((1 << 25) + 1, False)):
             slots = m * (m - 1) // 2
-            p2 = fingerprint_prime(fingerprint_prime(slots * slots))
-            assert (p2 < 1 << 63) == fits
+            assert (slots <= MAX_INDICES) == fits
+            if fits:
+                SampleRecovery(slots, capacity=1, need=0, seed=m)
+            else:
+                with pytest.raises(ValueError, match=str(MAX_INDICES)):
+                    SampleRecovery(slots, capacity=1, need=0, seed=m)
     rng = random.Random(n)
     for i in [1, pairs] + [rng.randint(1, pairs) for _ in range(2000)]:
         assert _decoded([i], n) == [Edge.from_index(i, n)]

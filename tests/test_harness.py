@@ -486,3 +486,31 @@ def test_cli_module_run_has_no_runtime_warning():
                    stdin="1 0 dpsa\n?\n")
     assert done.returncode == 0, done.stderr
     assert "answer=yes" in done.stdout
+
+
+@pytest.mark.parametrize("header, code, line", [
+    # past the two-prime sketch's old ceiling of n = 77 936
+    ("80000 1 dpsa", 0, "answer=yes"),
+    # a level capacity for need = 2001, found by bisection
+    ("5 1000 pdpsa", 0, "answer=yes"),
+    # n(n-1)/2 edge slots past P/2: refused at build time, in its own words
+    ("33554433 1 dpsa", 2,
+     "error=562949970198528 indices exceed the sketch's limit of "
+     "562949953421298 (P/2, P = 2^50 - 27)"),
+])
+def test_cli_headers_build_or_are_refused(header, code, line):
+    done = _python(["-m", "vcstream.harness.cli", "--input", "-"],
+                   stdin=f"{header}\n+ 1 2\n?\n")
+    assert done.returncode == code, done.stderr
+    assert line in done.stdout.splitlines()
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_config_the_states_refuse_exits_2(tmp_path):
+    # --k overrides a header the parser accepted; Config refuses it at
+    # build time, which used to end in a traceback
+    f = tmp_path / "s.txt"
+    f.write_text("4 1 dpsa\n+ 1 2\n?\n")
+    code, report = run(["--input", str(f), "--k", "-1"])
+    assert code == 2
+    assert report["error"] == "k must be >= 0" and "answer" not in report

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcstream import sketch
-from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_ROWS,
-                             PowTable, RecoveryFail, SampleRecovery,
-                             _mulmod_exact, derive_seed, fingerprint_prime,
-                             grid_geometry, is_prime, level_capacity,
-                             nextprime, stall_bound)
+from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_INDICES, MAX_ROWS,
+                             PRIME, RecoveryFail, SampleRecovery,
+                             _mulmod_exact, derive_seed, grid_geometry,
+                             level_capacity, stall_bound)
 
 
 def test_derive_seed_deterministic():
@@ -34,9 +33,9 @@ def test_bases_and_row_keys_come_from_the_seed(n, need):
     a, b, c = (SampleRecovery(n_indices=n, capacity=5, need=need, seed=s)
                for s in (3, 3, 4))
     for s in (a, b, c):
-        assert 1 <= s.r1 < s.p1 and 1 <= s.r2 < s.p2
+        assert 0 <= s.r < PRIME - n
         assert len(set(s.hash_keys.tolist())) == s.rows
-    assert (a.r1, a.r2) == (b.r1, b.r2) != (c.r1, c.r2)
+    assert a.r == b.r != c.r
     assert np.array_equal(a.hash_keys, b.hash_keys)
     assert not np.array_equal(a.hash_keys, c.hash_keys)
 
@@ -48,12 +47,12 @@ def fresh(seed=9, n=1000, cap=50, need=4):
 # -- one-sparse cells -------------------------------------------------------
 
 
-def _bases(s):
-    """The sketch's fingerprint bases r1, r2."""
-    return s.r1, s.r2
+def _fingerprint(s, i, c=1):
+    """c (i + r)^-1 mod P in Python ints: the fingerprint of c e_i."""
+    return c * pow(i + s.r, -1, PRIME) % PRIME
 
 
-def _verified(s, c, ix, f1, f2):
+def _verified(s, c, ix, fp):
     """The one-sparse test on one cell, in Python ints: the reference for
     ``SampleRecovery._verify_cells``."""
     if c == 0 or ix % c != 0:
@@ -61,8 +60,7 @@ def _verified(s, c, ix, f1, f2):
     i = ix // c
     if not 1 <= i <= s.n:
         return None
-    r1, r2 = _bases(s)
-    if f1 != c * pow(r1, i, s.p1) % s.p1 or f2 != c * pow(r2, i, s.p2) % s.p2:
+    if fp != _fingerprint(s, i, c):
         return None
     return i
 
@@ -102,7 +100,7 @@ def test_detector_zero_vector():
     s = fresh()
     got_i, _, _ = _grid_cells(s)
     assert len(got_i) == 0
-    assert _verified(s, 0, 0, 0, 0) is None
+    assert _verified(s, 0, 0, 0) is None
 
 
 def test_detector_one_sparse():
@@ -239,14 +237,15 @@ def test_support_counter_tracks_deletions():
 def _reference_peel(s, grid):
     """The all-rows peel that ``_peel`` replaced: each pass verifies every
     cell, keeps each index's first one-sparse cell that names an index
-    not yet found, and recomputes the fingerprints it subtracts."""
-    count, index, fp1, fp2 = grid
+    not yet found, and recomputes in Python ints the fingerprints it
+    subtracts."""
+    count, index, fp = grid
     rowidx = np.arange(s.rows)
     found = set()
     for _ in range(count.size + 1):
         if not grid.any():
             return found
-        peel, weight, _ = s._verify_cells(count, index, fp1, fp2)
+        peel, weight, _ = s._verify_cells(count, index, fp)
         _, first = np.unique(peel, return_index=True)
         first.sort()
         peel, weight = peel[first], weight[first]
@@ -260,10 +259,10 @@ def _reference_peel(s, grid):
         w = weight[:, None]
         np.subtract.at(count, at, w)
         np.subtract.at(index, at, w * peel[:, None])
-        for fp, table, p in ((fp1, s.pow1, s.p1), (fp2, s.pow2, s.p2)):
-            np.subtract.at(fp, at, _mulmod_exact(
-                weight % p, table.gather(peel), p)[:, None])
-            fp[at] %= p
+        prints = np.array([_fingerprint(s, int(i), int(c))
+                           for i, c in zip(peel, weight)], dtype=np.int64)
+        np.subtract.at(fp, at, prints[:, None])
+        fp[at] %= PRIME
     raise RecoveryFail("did not terminate")
 
 
@@ -295,22 +294,24 @@ def test_row_peel_matches_the_all_rows_peel():
                 == _peeled(lambda g: _reference_peel(s, g), s._level_sum(0))
             sketches.append(s)
     # grids filled past the peeling threshold, weighted vectors, and the
-    # level sums of pdpsa vertex sketches at n=600, k=2
+    # level sums of pdpsa vertex sketches at n=600, k=2, each with the
+    # weight its counters hold
     grids = []
     for t in range(200):
         s = _filled(200, 10, t, random.Random(t).randint(40, 90))
-        grids.append((s, s._level_sum(0)))
+        grids.append((s, s._level_sum(0), s.support))
     for t in range(200):
         s = _filled(1000, 30, t, random.Random(t).randint(1, 200),
                     weights=(-3, -2, -1, 1, 2, 3, 1 << 20))
-        grids.append((s, s._level_sum(0)))
+        grids.append((s, s._level_sum(0), s.support))
     for t in range(100):
         s = _filled(600, 5, t, random.Random(t).randint(1, 60), need=5,
                     sampler_fail=0.01 / 1200)
-        grids += [(s, s._level_sum(lvl)) for lvl in range(s.levels)]
+        grids += [(s, s._level_sum(lvl), sum(s.level_support[lvl:]))
+                  for lvl in range(s.levels)]
     outcomes = []
-    for s, grid in grids:
-        got = _peeled(s._peel, grid.copy())
+    for s, grid, weight in grids:
+        got = _peeled(lambda g: s._peel(g, weight), grid.copy())
         assert got == _peeled(lambda g: _reference_peel(s, g), grid)
         outcomes.append(got == "fail")
     assert len(sketches) + len(outcomes) >= 1000
@@ -327,12 +328,30 @@ def test_an_index_peeled_twice_stalls(row):
     assert s.recover() == {5, 17, 40}
     grid = s.grids[:, 0, row]
     col = next(c for c in range(s.buckets) if not grid[:, c].any())
-    r1, r2 = _bases(s)
-    grid[:, col] = [1, 5, pow(r1, 5, s.p1), pow(r2, 5, s.p2)]
-    with pytest.raises(RecoveryFail):
+    grid[:, col] = [1, 5, _fingerprint(s, 5)]
+    with pytest.raises(RecoveryFail, match="peeled twice"):
         s.recover()
     with pytest.raises(RecoveryFail):
         _reference_peel(s, s._level_sum(0))
+
+
+def test_a_peel_that_disagrees_with_its_counters_fails():
+    # cells and counters must agree: a full recovery compares the weight
+    # it peeled with ``support``, a peeled level with its counters' suffix
+    s = SampleRecovery(n_indices=1000, capacity=8, need=3, seed=2)
+    for i in (4, 9, 30):
+        s.update(i, +1)
+    s.support += 1
+    with pytest.raises(RecoveryFail, match="peeled weight 3, counters 4"):
+        s.recover()
+    assert s.sample(0).kind == FAIL
+    s.support -= 1
+    assert s.recover() == {4, 9, 30}
+    for i in range(100, 400):
+        s.update(i, +1)
+    assert s.sample(0).kind == INDEX
+    s.level_support = [c + 1 for c in s.level_support]
+    assert s.sample(0).kind == FAIL
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
@@ -483,8 +502,7 @@ def _reference_levels(s, ops):
     Level l sums every update whose index has depth >= l: the subsample
     grids that the suffix sums of the level grids must rebuild.
     """
-    ref = np.zeros((4, s.levels, s.rows, s.buckets), dtype=object)
-    r1, r2 = _bases(s)
+    ref = np.zeros((3, s.levels, s.rows, s.buckets), dtype=object)
     for i, d in ops:
         for r in range(s.rows):
             col = _bucket(s, r, i)
@@ -492,10 +510,8 @@ def _reference_levels(s, ops):
                 at = (lvl, r, col)
                 ref[(0,) + at] += d
                 ref[(1,) + at] += d * i
-                ref[(2,) + at] = (ref[(2,) + at] + d * pow(r1, i, s.p1)) \
-                    % s.p1
-                ref[(3,) + at] = (ref[(3,) + at] + d * pow(r2, i, s.p2)) \
-                    % s.p2
+                ref[(2,) + at] = (ref[(2,) + at] + _fingerprint(s, i, d)) \
+                    % PRIME
     return ref
 
 
@@ -509,9 +525,8 @@ def test_level_grids_match_all_levels_reference(ops, need, seed):
     for i, d in ops:
         s.update(i, d)
     ref = _reference_levels(s, ops)
-    primes = np.array([s.p1, s.p2]).reshape(2, 1, 1, 1)
     got = np.cumsum(s.grids[:, ::-1], axis=1)[:, ::-1]
-    got[2:] %= primes
+    got[2] %= PRIME
     assert np.array_equal(got, ref.astype(np.int64))
     depths = [0] * s.levels
     for i, d in ops:
@@ -599,6 +614,22 @@ def test_level_capacity_is_the_smallest_that_meets_the_binomial_tail():
     assert level_capacity(5, 0.01 / 1200) == 32
 
 
+def _stepped_level_capacity(need, fail):
+    """The search ``level_capacity`` replaced: C up by one from need - 1."""
+    c = max(1, need - 1)
+    while sum(math.comb(c + 1, j) for j in range(need)) / 2 ** (c + 1) \
+            > fail:
+        c += 1
+    return c
+
+
+def test_level_capacity_bisects_to_the_stepped_search():
+    for fail in (0.5, 0.01, 8.3e-6, 0.01 / 1200, 1e-9, 1e-15):
+        for need in range(1, 41):
+            assert level_capacity(need, fail) \
+                == _stepped_level_capacity(need, fail), (need, fail)
+
+
 def test_recover_need_reads_the_levels_only_past_capacity():
     s = SampleRecovery(600, capacity=10, need=5, seed=3, sampler_fail=1e-6)
     for i in range(1, 11):
@@ -620,8 +651,8 @@ def test_recover_need_reads_the_levels_only_past_capacity():
 
 
 def test_large_weight_update_round_trips():
-    # p1 is about 3.2e10 here, so delta * r^i passes 2^63 unless reduced
-    # first; the update used to raise after changing the counters
+    # delta * (i + r)^-1 passes 2^63 unless reduced first; the update
+    # used to raise after changing the counters
     s = SampleRecovery(179700, 25, 0, seed=0)
     fresh_state = SampleRecovery(179700, 25, 0, seed=0)
     s.update(1, 1 << 31)
@@ -634,63 +665,47 @@ def test_large_weight_update_round_trips():
     assert s.state_equals(fresh_state)
 
 
-def _mulmod_path(p):
-    """Which way ``_mulmod_exact`` multiplies modulo p."""
-    if p * p < 1 << 63:
-        return "plain"
-    return "float" if p < 1 << 50 else "python"
-
-
-# one N on each path of _mulmod_exact, and both ends of the float path
-@pytest.mark.parametrize("n, path", [(600, "plain"), (10 ** 5, "float"),
-                                     (1 << 23, "float"),
-                                     (1 << 26, "python")])
-def test_vectorised_check_agrees_with_scalar_on_large_counts(n, path):
+@pytest.mark.parametrize("n", [600, 10 ** 5, 1 << 23, 1 << 26, MAX_INDICES])
+def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
     s = SampleRecovery(n_indices=n, capacity=8, need=0, seed=4)
-    assert _mulmod_path(s.p1) == _mulmod_path(s.p2) == path
-    limit = ((1 << 63) - 1) // s.p2  # |count| * p2 passes int64 above this
     top = ((1 << 63) - 1) // s.n  # the index sum count * i stays in int64
     rng = random.Random(8)
-    r1, r2 = _bases(s)
     rows, cols = s.rows, s.buckets
     count = np.zeros((rows, cols), dtype=np.int64)
     index = np.zeros_like(count)
-    fp1 = np.zeros_like(count)
-    fp2 = np.zeros_like(count)
-    magnitudes = [1, 3, limit - 1, limit, limit + 1, 2 * limit, top // 3,
-                  top]
+    fp = np.zeros_like(count)
+    # counts that are 0, 1 and -1 mod P, where the index sum allows them
+    magnitudes = [m for m in (1, 3, PRIME - 1, PRIME, PRIME + 1, 2 * PRIME,
+                              top // 3, top) if m <= top]
     for r in range(rows):
         for col in range(cols):
             c = rng.choice(magnitudes) * rng.choice([1, -1])
-            i = rng.randint(1, s.n)
+            # i + r reaches P - 1 at i = N
+            i = rng.choice([1, s.n, rng.randint(1, s.n)])
             count[r, col] = c
             index[r, col] = c * i
-            fp1[r, col] = c * pow(r1, i, s.p1) % s.p1
-            fp2[r, col] = c * pow(r2, i, s.p2) % s.p2
+            fp[r, col] = _fingerprint(s, i, c)
             spoil = rng.random()
             if spoil < 0.2:  # not one-sparse by fingerprint
-                fp1[r, col] = (fp1[r, col] + 1) % s.p1
-            elif spoil < 0.3:
-                fp2[r, col] = (fp2[r, col] + 1) % s.p2
-            elif spoil < 0.4:  # index sum not a multiple of the count
+                fp[r, col] = (fp[r, col] + 1) % PRIME
+            elif spoil < 0.3:  # index sum not a multiple of the count
                 index[r, col] += 1
-    got_i, got_c, _ = s._verify_cells(count, index, fp1, fp2)
-    want = [(_verified(s, int(c), int(ix), int(f1), int(f2)), int(c))
-            for c, ix, f1, f2 in zip(count.ravel(), index.ravel(),
-                                     fp1.ravel(), fp2.ravel())]
+    got_i, got_c, _ = s._verify_cells(count, index, fp)
+    want = [(_verified(s, int(c), int(ix), int(f)), int(c))
+            for c, ix, f in zip(count.ravel(), index.ravel(), fp.ravel())]
     want = [(i, c) for i, c in want if i is not None]
     assert list(zip(got_i.tolist(), got_c.tolist())) == want
-    assert any(abs(c) > limit for _, c in want)
-    assert any(abs(c) <= limit for _, c in want)
+    assert len(want) >= count.size // 2
+    assert any(abs(c) >= PRIME for _, c in want) == (top >= PRIME)
 
 
 def test_recover_with_weights_past_the_int64_product_bound():
     s = SampleRecovery(n_indices=60, capacity=4, need=2, seed=12)
     big = 1 << 31
     for _ in range(4):
-        s.update(5, big)  # count 2^33, and 2^33 * p2 > 2^63
+        s.update(5, big)  # count 2^33, and 2^33 * P > 2^63
     s.update(9, 3)
-    assert 4 * big * s.p2 >= 1 << 63
+    assert 4 * big * PRIME >= 1 << 63
     assert s.recover() == {5, 9}
     # the level counters sum weights, so the level they pick holds
     # neither index here; the reads move on to shallower levels
@@ -700,49 +715,40 @@ def test_recover_with_weights_past_the_int64_product_bound():
         assert s.sample(which).index in (5, 9)
 
 
-# -- fingerprint power tables -----------------------------------------------
-
-
-def _fingerprint_primes(n_indices):
-    p1 = fingerprint_prime(max(n_indices * n_indices, 1 << 30))
-    return p1, fingerprint_prime(p1)
-
-
-# (n_indices) of a pdpsa vertex sketch at n=600, and of the dpsa edge
-# sketch at n=600 and n=2000
-_TABLE_SIZES = (600, 600 * 599 // 2, 2000 * 1999 // 2)
-
-
-@pytest.mark.parametrize("n", _TABLE_SIZES)
-def test_pow_table_matches_pow(n):
-    rng = random.Random(n)
-    for p in _fingerprint_primes(n):
-        r = rng.randrange(1, p)
-        t = PowTable(r, p, n)
-        s = t.shift
-        assert (1 << s) >= math.isqrt(n) and t.words() <= 3 * math.isqrt(n) + 3
-        at = [0, 1, (1 << s) - 1, 1 << s, n, n - 1]
-        at += [rng.randint(0, n) for _ in range(300)]
-        want = [pow(r, i, p) for i in at]
-        assert [t(i) for i in at] == want
-        assert t.gather(np.array(at, dtype=np.int64)).tolist() == want
-
-
-def _prev_prime(n):
-    while not is_prime(n):
-        n -= 1
-    return n
+def test_crafted_two_index_cells_fail_the_fingerprint():
+    # w e_(i-d) + w e_(i+d) and e_(i-2d) + 2 e_(i+d) have a count that
+    # divides their index sum into i, so only the fingerprint can refuse
+    # them; with a rational fingerprint each passes with probability at
+    # most 2 / (P - N)
+    s = SampleRecovery(n_indices=10 ** 6, capacity=50, need=0, seed=5)
+    rng = random.Random(5)
+    cells, genuine = [], []
+    for t in range(5000):
+        i = rng.randint(3, s.n - 2)
+        d = rng.randint(1, min((i - 1) // 2, s.n - i))
+        w = rng.choice([1, 2, 7, -3])
+        if t % 2:
+            held = {i - d: w, i + d: w}
+        else:
+            held = {i - 2 * d: w, i + d: 2 * w}
+        c = sum(held.values())
+        ix = sum(j * x for j, x in held.items())
+        assert ix == c * i and 1 <= ix // c <= s.n
+        cells.append((c, ix, sum(_fingerprint(s, j, x)
+                                 for j, x in held.items()) % PRIME))
+        genuine.append((c, ix, _fingerprint(s, i, c)))
+    count, index, fp = (np.array(f, dtype=np.int64) for f in zip(*cells))
+    assert not len(s._verify_cells(count, index, fp)[0])
+    count, index, fp = (np.array(f, dtype=np.int64) for f in zip(*genuine))
+    assert len(s._verify_cells(count, index, fp)[0]) == len(genuine)
 
 
 def test_mulmod_exact_at_the_edges_of_each_path():
-    plain_top = _prev_prime(math.isqrt((1 << 63) - 1))  # p^2 < 2^63
-    float_top = _prev_prime((1 << 50) - 1)  # the float quotient's limit
-    past = nextprime(float_top)  # the Python-int fallback
-    assert [_mulmod_path(p) for p in (plain_top, nextprime(plain_top),
-                                      float_top, past)] \
-        == ["plain", "float", "float", "python"]
+    # one path, the float quotient, for every modulus below 2^50: from
+    # 2^30, past the old int64 path's top (p^2 < 2^63), up to P
+    plain_top = math.isqrt((1 << 63) - 1)
     rng = random.Random(3)
-    for p in (1 << 30, plain_top, nextprime(plain_top), float_top, past):
+    for p in (1 << 30, plain_top, plain_top + 2, PRIME):
         a = [p - 1, p - 1, 0, 1, p - 2]
         b = [p - 1, 1, p - 1, p - 1, p - 2]
         a += [rng.randrange(p) for _ in range(200)]
@@ -754,11 +760,10 @@ def test_mulmod_exact_at_the_edges_of_each_path():
 
 @pytest.mark.parametrize("bits", [31.5, 35, 46, 50])
 def test_mulmod_float_quotient_is_exact(bits):
-    # the first float-path prime, two inside, and the last one; every
-    # pair of {0, 1, p - 1}, then random draws
-    p = (nextprime(int(2 ** bits)) if bits < 50
-         else _prev_prime((1 << 50) - 1))
-    assert _mulmod_path(p) == "float"
+    # odd moduli near 2^bits, and P itself, the largest the sketch uses;
+    # every pair of {0, 1, p - 1}, then random draws
+    p = int(2 ** bits) | 1 if bits < 50 else PRIME
+    assert p < 1 << 50
     rng = random.Random(p)
     ends = [0, 1, p - 1]
     a = [x for x in ends for _ in ends] + [rng.randrange(p)
@@ -769,77 +774,48 @@ def test_mulmod_float_quotient_is_exact(bits):
     assert got.tolist() == [x * y % p for x, y in zip(a, b)]
 
 
-class _PowByPython:
-    """Fingerprint powers from Python ``pow``, the tables' reference."""
-
-    def __init__(self, r, p):
-        self.r, self.p = r, p
-
-    def __call__(self, i):
-        return pow(self.r, i, self.p)
-
-    def gather(self, i):
-        return np.array([pow(self.r, int(j), self.p) for j in i],
-                        dtype=np.int64)
-
-
-@pytest.mark.parametrize("n,need", [(600, 3)] + [
-    (n, 0) for n in _TABLE_SIZES[1:]])
-def test_tables_build_the_same_sketch_as_pow(n, need):
+# (n_indices) of a pdpsa vertex sketch at n=600, and of the dpsa edge
+# sketch at n=600 and n=2000
+@pytest.mark.parametrize("n,need", [(600, 3), (600 * 599 // 2, 0),
+                                    (2000 * 1999 // 2, 0)])
+def test_sketch_matches_python_int_reference(n, need):
     rng = random.Random(n)
     for seed in range(3):
-        a = SampleRecovery(n, capacity=30, need=need, seed=seed)
-        b = SampleRecovery(n, capacity=30, need=need, seed=seed)
-        r1, r2 = _bases(a)
-        b.pow1, b.pow2 = _PowByPython(r1, a.p1), _PowByPython(r2, a.p2)
-        # index n reads the last entry of each ``hi`` table
-        for i in rng.sample(range(1, n), 29) + [n]:
-            d = rng.choice([1, 2, -1])
-            a.update(i, d)
-            b.update(i, d)
-        assert a.state_equals(b)
-        assert a.recover() == b.recover()
+        s = SampleRecovery(n, capacity=30, need=need, seed=seed)
+        ops = [(i, rng.choice([1, 2, -1]))
+               for i in rng.sample(range(1, n), 29) + [n]]
+        for i, d in ops:
+            s.update(i, d)
+        got = np.cumsum(s.grids[:, ::-1], axis=1)[:, ::-1]
+        got[2] %= PRIME
+        assert np.array_equal(got, _reference_levels(s, ops).astype(np.int64))
+        support = {i for i, _ in ops}
+        assert s.recover() == support
         if need:
-            assert a.recover(need) == b.recover(need)
+            assert s.recover(need) == support
+        # the support counter sums weights, so it may pass the capacity,
+        # where a sketch without levels has nothing to draw from
         for which in range(3):
-            assert a.sample(which) == b.sample(which)
+            got = s.sample(which)
+            assert (got.index in support if got.is_index
+                    else s.support > s.capacity and not need)
 
 
-# -- primes -----------------------------------------------------------------
-
-
-def _next_prime_by_trial(n):
-    m = n + 1
-    while m < 2 or any(m % q == 0 for q in range(2, math.isqrt(m) + 1)):
-        m += 1
-    return m
-
-
-def test_nextprime_matches_trial_division():
-    for n in range(-3, 5000):
-        assert nextprime(n) == _next_prime_by_trial(n)
-    for n in (10 ** 9, 2 ** 31, 999_999_999_989):
-        assert nextprime(n) == _next_prime_by_trial(n)
-
-
-def test_nextprime_matches_sympy():
+def test_the_fingerprint_prime_is_the_largest_below_2_50():
     sympy = pytest.importorskip("sympy")
-    n600 = 600 * 599 // 2
-    for n in (2 ** 30, 2 ** 61, n600 ** 2, 10 ** 18, 2 ** 62 + 12345,
-              10 ** 24, 561, 2 ** 64 - 59):
-        assert nextprime(n) == int(sympy.nextprime(n))
-    rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randrange(1, 1 << 70)
-        assert nextprime(n) == int(sympy.nextprime(n))
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(n)  # strong pseudoprimes to many small bases
-        assert is_prime(n) == bool(sympy.isprime(n))
+    assert sympy.isprime(PRIME) and sympy.prevprime(1 << 50) == PRIME
+    # the headroom the level sums and peel blocks rely on
+    assert 8192 * PRIME < 1 << 63 < 8193 * PRIME
+    assert MAX_INDICES == PRIME // 2
 
 
-def test_is_prime_refuses_beyond_exact_range():
-    with pytest.raises(ValueError):
-        is_prime(10 ** 25)
+def test_too_many_indices_are_refused_before_any_sizing(monkeypatch):
+    def sized(*args):
+        raise AssertionError("a refused sketch was sized")
+    for name in ("level_capacity", "level_count", "grid_geometry"):
+        monkeypatch.setattr(sketch, name, sized)
+    with pytest.raises(ValueError, match=f"limit of {MAX_INDICES}"):
+        SampleRecovery(MAX_INDICES + 1, capacity=10 ** 9, need=5, seed=0)
 
 
 def test_index_count_must_not_be_negative():
