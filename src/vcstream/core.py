@@ -93,12 +93,13 @@ class StreamUpdate:
 class Config:
     """Stream-wide parameters and the derived sketch capacity.
 
-    x = 2k+1 is the support up to which a pdpsa vertex sketch recovers
-    its whole neighborhood.  Past it the sketch's level grids return
-    2k+1 distinct neighbors, of which at most 2k are matched under the
-    promise, so Rematch finds an exposed one either way; the paper's
-    x = 8ck log2(n/delta) is larger than that argument needs.  delta and
-    c set the failure bounds the sketches are sized for.
+    x = min(2k+1, n-1) is the support up to which a pdpsa vertex sketch
+    recovers its whole neighborhood.  Past it the sketch's level grids
+    return 2k+1 distinct neighbors, of which at most 2k are matched under
+    the promise, so Rematch finds an exposed one either way; the paper's
+    x = 8ck log2(n/delta) is larger than that argument needs.  No vertex
+    has more than n-1 neighbors, so a sketch sized for more holds nothing
+    more.  delta and c set the failure bounds the sketches are sized for.
     """
 
     n: int
@@ -119,7 +120,7 @@ class Config:
 
     @property
     def x(self) -> int:
-        return 2 * self.k + 1
+        return min(2 * self.k + 1, self.n - 1)
 
 
 class ShadowGraph:

@@ -24,9 +24,10 @@ def gen_random_stream(n: int, length: int, churn: float,
                       rng: random.Random) -> list[StreamUpdate]:
     """Valid dynamic stream: inserts of absent edges, deletes of live ones.
 
-    Raises ``ValueError``, before any draw, when no such stream exists:
-    fewer than two vertices, or no churn and more updates than the
-    n(n-1)/2 edges there are to insert.
+    A step deletes with probability ``churn``, and always when every
+    edge is live, since no insert is left.  Raises ``ValueError``, before
+    any draw, when no such stream exists: fewer than two vertices, or no
+    churn and more updates than the n(n-1)/2 edges there are to insert.
     """
     if length > 0 and n < 2:
         raise ValueError(f"a random stream needs n >= 2 to insert an "
@@ -40,7 +41,7 @@ def gen_random_stream(n: int, length: int, churn: float,
     live: list[Edge] = []
     out: list[StreamUpdate] = []
     while len(out) < length:
-        if shadow.m and rng.random() < churn:
+        if shadow.m == pairs or shadow.m and rng.random() < churn:
             upd = StreamUpdate(DELETE, rng.choice(live))
         else:
             u, v = rng.sample(range(1, n + 1), 2)

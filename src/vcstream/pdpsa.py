@@ -13,19 +13,24 @@ about.  Three invariants tie these together:
 3. the edge sits in both sketches exactly when T lists it.
 
 Deleting a matched edge triggers Rematch: a low-support endpoint
-(support at most x = 2k+1) recovers its sketched neighborhood exactly,
-from the sum of its sketch's level grids, and pairs with the smallest
-exposed neighbor.  A high-support endpoint recovers 2k+1 distinct
-neighbors from one level's subsample instead
+(support at most x = min(2k+1, n-1)) recovers its sketched neighborhood
+exactly, from the sum of its sketch's level grids, and pairs with the
+smallest exposed neighbor.  A high-support endpoint recovers 2k+1
+distinct neighbors from one level's subsample instead
 (``SampleRecovery.recover(need)``): under the promise at most 2k
-vertices are matched, so one of them is exposed.  The query takes k+1
-neighbors of each high-support vertex the same way.  A recovery that
-stalls or returns fewer neighbors than asked raises ``SketchFail``; the
-state is then ``degraded``, and so is every later answer.
+vertices are matched, so one of them is exposed.  No vertex has more
+than n-1 neighbors, so when 2k+1 exceeds that every vertex is low.  The
+query takes k+1 neighbors of each high-support vertex the same way.  A
+recovery that stalls or returns fewer neighbors than asked raises
+``SketchFail``; the state is then ``degraded``, and so is every later
+answer.
 
-A recovery is a function of the sketch's cells alone, so each vertex
-keeps its last successful one until the next write to its sketch, and a
-query re-reads only the sketches written since the last read.
+A recovery is a function of the sketch's cells alone, so each sketch
+keeps its last read (``SampleRecovery.recover``) until a write could
+change what a fresh read returns: any write after a whole peel, and a
+write into the subsample a level read peeled.  A high-support vertex
+reads a deep level, so most writes to it keep its read, and a query
+re-reads only the sketches whose read a write dropped.
 """
 
 from __future__ import annotations
@@ -66,9 +71,6 @@ class MatchingState:
         self.rematch_miss_count = 0
         self.sketch_fail_count = 0
         self._sketch_epoch = 0
-        # v -> (need, neighbors): the last successful recovery of v's
-        # sketch, need None when it was the whole peel; a write drops it
-        self._recovered: dict[int, tuple[int | None, frozenset[int]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -77,9 +79,8 @@ class MatchingState:
         from .sketch import SampleRecovery, derive_seed
         cfg = self.config
         self._sketch_epoch += 1
-        self._recovered.pop(v, None)
         self.sketches[v] = SampleRecovery(
-            n_indices=cfg.n, capacity=cfg.x, need=2 * cfg.k + 1,
+            n_indices=cfg.n, capacity=cfg.x, need=cfg.x,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
             delta=cfg.delta,
             sampler_fail=cfg.delta / (2 * cfg.n ** cfg.c))
@@ -94,7 +95,6 @@ class MatchingState:
 
     def _sketch_write(self, v: int, z: int, d: int) -> None:
         self.sketches[v].update(z, d)
-        self._recovered.pop(v, None)
         if self.mirror is not None:
             held = self.mirror[v]
             held[z] = held.get(z, 0) + d
@@ -104,26 +104,17 @@ class MatchingState:
     def _recover_neighbors(self, v: int, need: int | None = None
                            ) -> frozenset[int]:
         """v's sketched neighborhood; with ``need``, past capacity x, at
-        least min(need, support) distinct neighbors of it.  The last
-        successful read stands for the same ``need`` until v's sketch is
-        written; up to capacity every ``need`` reads the whole peel.
-        """
+        least min(need, support) distinct neighbors of it."""
         sk = self.sketches[v]
-        key = None if sk.support <= sk.capacity else need
-        held = self._recovered.get(v)
-        if held is not None and held[0] == key:
-            got = held[1]
-        else:
-            try:
-                got = frozenset(sk.recover(need))
-            except SketchFail as exc:
-                self.sketch_fail_count += 1
-                raise SketchFail(f"recovery failed for vertex {v}") from exc
+        try:
+            got = sk.recover(need)
+        except SketchFail as exc:
+            self.sketch_fail_count += 1
+            raise SketchFail(f"recovery failed for vertex {v}") from exc
         if need is not None and len(got) < min(need, sk.support):
             self.sketch_fail_count += 1
             raise SketchFail(f"recovered {len(got)} of {need} neighbors "
                              f"for vertex {v}")
-        self._recovered[v] = key, got
         return got
 
     def _is_low(self, v: int) -> bool:
@@ -140,13 +131,11 @@ class MatchingState:
         return bool(self.sketch_fail_count or self.rematch_miss_count)
 
     def words(self) -> int:
-        """Sketch words, 2 per edge of T and of the matching, 3 per
-        matched vertex, and per memoised recovery its vertex, its need
-        and one word per neighbor."""
+        """Sketch words, each kept read among them, 2 per edge of T and
+        of the matching, and 3 per matched vertex."""
         sk = sum(s.words() for s in self.sketches.values())
-        memo = sum(2 + len(got) for _, got in self._recovered.values())
         return sk + 2 * len(self.tdict) + 2 * len(self.matching) \
-            + 3 * len(self.matched) + memo
+            + 3 * len(self.matched)
 
     # -- stream entry points -----------------------------------------------
 
@@ -240,7 +229,6 @@ class MatchingState:
         for e in [e for e in self.tdict if u in (e.u, e.v)]:
             del self.tdict[e]
         del self.sketches[u]
-        self._recovered.pop(u, None)
         if self.mirror is not None:
             del self.mirror[u]
         del self.ts[u]
@@ -255,7 +243,7 @@ class MatchingState:
         self.matched.discard(e.u)
         self.matched.discard(e.v)
         for w in sorted((e.u, e.v)):
-            nbrs = self._recover_neighbors(w, 2 * self.config.k + 1)
+            nbrs = self._recover_neighbors(w, self.config.x)
             exposed = sorted(z for z in nbrs if z not in self.matched)
             if exposed:
                 self.add_edge_to_matching(Edge(w, exposed[0]), t)

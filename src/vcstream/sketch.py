@@ -407,6 +407,18 @@ class SampleRecovery:
     suffix of ``level_support``), and raises ``RecoveryFail`` when they
     differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
     or an unpickled sketch reads the cells it updates.
+
+    A sketch with levels keeps its last ``recover`` result, with the
+    ``need`` it was read for and the shallowest level the read reached.
+    A write keeps it only when a fresh read would return it bit for bit:
+    the read was a level read, the support stays above ``capacity``, the
+    write's depth is below that level, and a write just above it leaves
+    the level above holding more than ``level_capacity`` by the
+    counters, so that ``_fit_level`` still starts the read where it did.
+    Any other write drops it, and so does every write after a whole peel.
+    An index reaches depth l or more with probability 2^-l, so a read at
+    level l survives a write with probability 1 - 2^-l while the level
+    above stays past capacity: 15 writes of 16 at level 4.
     """
 
     def __init__(self, n_indices: int, capacity: int, need: int,
@@ -462,6 +474,10 @@ class SampleRecovery:
                               dtype=np.int64)
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
+        # (need, shallowest level read, indices) of the last read of a
+        # sketch with levels, need and level None for a whole peel; kept
+        # while every write leaves a fresh read as it was (``update``)
+        self._held: tuple[int | None, int | None, frozenset[int]] | None = None
 
     @property
     def grids(self) -> np.ndarray:
@@ -525,6 +541,18 @@ class SampleRecovery:
         self.cells[:, at] = v
         self.level_support[depth] += d
         self.support += d
+        held = self._held
+        if held is not None:
+            # a write below the level read leaves the cells and counters
+            # from that level down; one just above it must leave that
+            # subsample past the level capacity, or ``_fit_level`` would
+            # start the next read there
+            level = held[1]
+            if not (level is not None and depth < level
+                    and self.support > self.capacity
+                    and (depth < level - 1 or sum(self.level_support[depth:])
+                         > self.level_capacity)):
+                self._held = None
 
     # -- queries -----------------------------------------------------------
 
@@ -568,8 +596,8 @@ class SampleRecovery:
             suffix += self.level_support[lvl]
         return min(lvl, self.levels - 1)
 
-    def _read_levels(self, need: int, whole: bool) -> set[int]:
-        """At least ``need`` support indices from one level's subsample:
+    def _read_levels(self, need: int, whole: bool) -> tuple[int, set[int]]:
+        """(level, at least ``need`` support indices from its subsample):
         its grid's one-sparse cells if they name that many (unless
         ``whole``), else the whole subsample, peeled.  Reads the level
         ``_fit_level`` picks, then shallower ones while a read stalls or
@@ -581,13 +609,13 @@ class SampleRecovery:
             if not whole:
                 found = set(self._verify_cells(*cells)[0].tolist())
                 if len(found) >= need:
-                    return found
+                    return lvl, found
             try:
                 found = self._peel(cells, sum(self.level_support[lvl:]))
             except RecoveryFail:
                 continue
             if len(found) >= need:
-                return found
+                return lvl, found
         raise RecoveryFail(f"levels {first}..0 gave under {need} indices")
 
     def sample(self, which: int) -> SampleOutcome:
@@ -607,7 +635,7 @@ class SampleRecovery:
             return SampleOutcome(FAIL)
         try:
             got = (self.recover() if self.support <= self.capacity
-                   else self._read_levels(1, whole=True))
+                   else self._read_levels(1, whole=True)[1])
         except RecoveryFail:
             return SampleOutcome(FAIL)
         if not got:
@@ -616,7 +644,8 @@ class SampleRecovery:
         pick = derive_seed(self.seed, "sample", which) % len(pool)
         return SampleOutcome(INDEX, pool[pick])
 
-    def recover(self, need: int | None = None) -> set[int]:
+    def recover(self, need: int | None = None
+                ) -> set[int] | frozenset[int]:
         """Support indices via grid peeling.
 
         Without ``need``, or while ``support <= capacity``: the exact
@@ -642,12 +671,33 @@ class SampleRecovery:
         ``stall_bound`` <= sampler_fail (``grid_geometry``; 1.4e-6 for
         the 7 x 17 grids there), and the deepest level holds more than C
         with probability at most sampler_fail (``level_count``).
+
+        A sketch with levels returns a frozenset and keeps it with the
+        ``need`` it was read for, None for a whole peel, so that a read
+        for the same key returns it again while ``update`` finds that no
+        write since changed what a fresh read would return.  A sketch
+        without ``need`` (dpsa's) peels on every call.
         """
-        if need is None or self.support <= self.capacity:
-            return self._peel(self._level_sum(0), self.support)
-        if not 1 <= need <= self.need:
+        whole = need is None or self.support <= self.capacity
+        if not whole and not 1 <= need <= self.need:
             raise ValueError(f"need {need} outside [1, {self.need}]")
-        return self._read_levels(need, whole=False)
+        if not self.need:
+            return self._peel(self._level_sum(0), self.support)
+        key = None if whole else need
+        held = self._held
+        if held is None or held[0] != key:
+            held = self._held = (key, *self._fresh_read(key))
+        return held[2]
+
+    def _fresh_read(self, need: int | None
+                    ) -> tuple[int | None, frozenset[int]]:
+        """(shallowest level read, indices) of a read of the cells: the
+        whole peel, level None, without ``need``; else ``_read_levels``."""
+        if need is None:
+            return None, frozenset(self._peel(self._level_sum(0),
+                                              self.support))
+        level, found = self._read_levels(need, whole=False)
+        return level, frozenset(found)
 
     def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
         """Support of a (count, index, fingerprint) grid, peeled in place,
@@ -712,7 +762,9 @@ class SampleRecovery:
 
     def words(self) -> int:
         """Stored machine words: every cell's 3, a hash key per row, past
-        one level the per-level counters and the depth hash key, and 3
-        more: the support counter, the capacity and the offset r."""
+        one level the per-level counters and the depth hash key, 3 more
+        (the support counter, the capacity and the offset r), and for a
+        kept read its need, its level and one word per index."""
         levels = self.levels + 1 if self.levels > 1 else 0
-        return self.cells.size + self.rows + levels + 3
+        held = 0 if self._held is None else 2 + len(self._held[2])
+        return self.cells.size + self.rows + levels + 3 + held

@@ -148,6 +148,15 @@ def test_random_stream_without_churn_fills_the_graph():
     assert gen_random_stream(1, 0, 0.0, random.Random(0)) == []
 
 
+def test_random_stream_deletes_when_the_graph_is_full():
+    # with churn 1e-9 each step once spun on inserts into the full K3
+    events = gen_random_stream(3, 5, 1e-9, random.Random(0))
+    assert [upd.op for upd in events] == [INSERT] * 3 + [DELETE, INSERT]
+    sh = ShadowGraph(3)
+    for upd in events:
+        sh.apply(upd)  # raises on invalid
+
+
 def test_cli_generator_defaults_to_20_vertices():
     for gen in ("random", "promised"):
         buf = io.StringIO()
@@ -437,11 +446,11 @@ def test_cli_dpsa_recovery_fail_at_query_exit_5(tmp_path, monkeypatch):
 # -- imports ----------------------------------------------------------------
 
 
-def _python(args, stdin="", cwd=None):
+def _python(args, stdin="", cwd=None, timeout=60):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(vcstream.__file__)))
     return subprocess.run([sys.executable, *args], input=stdin, env=env,
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           cwd=cwd)
 
 
@@ -491,7 +500,7 @@ def test_cli_module_run_has_no_runtime_warning():
 @pytest.mark.parametrize("header, code, line", [
     # past the two-prime sketch's old ceiling of n = 77 936
     ("80000 1 dpsa", 0, "answer=yes"),
-    # a level capacity for need = 2001, found by bisection
+    # 2k+1 = 2001 neighbours, capped at the n-1 = 4 a vertex can have
     ("5 1000 pdpsa", 0, "answer=yes"),
     # n(n-1)/2 edge slots past P/2: refused at build time, in its own words
     ("33554433 1 dpsa", 2,
@@ -504,6 +513,56 @@ def test_cli_headers_build_or_are_refused(header, code, line):
     assert done.returncode == code, done.stderr
     assert line in done.stdout.splitlines()
     assert "Traceback" not in done.stderr
+
+
+def _header_run(header):
+    # a one-vertex graph has no edge to insert
+    body = "?\n" if header.startswith("1 ") else "+ 1 2\n?\n- 1 2\n?\n"
+    return pytest.param(["--input", "-"], f"{header}\n{body}", id=header)
+
+
+def _gen_run(gen, churn):
+    return pytest.param(["--gen", gen, "--n", "3", "--k", "1", "--length",
+                         "5", "--churn", churn], "", id=f"{gen}-{churn}")
+
+
+@pytest.mark.parametrize("args, stdin", [
+    *(_header_run(f"{n} {k} {mode}")
+      for mode in ("psa", "pdpsa", "dpsa", "fvs")
+      for n in (1, 2) for k in (0, 1)),
+    # past the old two-prime ceiling of n = 77 936
+    _header_run("77937 1 dpsa"),
+    # k far past n - 1
+    _header_run("5 1000 pdpsa"),
+    # a level capacity for need = 2001, found by bisection
+    _header_run("3000 1000 pdpsa"),
+    # generators on a graph they fill at once
+    *(_gen_run(gen, churn) for gen in ("random", "promised")
+      for churn in ("0", "1e-9")),
+])
+def test_cli_small_headers_finish_in_their_own_words(args, stdin):
+    # each run ends within the timeout, with an exit code of its own and
+    # no traceback; n * k stays small, so no header asks for much memory.
+    # pdpsa at k = 0 breaks its promise with the first edge: exit 4
+    done = _python(["-m", "vcstream.harness.cli", *args], stdin=stdin,
+                   timeout=30)
+    assert done.returncode in (0, 2, 3, 5) or (
+        done.returncode == 4 and stdin.startswith("2 0 pdpsa")
+        and "answer=promise-violation" in done.stdout), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_pdpsa_words_stop_growing_once_2k_plus_1_passes_n_minus_1(tmp_path):
+    # a vertex of five has at most four neighbours, so every k >= 2
+    # sizes its sketches for four; 38 458 words at k = 1000 before
+    words = set()
+    for k in (2, 3, 10, 1000):
+        f = tmp_path / f"k{k}.txt"
+        f.write_text(f"5 {k} pdpsa\n+ 1 2\n?\n")
+        code, report = run(["--input", str(f)])
+        assert code == 0 and report["answer"] == "yes"
+        words.add(int(report["words_stored"]))
+    assert len(words) == 1 and words.pop() <= 482
 
 
 def test_cli_config_the_states_refuse_exits_2(tmp_path):

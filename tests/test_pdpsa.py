@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
                            StreamUpdate, covers)
@@ -238,7 +238,8 @@ def test_vertex_sketch_sizing_rules(n):
         st._fresh_sketch(1)
         sk = st.sketches[1]
         fail = cfg.delta / (2 * n ** cfg.c)
-        assert cfg.x == sk.capacity <= level_capacity(2 * k + 1, fail) \
+        assert cfg.x == sk.capacity == min(2 * k + 1, n - 1)
+        assert sk.capacity <= level_capacity(cfg.x, fail) \
             == sk.level_capacity
         tails = [binom.sf(sk.level_capacity, n, 0.5 ** lvl)
                  for lvl in range(sk.levels)]
@@ -389,14 +390,15 @@ def test_rematch_miss_flags_every_later_answer():
     assert ans.kind == "promise-violation" and ans.degraded
 
 
-# -- memoised recoveries ----------------------------------------------------
+# -- kept reads -------------------------------------------------------------
 
 
 class _NoMemo(MatchingState):
-    """A state that forgets every memoised recovery before each read."""
+    """A state whose sketches drop their kept read before each read."""
 
     def _recover_neighbors(self, v, need=None):
-        self._recovered.clear()
+        for sk in self.sketches.values():
+            sk._held = None
         return super()._recover_neighbors(v, need)
 
 
@@ -407,26 +409,49 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+# n=150, k=1: a hub of 100 leaf edges, past 4x its level capacity of 22,
+# reads at level 2 or deeper
+DEEP_HUB_CFG = dict(n=150, k=1)
+
+
+def _held_reads_are_fresh(state):
+    for sk in state.sketches.values():
+        if sk._held is not None:
+            assert sk._held[1:] == sk._fresh_read(sk._held[0])
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(st.sampled_from(["promised", "hubs"]), st.integers(0, 2 ** 16),
-       st.integers(2, 6))
+@given(st.sampled_from(["promised", "hubs", "deep-hub"]),
+       st.integers(0, 2 ** 16), st.integers(2, 6))
+@example("deep-hub", 0, 3)
+@example("deep-hub", 1, 2)
 def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
     rng = random.Random(seed)
     if kind == "promised":
         cfg = Config(n=14, k=3, seed=seed)
         stream = gen_promised_stream(cfg, 80, 0.35, rng)
-    else:
+    elif kind == "hubs":
         cfg = Config(**HUB_CFG, seed=seed)
         _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=50)
+    else:
+        cfg = Config(**DEEP_HUB_CFG, seed=seed)
+        _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=100, churn=120)
     memo, plain = MatchingState(cfg, mirror=True), _NoMemo(cfg, mirror=True)
     sh = ShadowGraph(cfg.n)
+    kept = 0
     for j, upd in enumerate(stream):
         sh.apply(upd)
+        before = {v: (sk._held, list(sk.level_support))
+                  for v, sk in memo.sketches.items()}
         assert _outcome(memo.apply, upd) == _outcome(plain.apply, upd)
+        # a sketch written by this update whose read survived it
+        kept += sum(sk._held is not None and before[v][0] is sk._held
+                    and before[v][1] != sk.level_support
+                    for v, sk in memo.sketches.items() if v in before)
+        _held_reads_are_fresh(memo)
         assert check_invariants(memo, sh) == check_invariants(plain, sh)
         assert (memo.matching, memo.tdict, memo.ts) == \
             (plain.matching, plain.tdict, plain.ts)
-        assert memo._recovered.keys() <= memo.sketches.keys()
         if j % every == 0:
             a, b = _outcome(pdpsa_query, memo), _outcome(pdpsa_query, plain)
             if isinstance(a, str):
@@ -434,58 +459,85 @@ def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
             else:
                 assert (a.kind, a.cover, a.degraded) == \
                     (b.kind, b.cover, b.degraded)
+            _held_reads_are_fresh(memo)
         assert (memo.rematch_count, memo.rematch_miss_count,
                 memo.sketch_fail_count, memo.degraded, memo.violated_at) == \
             (plain.rematch_count, plain.rematch_miss_count,
              plain.sketch_fail_count, plain.degraded, plain.violated_at)
+    if kind == "deep-hub":
+        assert kept > 0
 
 
-def _hub_state():
-    cfg = Config(**HUB_CFG, seed=1)
+def _hub_state(hub_cfg=HUB_CFG, warm=30):
+    cfg = Config(**hub_cfg, seed=1)
     st = MatchingState(cfg, mirror=True)
-    hubs, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
+    hubs, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=warm,
                                churn=0)
     for upd in stream:
         st.apply(upd)
     return st, hubs
 
 
-def test_a_write_forces_a_real_read_of_that_vertex(monkeypatch):
-    st, hubs = _hub_state()
-    real, reads = SampleRecovery.recover, []
+def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
+    st, (h,) = _hub_state(DEEP_HUB_CFG, warm=100)
+    sk = st.sketches[h]
+    real, reads = SampleRecovery._fresh_read, []
 
-    def counted(self, need=None):
+    def counted(self, need):
         reads.append(self)
         return real(self, need)
-    monkeypatch.setattr(SampleRecovery, "recover", counted)
+    monkeypatch.setattr(SampleRecovery, "_fresh_read", counted)
+
+    def hub_reads_after(op, z):
+        # the update writes the hub's sketch alone: z is unmatched
+        assert z not in st.matched
+        st.apply(StreamUpdate(op, Edge(h, z)))
+        reads.clear()
+        pdpsa_query(st)
+        return sum(r is sk for r in reads)
+
     first = pdpsa_query(st)
-    assert len(reads) == len(st.matched)
+    level = sk._held[1]
+    assert level >= 2 and sk.support >= 4 * sk.level_capacity
     reads.clear()
     assert pdpsa_query(st) == first and reads == []
-    # a fresh leaf edge at a hub writes the hub's sketch alone
-    h = hubs[0]
-    leaf = next(z for z in range(1, st.config.n + 1)
-                if z not in st.matched and z not in st.mirror[h])
-    st.insertion(Edge(h, leaf))
+    free = [z for z in range(1, st.config.n + 1)
+            if z != h and z not in st.matched and z not in st.mirror[h]]
+    # a write at depth below level - 1 keeps the read
+    z = next(z for z in free if sk._depth(z) < level - 1)
+    assert hub_reads_after(INSERT, z) == 0 and sk._held[1] == level
+    # a write at depth level or more forces a real read
+    z = next(z for z in free if sk._depth(z) >= level)
+    assert hub_reads_after(INSERT, z) == 1
+    # writes at depth level - 1 keep the read while the level above holds
+    # more than the level capacity; the one that makes it fit forces a
+    # real read, which starts there
+    level = sk._held[1]
+    assert level >= 2
+    above = sorted(z for z in st.mirror[h]
+                   if sk._depth(z) == level - 1 and z not in st.matched)
+    while sum(sk.level_support[level - 1:]) > sk.level_capacity + 1:
+        assert hub_reads_after(DELETE, above.pop()) == 0
+        assert sk._held[1] == level
+    assert hub_reads_after(DELETE, above.pop()) == 1
+    assert sk._held[1] == level - 1
+    # a read of another need is a real one too
     reads.clear()
-    pdpsa_query(st)
-    assert reads == [st.sketches[h]]
-    # past capacity a read of another need is a real one too
-    reads.clear()
-    assert len(st._recover_neighbors(h, 2 * st.config.k + 1)) >= 5
-    assert reads == [st.sketches[h]]
+    assert len(st._recover_neighbors(h, st.config.x)) >= st.config.x
+    assert reads == [sk]
 
 
 def test_words_count_the_memo_and_stay_under_dpsa():
     st, _ = _hub_state()
     bare = st.words()
     pdpsa_query(st)
-    held = sum(2 + len(got) for _, got in st._recovered.values())
+    held = sum(2 + len(sk._held[2]) for sk in st.sketches.values()
+               if sk._held is not None)
     assert held > 0 and st.words() == bare + held
     # the dynamic-sketch benchmark's pdpsa shape, n=600, k=2, two hubs
-    # past capacity under churn: with its memo the state peaks at 10 151
-    # words here, and sets that benchmark's words_peak (the dpsa state at
-    # n=600, k=3 takes 9 670)
+    # past capacity under churn: with its kept reads the state peaks at
+    # 10 151 words here, and sets that benchmark's words_peak (the dpsa
+    # state at n=600, k=3 takes 9 670)
     cfg = Config(n=600, k=2, seed=5)
     st = MatchingState(cfg)
     _, stream = _hub_stream(random.Random(5), cfg.n, cfg.k, warm=80,
@@ -495,6 +547,6 @@ def test_words_count_the_memo_and_stay_under_dpsa():
         st.apply(upd)
         if j % 4 == 0:
             pdpsa_query(st)
-            assert st._recovered
+            assert all(sk._held is not None for sk in st.sketches.values())
         peak = max(peak, st.words())
     assert peak <= 10_200

@@ -650,6 +650,25 @@ def test_recover_need_reads_the_levels_only_past_capacity():
     assert no_levels.sample(0).kind == FAIL
 
 
+def test_a_kept_read_counts_in_words_until_the_support_fits():
+    # a kept read costs its need, its level and a word per index.  Under
+    # +/-1 weights a kept level read leaves more than the level capacity
+    # at its level and above, but a large negative weight at a shallow
+    # depth can bring the support within capacity, and drops the read
+    s = SampleRecovery(600, capacity=10, need=5, seed=3, sampler_fail=1e-6)
+    for i in range(1, 301):
+        s.update(i, +1)
+    bare = s.words()
+    got = s.recover(5)
+    level = s._held[1]
+    assert level >= 2 and s.words() == bare + 2 + len(got)
+    shallow = [i for i in range(301, 601) if s._depth(i) < level - 1]
+    s.update(shallow[0], +1)
+    assert s._held[1:] == (level, got)
+    s.update(shallow[1], -(s.support - s.capacity))
+    assert s._held is None and s.words() == bare
+
+
 def test_large_weight_update_round_trips():
     # delta * (i + r)^-1 passes 2^63 unless reduced first; the update
     # used to raise after changing the counters
