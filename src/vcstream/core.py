@@ -54,8 +54,12 @@ class Edge(namedtuple("_VertexPair", "u v")):
         raise ValueError(f"{w} is not an endpoint of {self}")
 
     def index(self, n: int) -> int:
-        """Bijection from edges over [1, n] to [1, n(n-1)/2]."""
+        """Bijection from edges over [1, n] to [1, n(n-1)/2]; an edge
+        outside [1, n] raises ``ValueError``, since its formula would
+        name another edge's index."""
         u, v = self
+        if u < 1 or v > n:
+            raise ValueError(f"edge {self} outside 1..{n}")
         # edges (1,2),(1,3),...,(1,n),(2,3),... in lexicographic order
         return (u - 1) * n - u * (u + 1) // 2 + v
 
@@ -99,13 +103,13 @@ class Config:
     the promise, so Rematch finds an exposed one either way; the paper's
     x = 8ck log2(n/delta) is larger than that argument needs.  No vertex
     has more than n-1 neighbors, so a sketch sized for more holds nothing
-    more.  delta and c set the failure bounds the sketches are sized for.
+    more.  delta sets each sketch's failure target: delta/2n for a pdpsa
+    vertex sketch, delta/2N for dpsa's sketch over N edge slots.
     """
 
     n: int
     k: int
     delta: float = 0.01
-    c: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -115,8 +119,6 @@ class Config:
             raise ValueError("k must be >= 0")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
 
     @property
     def x(self) -> int:

@@ -37,9 +37,9 @@ class DpsaState:
         # n = 1 has no edge slots; the sketch still needs one bucket
         capacity = max(1, min(n_pairs, n * k))
         self.sketch = SampleRecovery(
-            n_indices=n_pairs, capacity=capacity, need=0,
+            n_indices=n_pairs, capacity=capacity,
             seed=derive_seed(config.seed, "global-edge-sketch"),
-            delta=config.delta)
+            fail=config.delta / (2 * max(1, n_pairs)))
         self.live = 0
         # set once a recovery fails; every answer from then on carries it
         self.degraded = False

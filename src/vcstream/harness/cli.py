@@ -1,6 +1,8 @@
 """Command-line driver: run stream files or generate instances.
 
-Reports are line-oriented ``key=value`` text on stdout.  Exit codes:
+Reports are line-oriented ``key=value`` text on stdout.  ``--delta``
+sets the sketches' one failure target each: delta/2n for a pdpsa vertex
+sketch, delta/2N for dpsa's sketch over its N edge slots.  Exit codes:
 0 ok, 2 parse error or a header the states refuse (such as a dpsa n
 past its sketch's index limit), 3 invalid stream, 4 promise violation,
 5 unreliable run (a sketch failed, or a Yes certificate failed its
@@ -43,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="override the header budget k")
     p.add_argument("--n", type=int, help="vertex count (generators)")
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--validate", action="store_true",
                    help="reject semantically invalid streams while parsing")
@@ -79,8 +80,7 @@ def _generate(args) -> str:
         if args.gen == "random":
             events = gen_random_stream(n, args.length, args.churn, rng)
         else:
-            cfg = Config(n=n, k=k, delta=args.delta, c=args.c,
-                         seed=args.seed)
+            cfg = Config(n=n, k=k, delta=args.delta, seed=args.seed)
             events = gen_promised_stream(cfg, args.length, args.churn, rng)
         mode = args.mode or ("dpsa" if args.gen == "random" else "pdpsa")
         return emit_stream(StreamFile(n, k, mode, events + [QUERY]))
@@ -139,8 +139,7 @@ def _run(sf: StreamFile, args, out) -> int:
 
     build, update, query, check, insertion_only = _MODES[mode]
     try:
-        cfg = Config(n=sf.n, k=k, delta=args.delta, c=args.c,
-                     seed=args.seed)
+        cfg = Config(n=sf.n, k=k, delta=args.delta, seed=args.seed)
         st = build(cfg)
     except ValueError as exc:
         print(f"error={exc}", file=out)

@@ -12,25 +12,31 @@ about.  Three invariants tie these together:
    exactly the endpoint whose sketch began later, unless T lists it;
 3. the edge sits in both sketches exactly when T lists it.
 
-Deleting a matched edge triggers Rematch: a low-support endpoint
-(support at most x = min(2k+1, n-1)) recovers its sketched neighborhood
-exactly, from the sum of its sketch's level grids, and pairs with the
-smallest exposed neighbor.  A high-support endpoint recovers 2k+1
-distinct neighbors from one level's subsample instead
-(``SampleRecovery.recover(need)``): under the promise at most 2k
-vertices are matched, so one of them is exposed.  No vertex has more
-than n-1 neighbors, so when 2k+1 exceeds that every vertex is low.  The
-query takes k+1 neighbors of each high-support vertex the same way.  A
-recovery that stalls or returns fewer neighbors than asked raises
-``SketchFail``; the state is then ``degraded``, and so is every later
-answer.
+Each vertex sketch has one size, x = min(2k+1, n-1), one failure
+target, delta/2n, and one read (``SampleRecovery.recover()``).  While
+its support is at most x the read is the whole sketched neighborhood,
+peeled from the sum of the sketch's level grids; past x it is at least
+x distinct neighbors from one level's subsample.
+
+Deleting a matched edge triggers Rematch: each endpoint reads its
+sketch and pairs with the smallest exposed neighbor.  A low-support
+endpoint reads every neighbor.  A high-support one reads 2k+1 of them,
+and under the promise at most 2k vertices are matched, so one of them
+is exposed.  No vertex has more than n-1 neighbors, so when 2k+1
+exceeds that every vertex is low.  The query takes k+1 neighbors of
+each matched vertex's read, its mate first.  A recovery that stalls or
+returns fewer than min(x, support) neighbors raises ``SketchFail``; the
+state is then ``degraded``, and so is every later answer.
 
 A recovery is a function of the sketch's cells alone, so each sketch
-keeps its last read (``SampleRecovery.recover``) until a write could
-change what a fresh read returns: any write after a whole peel, and a
-write into the subsample a level read peeled.  A high-support vertex
-reads a deep level, so most writes to it keep its read, and a query
-re-reads only the sketches whose read a write dropped.
+keeps its last read until a write could change what a fresh read
+returns: any write after a whole peel, and a write into the subsample a
+level read peeled.  A high-support vertex reads a deep level, so most
+writes to it keep its read, and a query re-reads only the sketches
+whose read a write dropped.
+
+An update whose edge leaves 1..n, and a query whose k exceeds the
+state's, raise ``ValueError`` before anything changes.
 """
 
 from __future__ import annotations
@@ -80,10 +86,9 @@ class MatchingState:
         cfg = self.config
         self._sketch_epoch += 1
         self.sketches[v] = SampleRecovery(
-            n_indices=cfg.n, capacity=cfg.x, need=cfg.x,
+            n_indices=cfg.n, capacity=cfg.x,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
-            delta=cfg.delta,
-            sampler_fail=cfg.delta / (2 * cfg.n ** cfg.c))
+            fail=cfg.delta / (2 * cfg.n), sampled=True)
         if self.mirror is not None:
             self.mirror[v] = {}
 
@@ -101,19 +106,19 @@ class MatchingState:
             if held[z] == 0:
                 del held[z]
 
-    def _recover_neighbors(self, v: int, need: int | None = None
-                           ) -> frozenset[int]:
-        """v's sketched neighborhood; with ``need``, past capacity x, at
-        least min(need, support) distinct neighbors of it."""
+    def _recover_neighbors(self, v: int) -> frozenset[int]:
+        """v's sketched neighborhood, or past capacity x at least x
+        distinct neighbors of it."""
         sk = self.sketches[v]
         try:
-            got = sk.recover(need)
+            got = sk.recover()
         except SketchFail as exc:
             self.sketch_fail_count += 1
             raise SketchFail(f"recovery failed for vertex {v}") from exc
-        if need is not None and len(got) < min(need, sk.support):
+        want = min(sk.capacity, sk.support)  # the capacity is x
+        if len(got) < want:
             self.sketch_fail_count += 1
-            raise SketchFail(f"recovered {len(got)} of {need} neighbors "
+            raise SketchFail(f"recovered {len(got)} of {want} neighbors "
                              f"for vertex {v}")
         return got
 
@@ -145,7 +150,14 @@ class MatchingState:
         else:
             self.insertion(upd.edge)
 
+    def _check_edge(self, e: Edge) -> None:
+        # before any change: the sketch write that would refuse an index
+        # past n comes after the matching and T take the edge
+        if e.u < 1 or e.v > self.config.n:
+            raise ValueError(f"edge {e} outside 1..{self.config.n}")
+
     def insertion(self, e: Edge) -> None:
+        self._check_edge(e)
         self.clock += 1
         if e.u not in self.matched and e.v not in self.matched:
             self.add_edge_to_matching(e, self.clock)
@@ -154,6 +166,7 @@ class MatchingState:
         self._check_promise()
 
     def deletion(self, e: Edge) -> None:
+        self._check_edge(e)
         self.clock += 1
         if e in self.matching:
             self.rematch(e, self.clock)
@@ -243,7 +256,7 @@ class MatchingState:
         self.matched.discard(e.u)
         self.matched.discard(e.v)
         for w in sorted((e.u, e.v)):
-            nbrs = self._recover_neighbors(w, self.config.x)
+            nbrs = self._recover_neighbors(w)
             exposed = sorted(z for z in nbrs if z not in self.matched)
             if exposed:
                 self.add_edge_to_matching(Edge(w, exposed[0]), t)
@@ -261,8 +274,8 @@ class MatchingState:
     def extract_kernel_edges(self) -> set[Edge]:
         """Up to k+1 sketched edges per matched vertex, mate first.
 
-        A vertex yields k+1 distinct neighbors, or all of them when it
-        has fewer, or raises ``SketchFail``.
+        A vertex yields k+1 distinct neighbors of its one read, or all of
+        them when it has fewer, or raises ``SketchFail``.
         """
         cap = self.config.k + 1
         mates = {}
@@ -270,7 +283,7 @@ class MatchingState:
             mates[e.u], mates[e.v] = e.v, e.u
         out: set[Edge] = set()
         for v in sorted(self.matched):
-            nbrs = sorted(self._recover_neighbors(v, cap))
+            nbrs = sorted(self._recover_neighbors(v))
             picked = [mates[v]] if mates.get(v) in nbrs else []
             picked += [z for z in nbrs if z != mates.get(v)]
             out.update(Edge(v, z) for z in picked[:cap])
@@ -278,9 +291,14 @@ class MatchingState:
 
 
 def pdpsa_query(st: MatchingState, k: int | None = None) -> VcAnswer:
+    if k is None:
+        k = st.config.k
+    elif k > st.config.k:
+        # k+1 neighbors a vertex and the promise hold for the state's k
+        raise ValueError(f"query k={k} exceeds the state's k="
+                         f"{st.config.k}")
     if st.violated_at is not None:
         ans = VcAnswer.promise_violation()
     else:
-        ans = vc_decide(st.extract_kernel_edges(),
-                        st.config.k if k is None else k)
+        ans = vc_decide(st.extract_kernel_edges(), k)
     return replace(ans, degraded=st.degraded)

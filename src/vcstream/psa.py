@@ -3,7 +3,8 @@
 Greedy maximal matching plus, per matched vertex, a capped list of
 incident edges (the matching edge and up to k others).  Once the
 matching exceeds k the state goes dead: any cover must then be larger
-than k, and that verdict is final under insertions.
+than k, and that verdict is final under insertions.  A query k above
+the state's k raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def psa_insert(st: PsaState, e: Edge) -> PsaState:
 def psa_query(st: PsaState, k: int | None = None) -> VcAnswer:
     if k is None:
         k = st.k
+    elif k > st.k:
+        # the stored edges and the dead verdict hold for the state's k
+        raise ValueError(f"query k={k} exceeds the state's k={st.k}")
     if st.dead:
         return VcAnswer.no()
     return vc_decide(st.stored_edges(), k)

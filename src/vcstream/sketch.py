@@ -8,11 +8,13 @@ and the index is written once, into the grid of level l*; an exact
 counter per level counts the net indices written there.  By linearity
 the grids of levels l..L-1 sum to a grid of the subsample
 {i : l*(i) >= l}.  The sum over all levels peels to the exact support
-while that fits the grid's capacity; past it ``recover(need)`` peels the
-shallowest subsample that fits.  This is the l0-sampler construction of
-Cormode & Firmani ("A unifying framework for l0-sampling", 2014) on the
-invertible Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A
-sketch without ``need`` has one level, a plain recovery grid.
+while that fits the sketch's capacity; past it a sampled sketch's
+``recover()`` reads as many indices as its capacity from the shallowest
+subsample that fits.  This is the l0-sampler construction of Cormode &
+Firmani ("A unifying framework for l0-sampling", 2014) on the invertible
+Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A sketch that is
+not sampled has one level, a plain recovery grid.  Each sketch has one
+size and one failure target, which sizes its levels and its grids.
 
 A one-sparse cell is a (count, index-weighted sum, fingerprint) triple
 that recognises a vector with one nonzero entry.  The fingerprint is the
@@ -316,11 +318,13 @@ def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
 def level_capacity(need: int, fail: float) -> int:
     """Smallest capacity C with P[Bin(C+1, 1/2) < need] <= ``fail``.
 
-    ``recover(need)`` reads the shallowest level whose subsample holds at
-    most C indices; the level above it holds more than C, and each of
-    those reaches the next level with probability 1/2.  C = 32 for
-    need = 5 at fail 8.3e-6 (pdpsa at n=600, k=2).  The tail falls as C
-    grows, so a doubling then a bisection take O(log C) tails.
+    A sampled sketch reads ``need`` indices, its capacity, from the
+    shallowest level whose subsample holds at most C indices; the level
+    above it holds more than C, and each of those reaches the next level
+    with probability 1/2.  C = 32 for need = 5 at fail 8.3e-6 (pdpsa at
+    n=600, k=2).  At C = need - 1 the tail is 1 - 2^-need >= 1/2, so any
+    fail below 1/2 gives C >= need.  The tail falls as C grows, so a
+    doubling then a bisection take O(log C) tails.
     """
     def fits(c: int) -> bool:
         # sum of C(c+1, j) for j < need, each binomial from the last
@@ -382,20 +386,20 @@ def level_count(n_indices: int, capacity: int, fail: float) -> int:
 class SampleRecovery:
     """L level grids of one geometry, one linear structure.
 
-    With ``need`` = m > 0 the level capacity C is the larger of
-    ``capacity`` and C_m = ``level_capacity(m, sampler_fail)``, and L =
-    ``level_count(N, C_m, sampler_fail)``, enough for any C >= C_m, so
-    that a larger capacity widens the grids and never drops a level;
-    with ``need`` = 0, C is ``capacity`` and L = 1.  sampler_fail
-    defaults to delta / 2N, each index's share of delta.  Every grid is
-    ``grid_geometry(C, f)`` for f the smaller of delta and sampler_fail
-    (7 x 17 for pdpsa at n=600, k=2; 5 x 644 for dpsa at n=600, k=3),
-    and ``stall_bound`` is the bound on a stalled peel of C indices that
-    this grid meets.  All grids share one set of bucket hashes, so the
-    grids of levels l..L-1 add up cell by cell.  ``support`` is an exact
-    signed counter of net insertions, the l0 norm under valid +/-1
-    streams; ``level_support[l]`` is the same counter over the indices
-    whose deepest level is l.
+    A sketch has one size, ``capacity`` = C0, and one failure target,
+    ``fail``, which defaults to 0.005 / max(1, N), delta / 2N at
+    delta = 0.01, and must lie in (0, 1/2).  Without ``sampled`` the level
+    capacity C is C0 and L = 1, one recovery grid.  With ``sampled`` the
+    sketch reads C0 indices past C0: C = ``level_capacity(C0, fail)``,
+    at least C0 for any fail below 1/2, and L = ``level_count(N, C,
+    fail)``.  Every grid is ``grid_geometry(C, fail)`` (7 x 17 for pdpsa
+    at n=600, k=2; 5 x 644 for dpsa at n=600, k=3), and ``stall_bound``
+    is the bound on a stalled peel of C indices that this grid meets.
+    All grids share one set of bucket hashes, so the grids of levels
+    l..L-1 add up cell by cell.  ``support`` is an exact signed counter
+    of net insertions, the l0 norm under valid +/-1 streams;
+    ``level_support[l]`` is the same counter over the indices whose
+    deepest level is l.
 
     One-sparse verification uses one rational fingerprint mod
     ``PRIME``, sum x_j (j + r)^-1 for an offset r in [0, P - N), so that
@@ -408,10 +412,10 @@ class SampleRecovery:
     differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
     or an unpickled sketch reads the cells it updates.
 
-    A sketch with levels keeps its last ``recover`` result, with the
-    ``need`` it was read for and the shallowest level the read reached.
-    A write keeps it only when a fresh read would return it bit for bit:
-    the read was a level read, the support stays above ``capacity``, the
+    A sampled sketch keeps its last ``recover`` result, with the
+    shallowest level the read reached, None for a whole peel.  A write
+    keeps it only when a fresh read would return it bit for bit: the
+    read was a level read, the support stays above ``capacity``, the
     write's depth is below that level, and a write just above it leaves
     the level above holding more than ``level_capacity`` by the
     counters, so that ``_fit_level`` still starts the read where it did.
@@ -421,37 +425,33 @@ class SampleRecovery:
     above stays past capacity: 15 writes of 16 at level 4.
     """
 
-    def __init__(self, n_indices: int, capacity: int, need: int,
-                 seed: int, delta: float = 0.01,
-                 sampler_fail: float | None = None):
+    def __init__(self, n_indices: int, capacity: int, seed: int,
+                 fail: float | None = None, sampled: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if need < 0:
-            raise ValueError("need must be >= 0")
         if n_indices < 0:
             raise ValueError("n_indices must be >= 0")
         if n_indices > MAX_INDICES:
             # before any sizing, so a refused sketch costs nothing
             raise ValueError(f"{n_indices} indices exceed the sketch's "
                              f"limit of {MAX_INDICES} (P/2, P = 2^50 - 27)")
+        if fail is None:
+            fail = 0.005 / max(1, n_indices)
+        if not 0 < fail < 0.5:
+            raise ValueError(f"fail {fail} outside (0, 1/2)")
         self.n = n_indices
         self.capacity = capacity
-        self.need = need
+        self.sampled = sampled
         self.seed = seed
         self.support = 0
 
-        # by default each index's share of delta, as pdpsa gives its levels
-        fail = (sampler_fail if sampler_fail is not None
-                else delta / (2 * max(1, n_indices)))
-        if need:
-            least = level_capacity(need, fail)
-            self.level_capacity = max(capacity, least)
-            self.levels = level_count(n_indices, least, fail)
+        if sampled:
+            self.level_capacity = level_capacity(capacity, fail)
+            self.levels = level_count(n_indices, self.level_capacity, fail)
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
-        self.rows, self.buckets = grid_geometry(self.level_capacity,
-                                                min(delta, fail))
+        self.rows, self.buckets = grid_geometry(self.level_capacity, fail)
         self.stall_bound = stall_bound(self.level_capacity, self.rows,
                                        self.buckets)
         self._per_level = self.rows * self.buckets
@@ -474,10 +474,10 @@ class SampleRecovery:
                               dtype=np.int64)
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
-        # (need, shallowest level read, indices) of the last read of a
-        # sketch with levels, need and level None for a whole peel; kept
-        # while every write leaves a fresh read as it was (``update``)
-        self._held: tuple[int | None, int | None, frozenset[int]] | None = None
+        # (shallowest level read, indices) of a sampled sketch's last
+        # read, level None for a whole peel; kept while every write
+        # leaves a fresh read as it was (``update``)
+        self._held: tuple[int | None, frozenset[int]] | None = None
 
     @property
     def grids(self) -> np.ndarray:
@@ -547,7 +547,7 @@ class SampleRecovery:
             # from that level down; one just above it must leave that
             # subsample past the level capacity, or ``_fit_level`` would
             # start the next read there
-            level = held[1]
+            level = held[0]
             if not (level is not None and depth < level
                     and self.support > self.capacity
                     and (depth < level - 1 or sum(self.level_support[depth:])
@@ -622,16 +622,16 @@ class SampleRecovery:
         """Draw number ``which``: a seeded uniform pick from a recovery.
 
         The recovered set is the support while it fits within
-        ``capacity``, and otherwise the whole subsample that
-        ``recover(need)`` reads, peeled; a sketch without ``need`` has no
-        such read.  Each ``which`` >= 0 seeds its own draw, so distinct
-        draws are independent picks from that set.
+        ``capacity``, and otherwise, on a sampled sketch, the whole
+        subsample of the level the counters pick (``_read_levels``),
+        peeled; a sketch that is not sampled has no such read.  Each ``which`` >= 0 seeds its
+        own draw, so distinct draws are independent picks from that set.
         """
         if which < 0:
             raise IndexError(f"draw {which} is negative")
         if self.support == 0:
             return SampleOutcome(EMPTY)
-        if self.support > self.capacity and not self.need:
+        if self.support > self.capacity and not self.sampled:
             return SampleOutcome(FAIL)
         try:
             got = (self.recover() if self.support <= self.capacity
@@ -644,59 +644,51 @@ class SampleRecovery:
         pick = derive_seed(self.seed, "sample", which) % len(pool)
         return SampleOutcome(INDEX, pool[pick])
 
-    def recover(self, need: int | None = None
-                ) -> set[int] | frozenset[int]:
+    def recover(self) -> set[int] | frozenset[int]:
         """Support indices via grid peeling.
 
-        Without ``need``, or while ``support <= capacity``: the exact
-        support, peeled from the sum of all level grids.  Reliable when
-        the true support fits in ``capacity``; beyond that the peeling
-        stalls, or the weight it peels differs from ``support``; either
-        raises RecoveryFail, so callers should gate on the support
-        counter.
+        While ``support <= capacity``, or on a sketch that is not
+        sampled: the exact support, peeled from the sum of all level
+        grids.  Reliable when the true support fits in ``capacity``;
+        beyond that the peeling stalls, or the weight it peels differs
+        from ``support``; either raises RecoveryFail, so callers should
+        gate on the support counter.
 
-        With ``need`` = m (1 <= m <= ``self.need``) and a larger support:
-        at least m distinct support indices from a level's subsample
-        (``_read_levels``), or RecoveryFail.
-
-        The depth hash makes the subsample sizes s_0 >= s_1 >= ...
-        successive binomial thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a
-        shortfall at the picked level needs s_l > C >= s_(l+1) with
-        s_(l+1) < m for some l, C = ``level_capacity``.  The chain stays
-        at each size s > C for 1 / (1 - 2^-s) levels in expectation, so
+        On a sampled sketch past ``capacity`` = m: at least m distinct
+        support indices from one level's subsample (``_read_levels``), or
+        RecoveryFail.  The depth hash makes the subsample sizes
+        s_0 >= s_1 >= ... successive binomial thinnings,
+        s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at the picked level needs
+        s_l > C >= s_(l+1) with s_(l+1) < m for some l, C =
+        ``level_capacity``.  The chain stays at each size s > C for
+        1 / (1 - 2^-s) levels in expectation, so
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
-        1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, sampler_fail 8.3e-6).
-        A level grid at most C full stalls with probability at most
-        ``stall_bound`` <= sampler_fail (``grid_geometry``; 1.4e-6 for
-        the 7 x 17 grids there), and the deepest level holds more than C
-        with probability at most sampler_fail (``level_count``).
+        1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, fail 8.3e-6).  A level
+        grid at most C full stalls with probability at most
+        ``stall_bound`` <= fail (``grid_geometry``; 1.4e-6 for the 7 x 17
+        grids there), and the deepest level holds more than C with
+        probability at most fail (``level_count``).
 
-        A sketch with levels returns a frozenset and keeps it with the
-        ``need`` it was read for, None for a whole peel, so that a read
-        for the same key returns it again while ``update`` finds that no
-        write since changed what a fresh read would return.  A sketch
-        without ``need`` (dpsa's) peels on every call.
+        A sampled sketch returns a frozenset and keeps it, so that the
+        next call returns it again while ``update`` finds that no write
+        since changed what a fresh read would return.  A sketch that is
+        not sampled (dpsa's) peels on every call.
         """
-        whole = need is None or self.support <= self.capacity
-        if not whole and not 1 <= need <= self.need:
-            raise ValueError(f"need {need} outside [1, {self.need}]")
-        if not self.need:
+        if not self.sampled:
             return self._peel(self._level_sum(0), self.support)
-        key = None if whole else need
-        held = self._held
-        if held is None or held[0] != key:
-            held = self._held = (key, *self._fresh_read(key))
-        return held[2]
+        if self._held is None:
+            self._held = self._fresh_read()
+        return self._held[1]
 
-    def _fresh_read(self, need: int | None
-                    ) -> tuple[int | None, frozenset[int]]:
+    def _fresh_read(self) -> tuple[int | None, frozenset[int]]:
         """(shallowest level read, indices) of a read of the cells: the
-        whole peel, level None, without ``need``; else ``_read_levels``."""
-        if need is None:
+        whole peel, level None, while the support fits ``capacity``; else
+        ``_read_levels`` for ``capacity`` indices."""
+        if self.support <= self.capacity:
             return None, frozenset(self._peel(self._level_sum(0),
                                               self.support))
-        level, found = self._read_levels(need, whole=False)
+        level, found = self._read_levels(self.capacity, whole=False)
         return level, frozenset(found)
 
     def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
@@ -764,7 +756,7 @@ class SampleRecovery:
         """Stored machine words: every cell's 3, a hash key per row, past
         one level the per-level counters and the depth hash key, 3 more
         (the support counter, the capacity and the offset r), and for a
-        kept read its need, its level and one word per index."""
+        kept read its level and one word per index."""
         levels = self.levels + 1 if self.levels > 1 else 0
-        held = 0 if self._held is None else 2 + len(self._held[2])
+        held = 0 if self._held is None else 1 + len(self._held[1])
         return self.cells.size + self.rows + levels + 3 + held

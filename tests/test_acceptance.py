@@ -217,8 +217,8 @@ def test_criterion_7_dpsa_gate_and_recovery():
 def test_criterion_8_sampler_statistics():
     # support {5..8} reached through insert/delete churn on {1..8}
     queries = 10_000
-    s = SampleRecovery(n_indices=8, capacity=8, need=1, seed=808,
-                       sampler_fail=0.01)
+    s = SampleRecovery(n_indices=8, capacity=8, seed=808, fail=0.01,
+                       sampled=True)
     for i in range(1, 9):
         s.update(i, +1)
     for i in range(1, 5):
@@ -252,8 +252,8 @@ def test_criterion_9_sparse_recovery():
     trials, failures = 1000, 0
     for t in range(trials):
         support = set(rng.sample(range(1, 1001), rng.randint(0, 50)))
-        s = SampleRecovery(n_indices=1000, capacity=50, need=0,
-                           seed=t, delta=0.01)
+        s = SampleRecovery(n_indices=1000, capacity=50, seed=t,
+                           fail=0.01 / 2000)
         for i in support:
             s.update(i, +1)
         try:
@@ -265,9 +265,9 @@ def test_criterion_9_sparse_recovery():
 
     # exact linearity: permutation and cancellation
     seq = [(rng.randint(1, 1000), rng.choice([1, -1])) for _ in range(400)]
-    a = SampleRecovery(1000, 50, 2, seed=5)
-    b = SampleRecovery(1000, 50, 2, seed=5)
-    fresh = SampleRecovery(1000, 50, 2, seed=5)
+    a = SampleRecovery(1000, 50, seed=5, sampled=True)
+    b = SampleRecovery(1000, 50, seed=5, sampled=True)
+    fresh = SampleRecovery(1000, 50, seed=5, sampled=True)
     for i, d in seq:
         a.update(i, d)
     for i, d in sorted(seq):

@@ -89,6 +89,14 @@ def test_from_index_rejects_out_of_range(idx):
         Edge.from_index(idx, 5)
 
 
+def test_index_refuses_edges_outside_1_to_n():
+    # at n=4, (1, 5) would take (2, 3)'s index 4, and (4, 5) would give 7
+    for u, v in ((1, 5), (4, 5), (0, 2), (-3, 1)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            Edge(u, v).index(4)
+    assert Edge(1, 4).index(4) == 3 and Edge(3, 4).index(4) == 6
+
+
 def test_shadow_insert_delete():
     g = ShadowGraph(4)
     g.apply(StreamUpdate(INSERT, Edge(1, 2)))
@@ -141,8 +149,9 @@ def test_config_validation():
         Config(n=5, k=-1)
     with pytest.raises(ValueError):
         Config(n=5, k=1, delta=1.5)
-    with pytest.raises(ValueError):
-        Config(n=5, k=1, c=0.5)
+    # delta is the one failure setting
+    with pytest.raises(TypeError):
+        Config(n=5, k=1, c=1.0)
 
 
 def test_covers():

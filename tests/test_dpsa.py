@@ -229,13 +229,28 @@ def test_decode_edges_matches_from_index_at_large_n(n):
             slots = m * (m - 1) // 2
             assert (slots <= MAX_INDICES) == fits
             if fits:
-                SampleRecovery(slots, capacity=1, need=0, seed=m)
+                SampleRecovery(slots, capacity=1, seed=m)
             else:
                 with pytest.raises(ValueError, match=str(MAX_INDICES)):
-                    SampleRecovery(slots, capacity=1, need=0, seed=m)
+                    SampleRecovery(slots, capacity=1, seed=m)
     rng = random.Random(n)
     for i in [1, pairs] + [rng.randint(1, pairs) for _ in range(2000)]:
         assert _decoded([i], n) == [Edge.from_index(i, n)]
     ends = _row_ends(n)
     assert len(set(ends)) == 2 * (n - 1) - 1  # row n-1 holds one edge
     assert _decoded(ends, n) == [Edge.from_index(i, n) for i in ends]
+
+
+def test_an_edge_outside_1_to_n_is_refused_and_changes_nothing():
+    # unchecked, (1, 5) at n=4 would take (2, 3)'s index, and the query
+    # would answer Yes with cover {2}
+    st, fresh = mk(n=4, k=1), mk(n=4, k=1)
+    for st_ in (st, fresh):
+        dpsa_update(st_, StreamUpdate(INSERT, Edge(1, 2)))
+    with pytest.raises(ValueError, match="outside 1..4"):
+        dpsa_update(st, StreamUpdate(INSERT, Edge(1, 5)))
+    assert st.live == fresh.live == 1
+    assert st.sketch.state_equals(fresh.sketch)
+    ans = dpsa_query(st)
+    assert ans.is_yes and ans.cover == dpsa_query(fresh).cover
+    assert covers(ans.cover, [Edge(1, 2)]) and not ans.degraded

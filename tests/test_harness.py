@@ -417,10 +417,10 @@ def test_cli_sketch_fail_at_update_exit_5(tmp_path, monkeypatch):
     from vcstream.sketch import RecoveryFail, SampleRecovery
     real = SampleRecovery.recover
 
-    def stall(self, need=None):
-        if need is not None and self.support > self.capacity:
+    def stall(self):
+        if self.support > self.capacity:
             raise RecoveryFail("peeling stalled")
-        return real(self, need)
+        return real(self)
     monkeypatch.setattr(SampleRecovery, "recover", stall)
     f = _degraded_pdpsa(tmp_path)
     code, report = run(["--input", str(f), "--seed", "7"])

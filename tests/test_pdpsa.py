@@ -230,14 +230,14 @@ def test_state_words_grow_slower_than_k_to_the_1_5(n):
 def test_vertex_sketch_sizing_rules(n):
     # x fits the level capacity, so the sum of the level grids recovers
     # a low vertex exactly, and the levels are the fewest whose deepest
-    # subsample fits that capacity but with probability sampler_fail
+    # subsample fits that capacity but with probability fail = delta/2n
     binom = pytest.importorskip("scipy.stats").binom
     for k in range(1, 9):
         cfg = Config(n=n, k=k)
         st = MatchingState(cfg)
         st._fresh_sketch(1)
         sk = st.sketches[1]
-        fail = cfg.delta / (2 * n ** cfg.c)
+        fail = cfg.delta / (2 * n)
         assert cfg.x == sk.capacity == min(2 * k + 1, n - 1)
         assert sk.capacity <= level_capacity(cfg.x, fail) \
             == sk.level_capacity
@@ -325,14 +325,15 @@ def test_high_support_shortfall_raises_sketch_fail(monkeypatch):
     assert all(st.sketches[h].support > cfg.x for h in hubs)
     real = SampleRecovery.recover
 
-    def short(self, need=None):
-        got = real(self, need)
-        return set(sorted(got)[:1]) if need is not None else got
+    def short(self):
+        got = real(self)
+        return set(sorted(got)[:1]) if self.support > self.capacity else got
     monkeypatch.setattr(SampleRecovery, "recover", short)
-    with pytest.raises(SketchFail, match="recovered 1 of 3 neighbors"):
+    # the query and Rematch read the same 2k+1 neighbors of a hub
+    with pytest.raises(SketchFail, match="recovered 1 of 5 neighbors"):
         st.extract_kernel_edges()
     assert st.sketch_fail_count == 1
-    # the hub's first edge is its matching edge: Rematch asks for 2k+1
+    # the hub's first edge is its matching edge
     hub_edge = next(e for e in st.matching if hubs[0] in (e.u, e.v))
     with pytest.raises(SketchFail, match="recovered 1 of 5 neighbors"):
         st.deletion(hub_edge)
@@ -362,10 +363,10 @@ def test_sketch_fail_flags_every_later_answer(monkeypatch):
     assert fresh.degraded is False and st.degraded is False
     real = SampleRecovery.recover
 
-    def stall(self, need=None):
-        if need is not None and self.support > self.capacity:
+    def stall(self):
+        if self.support > self.capacity:
             raise RecoveryFail("peeling stalled")
-        return real(self, need)
+        return real(self)
     with monkeypatch.context() as patch:
         patch.setattr(SampleRecovery, "recover", stall)
         with pytest.raises(SketchFail):
@@ -396,10 +397,10 @@ def test_rematch_miss_flags_every_later_answer():
 class _NoMemo(MatchingState):
     """A state whose sketches drop their kept read before each read."""
 
-    def _recover_neighbors(self, v, need=None):
+    def _recover_neighbors(self, v):
         for sk in self.sketches.values():
             sk._held = None
-        return super()._recover_neighbors(v, need)
+        return super()._recover_neighbors(v)
 
 
 def _outcome(fn, *args):
@@ -417,7 +418,7 @@ DEEP_HUB_CFG = dict(n=150, k=1)
 def _held_reads_are_fresh(state):
     for sk in state.sketches.values():
         if sk._held is not None:
-            assert sk._held[1:] == sk._fresh_read(sk._held[0])
+            assert sk._held == sk._fresh_read()
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -483,9 +484,9 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
     sk = st.sketches[h]
     real, reads = SampleRecovery._fresh_read, []
 
-    def counted(self, need):
+    def counted(self):
         reads.append(self)
-        return real(self, need)
+        return real(self)
     monkeypatch.setattr(SampleRecovery, "_fresh_read", counted)
 
     def hub_reads_after(op, z):
@@ -497,7 +498,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
         return sum(r is sk for r in reads)
 
     first = pdpsa_query(st)
-    level = sk._held[1]
+    level = sk._held[0]
     assert level >= 2 and sk.support >= 4 * sk.level_capacity
     reads.clear()
     assert pdpsa_query(st) == first and reads == []
@@ -505,33 +506,33 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
             if z != h and z not in st.matched and z not in st.mirror[h]]
     # a write at depth below level - 1 keeps the read
     z = next(z for z in free if sk._depth(z) < level - 1)
-    assert hub_reads_after(INSERT, z) == 0 and sk._held[1] == level
+    assert hub_reads_after(INSERT, z) == 0 and sk._held[0] == level
     # a write at depth level or more forces a real read
     z = next(z for z in free if sk._depth(z) >= level)
     assert hub_reads_after(INSERT, z) == 1
     # writes at depth level - 1 keep the read while the level above holds
     # more than the level capacity; the one that makes it fit forces a
     # real read, which starts there
-    level = sk._held[1]
+    level = sk._held[0]
     assert level >= 2
     above = sorted(z for z in st.mirror[h]
                    if sk._depth(z) == level - 1 and z not in st.matched)
     while sum(sk.level_support[level - 1:]) > sk.level_capacity + 1:
         assert hub_reads_after(DELETE, above.pop()) == 0
-        assert sk._held[1] == level
+        assert sk._held[0] == level
     assert hub_reads_after(DELETE, above.pop()) == 1
-    assert sk._held[1] == level - 1
-    # a read of another need is a real one too
+    assert sk._held[0] == level - 1
+    # the query's read is Rematch's: no other read of the hub is real
     reads.clear()
-    assert len(st._recover_neighbors(h, st.config.x)) >= st.config.x
-    assert reads == [sk]
+    assert len(st._recover_neighbors(h)) >= st.config.x
+    assert reads == []
 
 
 def test_words_count_the_memo_and_stay_under_dpsa():
     st, _ = _hub_state()
     bare = st.words()
     pdpsa_query(st)
-    held = sum(2 + len(sk._held[2]) for sk in st.sketches.values()
+    held = sum(1 + len(sk._held[1]) for sk in st.sketches.values()
                if sk._held is not None)
     assert held > 0 and st.words() == bare + held
     # the dynamic-sketch benchmark's pdpsa shape, n=600, k=2, two hubs
@@ -550,3 +551,54 @@ def test_words_count_the_memo_and_stay_under_dpsa():
             assert all(sk._held is not None for sk in st.sketches.values())
         peak = max(peak, st.words())
     assert peak <= 10_200
+
+
+# -- refused input ----------------------------------------------------------
+
+
+def _snapshot(st):
+    return (st.clock, set(st.matching), set(st.matched), dict(st.ts),
+            dict(st.tdict), {v: dict(m) for v, m in st.mirror.items()},
+            {v: (sk.support, sk.cells.tobytes())
+             for v, sk in st.sketches.items()})
+
+
+@pytest.mark.parametrize("op", [INSERT, DELETE])
+def test_an_edge_outside_1_to_n_is_refused_and_changes_nothing(op):
+    # checked late, + (1, 5) at n=4 would enter the matching and T
+    # before its sketch write raised, and a later query would answer Yes
+    # with an empty cover
+    st = mk(n=4, k=1)
+    st.apply(StreamUpdate(INSERT, Edge(2, 3)))
+    before = _snapshot(st)
+    for e in (Edge(1, 5), Edge(0, 2)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            st.apply(StreamUpdate(op, e))
+        assert _snapshot(st) == before
+    ans = pdpsa_query(st)
+    assert ans.is_yes and covers(ans.cover, [Edge(2, 3)])
+
+
+def _star_state(k):
+    """The star 5-{1, 2, 3, 4}: a cover of one, and vertex 5 past the
+    sketch capacity x = 3 at k=1."""
+    st = mk(n=5, k=k)
+    for leaf in range(1, 5):
+        st.apply(StreamUpdate(INSERT, Edge(leaf, 5)))
+    return st
+
+
+def test_a_query_above_the_states_k_is_refused():
+    # with k=1 a vertex yields only k+1 = 2 neighbors, so a k=2 query
+    # would answer Yes {1, 2}, which misses the star's other two edges
+    st = _star_state(k=1)
+    with pytest.raises(ValueError, match="k=2 exceeds the state's k=1"):
+        pdpsa_query(st, 2)
+    assert not st.degraded
+    for k in (None, 1, 0):
+        ans = pdpsa_query(st, k)
+        want = oracle_vc({Edge(leaf, 5) for leaf in range(1, 5)},
+                         1 if k is None else k)
+        assert ans.kind == want.kind and not ans.degraded
+        if ans.is_yes:
+            assert ans.cover == {5}

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from vcstream.core import Edge, ShadowGraph, StreamUpdate, covers, INSERT
 from vcstream.psa import PsaState, psa_insert, psa_query
 from vcstream.harness.oracles import oracle_vc
@@ -114,3 +116,14 @@ def test_space_bounds_each_step():
                             if e not in st.matching}
             assert len(non_matching) <= 2 * k * k
             assert len(st.matched) <= 2 * k
+
+
+def test_a_query_above_the_states_k_is_refused():
+    # the star 5-{1, 2, 3, 4} at k=1 stores k+1 = 2 edges at vertex 5,
+    # so a k=2 query would answer Yes {1, 2}, which misses (3, 5)
+    star = [Edge(leaf, 5) for leaf in range(1, 5)]
+    st = replay(star, 1)
+    with pytest.raises(ValueError, match="k=2 exceeds the state's k=1"):
+        psa_query(st, 2)
+    ans = psa_query(st, 1)
+    assert ans.is_yes and ans.cover == {5} and covers(ans.cover, star)

@@ -28,9 +28,12 @@ def test_derive_seed_is_hashlibs_blake2b():
         assert derive_seed(*parts) == int.from_bytes(h, "big") >> 1
 
 
+# need: what a read past capacity returns, a sampled sketch's capacity;
+# 0 for a sketch that is not sampled
 @pytest.mark.parametrize("n, need", [(600, 5), (179700, 0)])
 def test_bases_and_row_keys_come_from_the_seed(n, need):
-    a, b, c = (SampleRecovery(n_indices=n, capacity=5, need=need, seed=s)
+    a, b, c = (SampleRecovery(n_indices=n, capacity=5, seed=s,
+                              sampled=need > 0)
                for s in (3, 3, 4))
     for s in (a, b, c):
         assert 0 <= s.r < PRIME - n
@@ -40,8 +43,9 @@ def test_bases_and_row_keys_come_from_the_seed(n, need):
     assert not np.array_equal(a.hash_keys, c.hash_keys)
 
 
-def fresh(seed=9, n=1000, cap=50, need=4):
-    return SampleRecovery(n_indices=n, capacity=cap, need=need, seed=seed)
+def fresh(seed=9, n=1000, cap=50):
+    return SampleRecovery(n_indices=n, capacity=cap, seed=seed,
+                          sampled=True)
 
 
 # -- one-sparse cells -------------------------------------------------------
@@ -82,7 +86,7 @@ def _bucket(s, row, i):
 @pytest.mark.parametrize("n, cap, need", [(1000, 50, 0), (179700, 1800, 0),
                                           (600, 5, 5)])
 def test_bucket_hashes_match_splitmix64(n, cap, need):
-    s = SampleRecovery(n_indices=n, capacity=cap, need=need, seed=n)
+    s = SampleRecovery(n_indices=n, capacity=cap, seed=n, sampled=need > 0)
     rng = random.Random(n)
     idx = [1, n] + [rng.randint(1, n) for _ in range(300)]
     want = [[_bucket(s, r, i) for r in range(s.rows)] for i in idx]
@@ -122,7 +126,7 @@ def test_detector_rejects_two_sparse():
     shared = 0
     trials = 2000
     for t in range(trials):
-        s = SampleRecovery(n_indices=1000, capacity=2, need=0, seed=t)
+        s = SampleRecovery(n_indices=1000, capacity=2, seed=t)
         support = rng.sample(range(1, 1001), rng.randint(2, 5))
         for i in support:
             s.update(i, rng.choice([1, 2, 3]))
@@ -178,7 +182,7 @@ def test_permutation_invariance():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=0, max_size=20, unique=True))
 def test_recovery_matches_support(support):
-    s = SampleRecovery(n_indices=60, capacity=25, need=0,
+    s = SampleRecovery(n_indices=60, capacity=25,
                        seed=derive_seed(tuple(support)))
     for i in support:
         s.update(i, +1)
@@ -196,7 +200,7 @@ def test_sample_empty_and_singleton():
 def test_sample_index_always_in_support():
     rng = random.Random(13)
     for t in range(40):
-        s = fresh(seed=100 + t, need=6)
+        s = fresh(seed=100 + t, cap=6)
         support = set(rng.sample(range(1, 1001), rng.randint(1, 30)))
         for i in support:
             s.update(i, +1)
@@ -213,7 +217,7 @@ def test_sample_bad_index():
 
 
 def test_over_capacity_recovery_gated_by_support():
-    s = SampleRecovery(n_indices=500, capacity=4, need=0, seed=21)
+    s = SampleRecovery(n_indices=500, capacity=4, seed=21)
     for i in range(1, 101):
         s.update(i, +1)
     assert s.support == 100  # caller must gate on this
@@ -274,8 +278,7 @@ def _peeled(peel, grid):
 
 
 def _filled(n, cap, seed, size, weights=(1,), **kw):
-    s = SampleRecovery(n_indices=n, capacity=cap, seed=seed,
-                       need=kw.pop("need", 0), **kw)
+    s = SampleRecovery(n_indices=n, capacity=cap, seed=seed, **kw)
     rng = random.Random(seed)
     for i in rng.sample(range(1, n + 1), size):
         s.update(i, rng.choice(weights))
@@ -305,8 +308,8 @@ def test_row_peel_matches_the_all_rows_peel():
                     weights=(-3, -2, -1, 1, 2, 3, 1 << 20))
         grids.append((s, s._level_sum(0), s.support))
     for t in range(100):
-        s = _filled(600, 5, t, random.Random(t).randint(1, 60), need=5,
-                    sampler_fail=0.01 / 1200)
+        s = _filled(600, 5, t, random.Random(t).randint(1, 60),
+                    fail=0.01 / 1200, sampled=True)
         grids += [(s, s._level_sum(lvl), sum(s.level_support[lvl:]))
                   for lvl in range(s.levels)]
     outcomes = []
@@ -322,7 +325,7 @@ def test_row_peel_matches_the_all_rows_peel():
 def test_an_index_peeled_twice_stalls(row):
     # a forged cell that verifies as index 5, in an empty bucket of the
     # row of 5's first bucket or of the row after it
-    s = SampleRecovery(n_indices=1000, capacity=8, need=0, seed=3)
+    s = SampleRecovery(n_indices=1000, capacity=8, seed=3)
     for i in (5, 17, 40):
         s.update(i, +1)
     assert s.recover() == {5, 17, 40}
@@ -338,7 +341,7 @@ def test_an_index_peeled_twice_stalls(row):
 def test_a_peel_that_disagrees_with_its_counters_fails():
     # cells and counters must agree: a full recovery compares the weight
     # it peeled with ``support``, a peeled level with its counters' suffix
-    s = SampleRecovery(n_indices=1000, capacity=8, need=3, seed=2)
+    s = SampleRecovery(n_indices=1000, capacity=8, seed=2, sampled=True)
     for i in (4, 9, 30):
         s.update(i, +1)
     s.support += 1
@@ -433,8 +436,7 @@ def test_structured_supports_stall_within_the_bound():
     for t in range(trials):
         build = _progression if t % 2 == 0 else _parallelograms
         support = build(rng, n, capacity)
-        s = SampleRecovery(n, capacity, need=0, delta=0.01,
-                           sampler_fail=0.01,
+        s = SampleRecovery(n, capacity, fail=0.01,
                            seed=derive_seed("structured", t))
         assert s.rows == 3
         for i in support:
@@ -458,7 +460,7 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
     rng = random.Random(capacity)
     failures = 0
     for t in range(trials):
-        s = SampleRecovery(n, capacity, need=0,
+        s = SampleRecovery(n, capacity,
                            seed=derive_seed("curve", capacity, t))
         support = rng.sample(range(1, n + 1), capacity)
         for i in support:
@@ -471,18 +473,16 @@ def test_recovery_failure_curve_at_full_capacity(capacity):
 
 
 def test_words_positive_and_monotone_in_capacity():
-    small = SampleRecovery(64, capacity=4, need=2, seed=1)
-    big = SampleRecovery(64, capacity=32, need=2, seed=1)
+    # a sketch without levels; a sampled one's level count falls as its
+    # level capacity grows
+    small = SampleRecovery(1000, capacity=4, seed=1)
+    big = SampleRecovery(1000, capacity=32, seed=1)
     assert 0 < small.words() < big.words()
-    for need in (0, 2):
-        small = SampleRecovery(1000, capacity=4, need=need, seed=1)
-        big = SampleRecovery(1000, capacity=32, need=need, seed=1)
-        assert 0 < small.words() < big.words()
-        # no capacity takes fewer cells than a smaller one; words() adds
-        # a key per row, and a grid one cell larger can have fewer rows
-        cells = [SampleRecovery(64, capacity=c, need=need, seed=1).cells.size
-                 for c in range(1, 65)]
-        assert cells == sorted(cells)
+    # no capacity takes fewer cells than a smaller one; words() adds a
+    # key per row, and a grid one cell larger can have fewer rows
+    cells = [SampleRecovery(64, capacity=c, seed=1).cells.size
+             for c in range(1, 65)]
+    assert cells == sorted(cells)
 
 
 # -- level grids ------------------------------------------------------------
@@ -519,9 +519,9 @@ def _reference_levels(s, ops):
 @given(st.lists(st.tuples(st.integers(1, 300), st.sampled_from([1, -1])),
                 min_size=1, max_size=40),
        st.integers(1, 4), st.integers(0, 2 ** 32))
-def test_level_grids_match_all_levels_reference(ops, need, seed):
-    s = SampleRecovery(n_indices=300, capacity=4, need=need, seed=seed,
-                       sampler_fail=1e-6)
+def test_level_grids_match_all_levels_reference(ops, capacity, seed):
+    s = SampleRecovery(n_indices=300, capacity=capacity, seed=seed,
+                       fail=1e-6, sampled=True)
     for i, d in ops:
         s.update(i, d)
     ref = _reference_levels(s, ops)
@@ -546,7 +546,7 @@ def test_level_grids_match_all_levels_reference(ops, need, seed):
     support = {i for i, c in net.items() if c}
     if s.support > s.capacity:
         try:
-            assert s.recover(need) <= support
+            assert s.recover() <= support
         except RecoveryFail:
             pass
     for which in range(3):
@@ -567,14 +567,15 @@ def _shortfall_bound(need, capacity, n):
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_level_recovery_failure_curve(k):
-    """``recover(need)`` at need = 2k+1 on supports from C+1 up to N.
+    """``recover()`` of a sampled sketch of capacity 2k+1 on supports
+    from C+1 up to N.
 
-    A pdpsa vertex sketch at n=600: N = 600 indices, sampler_fail =
-    delta / 2n.  Each trial must return at least ``need`` indices, all in
-    the support; stalls and shortfalls together stay <= 0.01 at every
+    A pdpsa vertex sketch at n=600: N = 600 indices, fail = delta / 2n.
+    Each trial must return at least ``need`` = 2k+1 indices, all in the
+    support; stalls and shortfalls together stay <= 0.01 at every
     support size, criterion 9's bound.  With fully random levels the
     rate is at most ``_shortfall_bound`` (a shortfall) plus
-    sampler_fail (a stall of a level grid at most C full): 2.0e-5 for
+    fail (a stall of a level grid at most C full): 2.0e-5 for
     k=1 (C=25), 2.1e-5 for k=2 (C=32) and 2.7e-5 for k=4 (C=44).  At
     100 trials a point, the 0.01 bound allows one failure; 1500 trials
     a point, run once, showed none.
@@ -588,14 +589,15 @@ def test_level_recovery_failure_curve(k):
         failures = 0
         for t in range(trials):
             # seeded, so every run draws the same supports and hashes;
-            # a main grid of capacity 1 leaves every read to the levels
-            s = SampleRecovery(n, 1, need, sampler_fail=fail,
+            # every support here is past capacity, so every read is a
+            # level read
+            s = SampleRecovery(n, need, fail=fail, sampled=True,
                                seed=derive_seed("level-curve", k, size, t))
             support = set(rng.sample(range(1, n + 1), size))
             for i in support:
                 s.update(i, +1)
             try:
-                got = s.recover(need)
+                got = s.recover()
                 failures += len(got) < need or not got <= support
             except RecoveryFail:
                 failures += 1
@@ -631,40 +633,38 @@ def test_level_capacity_bisects_to_the_stepped_search():
 
 
 def test_recover_need_reads_the_levels_only_past_capacity():
-    s = SampleRecovery(600, capacity=10, need=5, seed=3, sampler_fail=1e-6)
+    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
     for i in range(1, 11):
         s.update(i, +1)
-    assert s.recover(5) == set(range(1, 11))  # the exact recovery grid
+    assert s.recover() == set(range(1, 11))  # the exact recovery grid
+    assert s._held[0] is None
     for i in range(11, 301):
         s.update(i, +1)
-    got = s.recover(5)
-    assert len(got) >= 5 and got <= set(range(1, 301))
-    for bad in (0, 6):
-        with pytest.raises(ValueError):
-            s.recover(bad)
-    no_levels = SampleRecovery(600, capacity=2, need=0, seed=3)
+    got = s.recover()
+    # as many as the capacity, from one level's subsample
+    assert len(got) >= 10 and got <= set(range(1, 301))
+    assert s._held[0] >= 1
+    no_levels = SampleRecovery(600, capacity=2, seed=3)
     for i in (1, 2, 3):
         no_levels.update(i, +1)
-    with pytest.raises(ValueError):
-        no_levels.recover(1)
     assert no_levels.sample(0).kind == FAIL
 
 
 def test_a_kept_read_counts_in_words_until_the_support_fits():
-    # a kept read costs its need, its level and a word per index.  Under
-    # +/-1 weights a kept level read leaves more than the level capacity
-    # at its level and above, but a large negative weight at a shallow
+    # a kept read costs its level and a word per index.  Under +/-1
+    # weights a kept level read leaves more than the level capacity at
+    # its level and above, but a large negative weight at a shallow
     # depth can bring the support within capacity, and drops the read
-    s = SampleRecovery(600, capacity=10, need=5, seed=3, sampler_fail=1e-6)
+    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
     for i in range(1, 301):
         s.update(i, +1)
     bare = s.words()
-    got = s.recover(5)
-    level = s._held[1]
-    assert level >= 2 and s.words() == bare + 2 + len(got)
+    got = s.recover()
+    level = s._held[0]
+    assert level >= 2 and s.words() == bare + 1 + len(got)
     shallow = [i for i in range(301, 601) if s._depth(i) < level - 1]
     s.update(shallow[0], +1)
-    assert s._held[1:] == (level, got)
+    assert s._held == (level, got)
     s.update(shallow[1], -(s.support - s.capacity))
     assert s._held is None and s.words() == bare
 
@@ -672,8 +672,8 @@ def test_a_kept_read_counts_in_words_until_the_support_fits():
 def test_large_weight_update_round_trips():
     # delta * (i + r)^-1 passes 2^63 unless reduced first; the update
     # used to raise after changing the counters
-    s = SampleRecovery(179700, 25, 0, seed=0)
-    fresh_state = SampleRecovery(179700, 25, 0, seed=0)
+    s = SampleRecovery(179700, 25, seed=0)
+    fresh_state = SampleRecovery(179700, 25, seed=0)
     s.update(1, 1 << 31)
     assert s.recover() == {1}
     s.update(1, -(1 << 31))
@@ -686,7 +686,7 @@ def test_large_weight_update_round_trips():
 
 @pytest.mark.parametrize("n", [600, 10 ** 5, 1 << 23, 1 << 26, MAX_INDICES])
 def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
-    s = SampleRecovery(n_indices=n, capacity=8, need=0, seed=4)
+    s = SampleRecovery(n_indices=n, capacity=8, seed=4)
     top = ((1 << 63) - 1) // s.n  # the index sum count * i stays in int64
     rng = random.Random(8)
     rows, cols = s.rows, s.buckets
@@ -719,17 +719,18 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
 
 
 def test_recover_with_weights_past_the_int64_product_bound():
-    s = SampleRecovery(n_indices=60, capacity=4, need=2, seed=12)
+    s = SampleRecovery(n_indices=60, capacity=2, seed=12, sampled=True)
     big = 1 << 31
     for _ in range(4):
         s.update(5, big)  # count 2^33, and 2^33 * P > 2^63
     s.update(9, 3)
     assert 4 * big * PRIME >= 1 << 63
-    assert s.recover() == {5, 9}
+    # the whole peel
+    assert s._peel(s._level_sum(0), s.support) == {5, 9}
     # the level counters sum weights, so the level they pick holds
     # neither index here; the reads move on to shallower levels
     assert s._fit_level() > max(map(s._depth, (5, 9)))
-    assert s.recover(2) == {5, 9}
+    assert s.recover() == {5, 9} and s._held[0] is not None
     for which in range(8):
         assert s.sample(which).index in (5, 9)
 
@@ -739,7 +740,7 @@ def test_crafted_two_index_cells_fail_the_fingerprint():
     # divides their index sum into i, so only the fingerprint can refuse
     # them; with a rational fingerprint each passes with probability at
     # most 2 / (P - N)
-    s = SampleRecovery(n_indices=10 ** 6, capacity=50, need=0, seed=5)
+    s = SampleRecovery(n_indices=10 ** 6, capacity=50, seed=5)
     rng = random.Random(5)
     cells, genuine = [], []
     for t in range(5000):
@@ -795,12 +796,14 @@ def test_mulmod_float_quotient_is_exact(bits):
 
 # (n_indices) of a pdpsa vertex sketch at n=600, and of the dpsa edge
 # sketch at n=600 and n=2000
+# need > 0: a sampled sketch, whose read past capacity must return at
+# least ``need`` indices
 @pytest.mark.parametrize("n,need", [(600, 3), (600 * 599 // 2, 0),
                                     (2000 * 1999 // 2, 0)])
 def test_sketch_matches_python_int_reference(n, need):
     rng = random.Random(n)
     for seed in range(3):
-        s = SampleRecovery(n, capacity=30, need=need, seed=seed)
+        s = SampleRecovery(n, capacity=30, seed=seed, sampled=need > 0)
         ops = [(i, rng.choice([1, 2, -1]))
                for i in rng.sample(range(1, n), 29) + [n]]
         for i, d in ops:
@@ -809,9 +812,9 @@ def test_sketch_matches_python_int_reference(n, need):
         got[2] %= PRIME
         assert np.array_equal(got, _reference_levels(s, ops).astype(np.int64))
         support = {i for i, _ in ops}
+        # the whole support, or past capacity a level read of at least
+        # 30 of these 30 indices
         assert s.recover() == support
-        if need:
-            assert s.recover(need) == support
         # the support counter sums weights, so it may pass the capacity,
         # where a sketch without levels has nothing to draw from
         for which in range(3):
@@ -834,19 +837,31 @@ def test_too_many_indices_are_refused_before_any_sizing(monkeypatch):
     for name in ("level_capacity", "level_count", "grid_geometry"):
         monkeypatch.setattr(sketch, name, sized)
     with pytest.raises(ValueError, match=f"limit of {MAX_INDICES}"):
-        SampleRecovery(MAX_INDICES + 1, capacity=10 ** 9, need=5, seed=0)
+        SampleRecovery(MAX_INDICES + 1, capacity=10 ** 9, seed=0,
+                       sampled=True)
+
+
+def test_fail_target_lies_in_0_to_one_half():
+    # level_capacity(C, fail) >= C needs fail < 1/2
+    for fail in (0, -0.1, 0.5, 1.0):
+        with pytest.raises(ValueError, match="fail"):
+            SampleRecovery(n_indices=100, capacity=3, seed=0, fail=fail,
+                           sampled=True)
+    s = SampleRecovery(n_indices=100, capacity=3, seed=0, fail=0.49,
+                       sampled=True)
+    assert s.level_capacity >= s.capacity
 
 
 def test_index_count_must_not_be_negative():
     with pytest.raises(ValueError, match="n_indices"):
-        SampleRecovery(n_indices=-1, capacity=1, need=0, seed=0)
+        SampleRecovery(n_indices=-1, capacity=1, seed=0)
 
 
 def test_default_failure_share_is_per_index():
     # delta / 2N for N indices, as pdpsa gives its level grids; N = 0 (dpsa
     # at n = 1) has no share to divide
-    s = SampleRecovery(n_indices=1000, capacity=20, need=0, seed=0)
+    s = SampleRecovery(n_indices=1000, capacity=20, seed=0)
     assert s.stall_bound <= 0.01 / 2000
     assert s.stall_bound == stall_bound(20, s.rows, s.buckets)
-    empty = SampleRecovery(n_indices=0, capacity=1, need=0, seed=0)
+    empty = SampleRecovery(n_indices=0, capacity=1, seed=0)
     assert empty.recover() == set() and empty.stall_bound == 0

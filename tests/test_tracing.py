@@ -36,10 +36,10 @@ def test_tracer_install_then_uninstall_restores_the_originals(monkeypatch):
         for owner, attrs in TRACED.items():
             for attr in attrs:
                 assert vars(owner)[attr] is not before[owner][attr], attr
-        s = sketch.SampleRecovery(600, capacity=2, need=3, seed=1)
+        s = sketch.SampleRecovery(600, capacity=3, seed=1, sampled=True)
         for i in range(1, 9):
             s.update(i, +1)
-        assert len(s.recover(need=3)) >= 3
+        assert len(s.recover()) >= 3
         assert s.sample(0).is_index
     finally:
         tracer.uninstall()
