@@ -142,9 +142,6 @@ class ShadowGraph:
     def degree(self, u: int) -> int:
         return len(self.adj.get(u, ()))
 
-    def neighbors(self, u: int) -> set[int]:
-        return set(self.adj.get(u, ()))
-
     def has_edge(self, e: Edge) -> bool:
         return e.v in self.adj.get(e.u, ())
 

@@ -7,6 +7,10 @@ graph exactly: degree-<=1 stripping, degree-2 bypass with multi-edge and
 self-loop care, then bounded subset search over the residue.  The
 search is skipped when the residue holds more vertex-disjoint 2-cycles
 (doubled pairs) than the budget: each needs its own deleted vertex.
+
+The state keeps the k its inserts used.  A live state stores every edge,
+so it answers any k; a dead state's No holds for that k and below, and
+a query k above it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from dataclasses import dataclass, field
 
 from .core import Edge, SolverError, VcAnswer, matching_exceeds
 
-FvsAnswer = VcAnswer
-
 
 @dataclass
 class FvsState:
     stored: set[Edge] = field(default_factory=set)
     dead: bool = False
+    # the k of the last live insert: a dead state passed n(k+1) edges
+    k: int | None = None
 
     def words(self) -> int:
         """Two words per stored edge plus the dead flag."""
@@ -32,6 +36,7 @@ class FvsState:
 def fvs_insert(st: FvsState, e: Edge, n: int, k: int) -> FvsState:
     if st.dead:
         return st
+    st.k = k
     st.stored.add(e)
     if len(st.stored) > n * (k + 1):
         st.dead = True
@@ -39,9 +44,12 @@ def fvs_insert(st: FvsState, e: Edge, n: int, k: int) -> FvsState:
     return st
 
 
-def fvs_query(st: FvsState, k: int) -> FvsAnswer:
+def fvs_query(st: FvsState, k: int) -> VcAnswer:
     if st.dead:
-        return FvsAnswer.no()
+        if k > st.k:
+            # more than n(st.k + 1) edges rule out only k <= st.k
+            raise ValueError(f"query k={k} exceeds the state's k={st.k}")
+        return VcAnswer.no()
     return fvs_decide(st.stored, k)
 
 
@@ -108,7 +116,7 @@ def check_fvs(cert, edges, k: int) -> None:
         raise SolverError("certificate leaves a cycle")
 
 
-def fvs_decide(edges, k: int) -> FvsAnswer:
+def fvs_decide(edges, k: int) -> VcAnswer:
     edges = set(edges)
     g = _MultiGraph(edges)
     forced: list[int] = []
@@ -123,7 +131,7 @@ def fvs_decide(edges, k: int) -> FvsAnswer:
             if u in g.loops:
                 # self-loop: u is on a cycle of its own, must be removed
                 if budget == 0:
-                    return FvsAnswer.no()
+                    return VcAnswer.no()
                 forced.append(u)
                 budget -= 1
                 g.remove_vertex(u)
@@ -140,7 +148,7 @@ def fvs_decide(edges, k: int) -> FvsAnswer:
 
     doubled = {uv for uv, m in g.mult.items() if m > 1}
     if matching_exceeds(doubled, budget):
-        return FvsAnswer.no()
+        return VcAnswer.no()
     remaining = sorted(g.vertices())
     live = [Edge(u, v) for (u, v), _ in g.mult.items()]
 
@@ -155,5 +163,5 @@ def fvs_decide(edges, k: int) -> FvsAnswer:
             if residue_acyclic(set(combo)):
                 cert = set(forced) | set(combo)
                 check_fvs(cert, edges, k)
-                return FvsAnswer.yes(cert)
-    return FvsAnswer.no()
+                return VcAnswer.yes(cert)
+    return VcAnswer.no()

@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count (generators)")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--validate", action="store_true",
-                   help="reject semantically invalid streams while parsing")
     p.add_argument("--input", metavar="FILE",
                    help="stream file to run ('-' for stdin)")
     p.add_argument("--gen", choices=("random", "promised", "index",
@@ -209,16 +207,10 @@ def run_cli(argv=None, out=None) -> int:
     try:
         text = (sys.stdin.read() if args.input == "-"
                 else open(args.input, encoding="utf-8").read())
-        sf = parse_stream(text, validate=args.validate)
-    except OSError as exc:
+        sf = parse_stream(text)
+    except (OSError, ParseError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ParseError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidStream as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_INVALID
     return _run(sf, args, out)
 
 

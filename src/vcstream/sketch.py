@@ -7,10 +7,11 @@ each index to a deepest level l* with P[l* >= l] = 2^-l, capped at L-1,
 and the index is written once, into the grid of level l*; an exact
 counter per level counts the net indices written there.  By linearity
 the grids of levels l..L-1 sum to a grid of the subsample
-{i : l*(i) >= l}.  The sum over all levels peels to the exact support
-while that fits the sketch's capacity; past it a sampled sketch's
-``recover()`` reads as many indices as its capacity from the shallowest
-subsample that fits.  This is the l0-sampler construction of Cormode &
+{i : l*(i) >= l}.  A sketch has one read, ``recover()``: the sum over
+all levels peels to the exact support while that fits the sketch's
+capacity; past it a sampled sketch reads as many indices as its capacity
+from the shallowest subsample that fits, and ``sample()`` is a seeded
+pick from that read.  This is the l0-sampler construction of Cormode &
 Firmani ("A unifying framework for l0-sampling", 2014) on the invertible
 Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A sketch that is
 not sampled has one level, a plain recovery grid.  Each sketch has one
@@ -240,7 +241,11 @@ def _log_no_singleton(capacity: int,
     return subsets, q
 
 
-def _log_sum_exp(x: np.ndarray) -> float:
+def _log_stall(capacity: int, rows: int, buckets: int) -> float:
+    """log of sum over s of C(capacity, s) Q_s(B)^R, ``stall_bound`` in
+    logs; -inf below two indices, which always peel."""
+    subsets, q = _log_no_singleton(capacity, buckets)
+    x = subsets + rows * q
     if not len(x):
         return -math.inf
     top = float(x.max())
@@ -258,8 +263,7 @@ def stall_bound(capacity: int, rows: int, buckets: int) -> float:
     set, so the chance is at most sum over s of C(capacity, s) Q_s(B)^R
     (Goodrich & Mitzenmacher, "Invertible Bloom Lookup Tables", 2011).
     """
-    subsets, q = _log_no_singleton(capacity, buckets)
-    log = _log_sum_exp(subsets + rows * q)
+    log = _log_stall(capacity, rows, buckets)
     return math.exp(log) if log < 700 else math.inf
 
 
@@ -283,8 +287,7 @@ def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
     log_target = math.log(target)
 
     def fits(rows: int, buckets: int) -> bool:
-        subsets, q = _log_no_singleton(capacity, buckets)
-        return _log_sum_exp(subsets + rows * q) <= log_target
+        return _log_stall(capacity, rows, buckets) <= log_target
 
     pairs = math.comb(capacity, 2)
     best = None
@@ -412,13 +415,15 @@ class SampleRecovery:
     differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
     or an unpickled sketch reads the cells it updates.
 
-    A sampled sketch keeps its last ``recover`` result, with the
-    shallowest level the read reached, None for a whole peel.  A write
-    keeps it only when a fresh read would return it bit for bit: the
-    read was a level read, the support stays above ``capacity``, the
-    write's depth is below that level, and a write just above it leaves
-    the level above holding more than ``level_capacity`` by the
-    counters, so that ``_fit_level`` still starts the read where it did.
+    The sketch reads its cells one way, ``_fresh_read`` through
+    ``recover``, and ``sample`` draws from that read.  A sampled sketch
+    keeps its last read, with the shallowest level it reached, None for
+    a whole peel.  A write keeps it only when a fresh read would return
+    it bit for bit: the read was a level read, the support stays above
+    ``capacity``, the write's depth is below that level, and a write
+    just above it leaves the level above holding more than
+    ``level_capacity`` by the counters, so that ``_fit_level`` still
+    starts the read where it did.
     Any other write drops it, and so does every write after a whole peel.
     An index reaches depth l or more with probability 2^-l, so a read at
     level l survives a write with probability 1 - 2^-l while the level
@@ -596,36 +601,14 @@ class SampleRecovery:
             suffix += self.level_support[lvl]
         return min(lvl, self.levels - 1)
 
-    def _read_levels(self, need: int, whole: bool) -> tuple[int, set[int]]:
-        """(level, at least ``need`` support indices from its subsample):
-        its grid's one-sparse cells if they name that many (unless
-        ``whole``), else the whole subsample, peeled.  Reads the level
-        ``_fit_level`` picks, then shallower ones while a read stalls or
-        falls short, as it can under weights other than +/-1, since the
-        counters sum weights."""
-        first = self._fit_level()
-        for lvl in range(first, -1, -1):
-            cells = self._level_sum(lvl)
-            if not whole:
-                found = set(self._verify_cells(*cells)[0].tolist())
-                if len(found) >= need:
-                    return lvl, found
-            try:
-                found = self._peel(cells, sum(self.level_support[lvl:]))
-            except RecoveryFail:
-                continue
-            if len(found) >= need:
-                return lvl, found
-        raise RecoveryFail(f"levels {first}..0 gave under {need} indices")
-
     def sample(self, which: int) -> SampleOutcome:
-        """Draw number ``which``: a seeded uniform pick from a recovery.
+        """Draw number ``which``: a seeded uniform pick from ``recover()``.
 
-        The recovered set is the support while it fits within
-        ``capacity``, and otherwise, on a sampled sketch, the whole
-        subsample of the level the counters pick (``_read_levels``),
-        peeled; a sketch that is not sampled has no such read.  Each ``which`` >= 0 seeds its
-        own draw, so distinct draws are independent picks from that set.
+        Each ``which`` >= 0 seeds its own draw, so distinct draws are
+        independent picks from one read: the support while it fits
+        ``capacity``, past it a sampled sketch's level read.  A sketch
+        that is not sampled has no read past its capacity and fails
+        there.
         """
         if which < 0:
             raise IndexError(f"draw {which} is negative")
@@ -634,18 +617,14 @@ class SampleRecovery:
         if self.support > self.capacity and not self.sampled:
             return SampleOutcome(FAIL)
         try:
-            got = (self.recover() if self.support <= self.capacity
-                   else self._read_levels(1, whole=True)[1])
+            pool = sorted(self.recover())
         except RecoveryFail:
             return SampleOutcome(FAIL)
-        if not got:
-            return SampleOutcome(FAIL)
-        pool = sorted(got)
         pick = derive_seed(self.seed, "sample", which) % len(pool)
         return SampleOutcome(INDEX, pool[pick])
 
     def recover(self) -> set[int] | frozenset[int]:
-        """Support indices via grid peeling.
+        """Support indices via grid peeling, the sketch's one read.
 
         While ``support <= capacity``, or on a sketch that is not
         sampled: the exact support, peeled from the sum of all level
@@ -655,13 +634,12 @@ class SampleRecovery:
         gate on the support counter.
 
         On a sampled sketch past ``capacity`` = m: at least m distinct
-        support indices from one level's subsample (``_read_levels``), or
-        RecoveryFail.  The depth hash makes the subsample sizes
-        s_0 >= s_1 >= ... successive binomial thinnings,
-        s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at the picked level needs
-        s_l > C >= s_(l+1) with s_(l+1) < m for some l, C =
-        ``level_capacity``.  The chain stays at each size s > C for
-        1 / (1 - 2^-s) levels in expectation, so
+        support indices from one level's subsample, or RecoveryFail.  The
+        depth hash makes the subsample sizes s_0 >= s_1 >= ... successive
+        binomial thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at
+        the picked level needs s_l > C >= s_(l+1) with s_(l+1) < m for
+        some l, C = ``level_capacity``.  The chain stays at each size
+        s > C for 1 / (1 - 2^-s) levels in expectation, so
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
         1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, fail 8.3e-6).  A level
@@ -673,23 +651,41 @@ class SampleRecovery:
         A sampled sketch returns a frozenset and keeps it, so that the
         next call returns it again while ``update`` finds that no write
         since changed what a fresh read would return.  A sketch that is
-        not sampled (dpsa's) peels on every call.
+        not sampled (dpsa's) peels on every call and keeps nothing.
         """
         if not self.sampled:
-            return self._peel(self._level_sum(0), self.support)
+            return self._fresh_read()[1]
         if self._held is None:
-            self._held = self._fresh_read()
+            level, found = self._fresh_read()
+            self._held = level, frozenset(found)
         return self._held[1]
 
-    def _fresh_read(self) -> tuple[int | None, frozenset[int]]:
-        """(shallowest level read, indices) of a read of the cells: the
-        whole peel, level None, while the support fits ``capacity``; else
-        ``_read_levels`` for ``capacity`` indices."""
-        if self.support <= self.capacity:
-            return None, frozenset(self._peel(self._level_sum(0),
-                                              self.support))
-        level, found = self._read_levels(self.capacity, whole=False)
-        return level, frozenset(found)
+    def _fresh_read(self) -> tuple[int | None, set[int]]:
+        """(shallowest level read, indices) of a read of the cells.
+
+        While the support fits ``capacity``, or on a sketch that is not
+        sampled, the whole peel of the sum of all level grids, level
+        None.  Past it, on a sampled sketch, ``capacity`` indices of the
+        level ``_fit_level`` picks: its grid's one-sparse cells if they
+        name that many, else its whole subsample, peeled; then shallower
+        levels while a read stalls or falls short, as it can under
+        weights other than +/-1, since the counters sum weights.
+        """
+        if not self.sampled or self.support <= self.capacity:
+            return None, self._peel(self._level_sum(0), self.support)
+        first = self._fit_level()
+        for lvl in range(first, -1, -1):
+            cells = self._level_sum(lvl)
+            found = set(self._verify_cells(*cells)[0].tolist())
+            if len(found) < self.capacity:
+                try:
+                    found = self._peel(cells, sum(self.level_support[lvl:]))
+                except RecoveryFail:
+                    continue
+            if len(found) >= self.capacity:
+                return lvl, found
+        raise RecoveryFail(f"levels {first}..0 gave under {self.capacity} "
+                           f"indices")
 
     def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
         """Support of a (count, index, fingerprint) grid, peeled in place,

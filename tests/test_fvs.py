@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from vcstream.core import Edge
 from vcstream.fvs import FvsState, fvs_decide, fvs_insert, fvs_query
 from vcstream.harness.oracles import (oracle_fvs, oracle_min_fvs, _acyclic)
@@ -40,6 +42,33 @@ def test_dead_state_absorbs():
     st.dead = True
     fvs_insert(st, Edge(1, 2), n=4, k=0)
     assert st.dead and not st.stored
+
+
+def test_dead_state_refuses_a_larger_query_k():
+    # 5 edges pass n(k+1) = 4 at k=0, but not 8 at k=1, where {1} cuts
+    # every cycle
+    edges = [Edge(1, 2), Edge(1, 3), Edge(1, 4), Edge(2, 3), Edge(2, 4)]
+    dead, live = FvsState(), FvsState()
+    for e in edges:
+        fvs_insert(dead, e, n=4, k=0)
+        fvs_insert(live, e, n=4, k=1)
+    assert dead.dead and not live.dead
+    assert fvs_query(dead, 0).is_no
+    with pytest.raises(ValueError, match="query k=1 exceeds the state's k=0"):
+        fvs_query(dead, 1)
+    ans = fvs_query(live, 1)
+    assert ans.is_yes and ans.cover == frozenset({1})
+
+
+def test_live_state_answers_a_larger_query_k():
+    # a live state stores every edge, so any k is decided exactly
+    st = FvsState()
+    for u, v in itertools.combinations(range(1, 5), 2):
+        fvs_insert(st, Edge(u, v), n=4, k=1)
+    assert not st.dead and st.k == 1
+    assert fvs_query(st, 1).is_no  # K4 needs two
+    ans = fvs_query(st, 2)
+    assert ans.is_yes and len(ans.cover) == 2
 
 
 def test_path_k0_yes():

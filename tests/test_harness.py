@@ -305,7 +305,7 @@ def test_cli_pdpsa_promised_round_trip(tmp_path):
     assert run_cli(["--gen", "promised", "--n", "14", "--k", "3",
                     "--seed", "9", "--length", "80"], out=buf) == 0
     gen.write_text(buf.getvalue())
-    code, report = run(["--input", str(gen), "--validate", "--seed", "9"])
+    code, report = run(["--input", str(gen), "--seed", "9"])
     assert code == 0
     assert report["answer"] == "yes"
     cover = [int(s) for s in report["cover"].split(",")]

@@ -28,12 +28,12 @@ def test_derive_seed_is_hashlibs_blake2b():
         assert derive_seed(*parts) == int.from_bytes(h, "big") >> 1
 
 
-# need: what a read past capacity returns, a sampled sketch's capacity;
-# 0 for a sketch that is not sampled
-@pytest.mark.parametrize("n, need", [(600, 5), (179700, 0)])
-def test_bases_and_row_keys_come_from_the_seed(n, need):
+# x: the threshold 2k+1 of a pdpsa vertex sketch, sampled with capacity
+# x (5 at k=2); 0 for a sketch that is not sampled, such as dpsa's
+@pytest.mark.parametrize("n, x", [(600, 5), (179700, 0)])
+def test_bases_and_row_keys_come_from_the_seed(n, x):
     a, b, c = (SampleRecovery(n_indices=n, capacity=5, seed=s,
-                              sampled=need > 0)
+                              sampled=x > 0)
                for s in (3, 3, 4))
     for s in (a, b, c):
         assert 0 <= s.r < PRIME - n
@@ -83,10 +83,11 @@ def _bucket(s, row, i):
     return _splitmix64(i + int(s.hash_keys[row])) % s.buckets
 
 
-@pytest.mark.parametrize("n, cap, need", [(1000, 50, 0), (179700, 1800, 0),
-                                          (600, 5, 5)])
-def test_bucket_hashes_match_splitmix64(n, cap, need):
-    s = SampleRecovery(n_indices=n, capacity=cap, seed=n, sampled=need > 0)
+# x as above: the capacity is x for a pdpsa vertex sketch
+@pytest.mark.parametrize("n, cap, x", [(1000, 50, 0), (179700, 1800, 0),
+                                       (600, 5, 5)])
+def test_bucket_hashes_match_splitmix64(n, cap, x):
+    s = SampleRecovery(n_indices=n, capacity=cap, seed=n, sampled=x > 0)
     rng = random.Random(n)
     idx = [1, n] + [rng.randint(1, n) for _ in range(300)]
     want = [[_bucket(s, r, i) for r in range(s.rows)] for i in idx]
@@ -353,8 +354,14 @@ def test_a_peel_that_disagrees_with_its_counters_fails():
     for i in range(100, 400):
         s.update(i, +1)
     assert s.sample(0).kind == INDEX
+    # a level read whose one-sparse cells fall short peels the level's
+    # subsample, and compares its weight with the counters' suffix
+    lvl = s._fit_level()
+    weight = sum(s.level_support[lvl:])
     s.level_support = [c + 1 for c in s.level_support]
-    assert s.sample(0).kind == FAIL
+    with pytest.raises(RecoveryFail, match=f"peeled weight {weight}, "
+                       f"counters {weight + s.levels - lvl}"):
+        s._peel(s._level_sum(lvl), sum(s.level_support[lvl:]))
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
@@ -632,7 +639,7 @@ def test_level_capacity_bisects_to_the_stepped_search():
                 == _stepped_level_capacity(need, fail), (need, fail)
 
 
-def test_recover_need_reads_the_levels_only_past_capacity():
+def test_recover_reads_the_levels_only_past_capacity():
     s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
     for i in range(1, 11):
         s.update(i, +1)
@@ -648,6 +655,25 @@ def test_recover_need_reads_the_levels_only_past_capacity():
     for i in (1, 2, 3):
         no_levels.update(i, +1)
     assert no_levels.sample(0).kind == FAIL
+
+
+def test_draws_past_capacity_pick_from_one_level_read(monkeypatch):
+    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
+    for i in range(1, 301):
+        s.update(i, +1)
+    real, reads = SampleRecovery._fresh_read, []
+
+    def counted(self):
+        reads.append(self)
+        return real(self)
+    monkeypatch.setattr(SampleRecovery, "_fresh_read", counted)
+    draws = [s.sample(which) for which in range(50)]
+    read = s.recover()
+    # the first draw reads a level and holds it; the rest and recover()
+    # return the held read
+    assert len(reads) == 1 and s._held[0] >= 1
+    assert all(d.is_index and d.index in read for d in draws)
+    assert len({d.index for d in draws}) > 1
 
 
 def test_a_kept_read_counts_in_words_until_the_support_fits():
@@ -794,16 +820,14 @@ def test_mulmod_float_quotient_is_exact(bits):
     assert got.tolist() == [x * y % p for x, y in zip(a, b)]
 
 
-# (n_indices) of a pdpsa vertex sketch at n=600, and of the dpsa edge
-# sketch at n=600 and n=2000
-# need > 0: a sampled sketch, whose read past capacity must return at
-# least ``need`` indices
-@pytest.mark.parametrize("n,need", [(600, 3), (600 * 599 // 2, 0),
-                                    (2000 * 1999 // 2, 0)])
-def test_sketch_matches_python_int_reference(n, need):
+# (n_indices, sampled) of a pdpsa vertex sketch at n=600, and of the
+# dpsa edge sketch at n=600 and n=2000
+@pytest.mark.parametrize("n,sampled", [(600, True), (600 * 599 // 2, False),
+                                       (2000 * 1999 // 2, False)])
+def test_sketch_matches_python_int_reference(n, sampled):
     rng = random.Random(n)
     for seed in range(3):
-        s = SampleRecovery(n, capacity=30, seed=seed, sampled=need > 0)
+        s = SampleRecovery(n, capacity=30, seed=seed, sampled=sampled)
         ops = [(i, rng.choice([1, 2, -1]))
                for i in rng.sample(range(1, n), 29) + [n]]
         for i, d in ops:
@@ -820,7 +844,7 @@ def test_sketch_matches_python_int_reference(n, need):
         for which in range(3):
             got = s.sample(which)
             assert (got.index in support if got.is_index
-                    else s.support > s.capacity and not need)
+                    else s.support > s.capacity and not sampled)
 
 
 def test_the_fingerprint_prime_is_the_largest_below_2_50():
