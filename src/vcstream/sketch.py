@@ -18,21 +18,33 @@ not sampled has one level, a plain recovery grid.  Each sketch has one
 size and one failure target, which sizes its levels and its grids.
 
 A one-sparse cell is a (count, index-weighted sum, fingerprint) triple
-that recognises a vector with one nonzero entry.  The fingerprint is the
-rational sum of x_j (j + r)^-1 modulo the prime P = 2^50 - 27, the
-largest below 2^50, for r drawn from [0, P - N), so that no j + r is 0
-mod P.  A cell (c, S, fp) whose count divides S into an index i in
-[1, N] passes when fp (i + r) = c mod P: one exact multiply through a
-float quotient (``_mulmod_exact``), with no power table.  For a cell of
-support s that is not c e_i, its difference z from c e_i is nonzero mod
-P, and clearing the denominators of sum z_j / (j + r) gives a nonzero
-polynomial in r of degree at most s; so the check passes the cell with
-probability at most s / (P - N), whatever N is: 1.6e-12 for a dpsa
-cell at n=600, k=3, which holds at most 1 800 edges.  A sketch takes
-N <= P/2 (``MAX_INDICES``).  Stored fingerprints lie in [0, P), and
-2^63 / P = 8 192 of them sum within int64, so a level sum (at most 64
-levels) and a peel block's subtractions (at most 8 192 indices) reduce
-mod P once, after them.
+that recognises a vector with one nonzero entry.  A sketch stores it in
+two int64 words: the packed word w = c 2^K + S, with K fixed by N
+(``_packing``), and the fingerprint.  The map (c, S) -> w is a ring map
+into Z/2^64, so level sums, copies and pickles act on w as they did on
+c and S, and a read decodes w once, in ``_level_sum``, exactly while
+every level sum keeps |c| and |S| within the packed range.  The sketch
+keeps an exact bound on each, raised by |d| and |d| i at a write to
+index i and, when either would pass the range, recomputed from the
+cells; a write that passes the range even then widens the sketch to
+three words a cell for good.  The vectors that pdpsa and dpsa write are
+0/1, so a valid +/-1 stream never widens a sketch; one whose N is too
+large for every 0/1 vector to fit (dpsa from n = 2 049) starts wide.
+
+The fingerprint is the rational sum of x_j (j + r)^-1 modulo the prime
+P = 2^50 - 27, the largest below 2^50, for r drawn from [0, P - N), so
+that no j + r is 0 mod P.  A cell (c, S, fp) whose count divides S into
+an index i in [1, N] passes when fp (i + r) = c mod P: one exact
+multiply through a float quotient (``_mulmod_exact``), with no power
+table.  For a cell of support s that is not c e_i, its difference z
+from c e_i is nonzero mod P, and clearing the denominators of
+sum z_j / (j + r) gives a nonzero polynomial in r of degree at most s;
+so the check passes the cell with probability at most s / (P - N),
+whatever N is: 1.6e-12 for a dpsa cell at n=600, k=3, which holds at
+most 1 800 edges.  A sketch takes N <= P/2 (``MAX_INDICES``).  Stored
+fingerprints lie in [0, P), and 2^63 / P = 8 192 of them sum within
+int64, so a level sum (at most 64 levels) and a peel block's
+subtractions (at most 8 192 indices) reduce mod P once, after them.
 
 Each row hashes an index to one of B buckets with splitmix64 of the
 index plus the row's key, so that buckets behave as independent uniform
@@ -97,6 +109,32 @@ PRIME = (1 << 50) - 27
 MAX_INDICES = PRIME // 2
 # residues below PRIME that an int64 sums without overflow: 8 192
 _HEADROOM = _INT64_MAX // PRIME
+# the most words a sketch's cells may take, 128 MiB of int64: a sketch
+# whose least grid would pass it is refused before it is sized
+MAX_WORDS = 1 << 24
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(n_indices: int) -> tuple[int, int, int] | None:
+    """(K, count limit, sum limit) of the packed word w = c 2^K + S over
+    indices in [1, N], or None where no 0/1 vector is sure to fit.
+
+    While |c| <= 2^(63-K) - 1 and |S| <= 2^(K-1) - 1, S + 2^(K-1) lies
+    in [1, 2^K) and c 2^K + S + 2^(K-1) in int64, so
+    c = (w + 2^(K-1)) >> K and S = w - c 2^K, exactly.  K makes the
+    least of the count limit and the sum limit / N largest.  A 0/1
+    vector has c <= N and S <= N(N+1)/2 in any cell; packing needs the
+    limits to hold that and one more +/-1 write, so that a valid stream
+    never widens (``update``).  K = 41 at N = 179 700 (dpsa at n=600),
+    limits 2^22 - 1 and 2^40 - 1; dpsa from n = 2 049 has none.
+    """
+    n = max(1, n_indices)
+    _, shift = max((min((1 << (63 - k)) - 1, ((1 << (k - 1)) - 1) // n), k)
+                   for k in range(1, 63))
+    count, total = (1 << (63 - shift)) - 1, (1 << (shift - 1)) - 1
+    if count < n + 1 or total < n * (n + 3) // 2:
+        return None
+    return shift, count, total
 
 
 def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -106,12 +144,13 @@ def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     fl(a) * fl(b) / p move a * b / p < 2^50 by less than
     2^50 * 2^-52 = 1/4, so its truncation q is off by at most one.  Then
     a * b - q * p lies in (-p, 2p), wrapping int64 arithmetic gives it
-    exactly, and one masked correction each way brings it into [0, p).
+    exactly, and one floored remainder brings it into [0, p): on a
+    level read's few dozen cells, a fifth of the time of a masked
+    correction each way.
     """
     q = (a.astype(np.float64) * b / p).astype(np.int64)
     r = a * b - q * p
-    r[r < 0] += p
-    r[r >= p] -= p
+    r %= p
     return r
 
 
@@ -317,6 +356,20 @@ def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
     return best
 
 
+def _least_cells(capacity: int, target: float) -> int:
+    """A lower bound on the cells R * B of ``grid_geometry(capacity,
+    target)``, found without sizing.  It is at least ``capacity``: a peel
+    empties a distinct cell for each index, so a smaller grid always
+    stalls.  And at each R, B is at least the least that the pair term
+    C(capacity, 2) / B^R <= target allows, and at least 2."""
+    if capacity < 2:
+        return 1
+    pairs = math.comb(capacity, 2)
+    return max(capacity, min(
+        rows * max(2, math.floor((pairs / target) ** (1 / rows)))
+        for rows in range(1, MAX_ROWS + 1)))
+
+
 @functools.lru_cache(maxsize=64)
 def level_capacity(need: int, fail: float) -> int:
     """Smallest capacity C with P[Bin(C+1, 1/2) < need] <= ``fail``.
@@ -415,6 +468,19 @@ class SampleRecovery:
     differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
     or an unpickled sketch reads the cells it updates.
 
+    A cell takes two words in ``cells``: w = c 2^K + S and the
+    fingerprint, with K = ``_shift`` from ``_packing(N)``.  ``update``
+    encodes a write with a shift and an add, and ``_level_sum`` decodes
+    a level sum into the (count, index sum, fingerprint) grid that
+    ``_peel`` and ``_verify_cells`` read.  The sketch keeps exact bounds
+    on |c| and |S| over every level sum, ``_bounds``, which a write
+    raises by |d| and |d| i; when either would pass its limit,
+    ``_refit`` takes the bounds the cells show, and if the write passes
+    a limit even then it widens ``cells`` to three words a cell for
+    good (``_shift`` None).  Under a valid +/-1 stream the vector is
+    0/1 and no write widens; a sketch with N past ``_packing``'s range
+    starts wide.  ``state_equals`` compares decoded cells.
+
     The sketch reads its cells one way, ``_fresh_read`` through
     ``recover``, and ``sample`` draws from that read.  A sampled sketch
     keeps its last read, with the shallowest level it reached, None for
@@ -456,6 +522,17 @@ class SampleRecovery:
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
+        # packed while every 0/1 vector fits the range, so that the +/-1
+        # writes of a valid stream never widen the sketch
+        packing = _packing(n_indices)
+        fields = 3 if packing is None else 2
+        least = fields * self.levels * _least_cells(self.level_capacity, fail)
+        if least > MAX_WORDS:
+            # before ``grid_geometry``, whose sizing grows with capacity
+            raise ValueError(f"a sketch of capacity {capacity} over "
+                             f"{n_indices} indices needs at least {least} "
+                             f"words of cells, past the budget of "
+                             f"{MAX_WORDS}")
         self.rows, self.buckets = grid_geometry(self.level_capacity, fail)
         self.stall_bound = stall_bound(self.level_capacity, self.rows,
                                        self.buckets)
@@ -474,8 +551,13 @@ class SampleRecovery:
         # key of the hash that picks each index's deepest level
         self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
-        # (count, index, fingerprint) of every cell, level 0 first
-        self.cells = np.zeros((3, self.levels * self._per_level),
+        # (packed word, fingerprint) of every cell, level 0 first, with
+        # K = ``_shift`` and the limits on |c| and |S|; (count, index
+        # sum, fingerprint) once widened, when ``_shift`` is None
+        self._shift, *self._limits = packing or (None, None, None)
+        # exact bounds on |c| and on |S| over every level sum, while packed
+        self._bounds = (0, 0)
+        self.cells = np.zeros((fields, self.levels * self._per_level),
                               dtype=np.int64)
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
@@ -488,7 +570,8 @@ class SampleRecovery:
     def grids(self) -> np.ndarray:
         """``cells`` as (field, level, row, bucket): a view, so writes
         through it land in ``cells``."""
-        return self.cells.reshape(3, self.levels, self.rows, self.buckets)
+        return self.cells.reshape(len(self.cells), self.levels, self.rows,
+                                  self.buckets)
 
     # -- updates -----------------------------------------------------------
 
@@ -537,12 +620,26 @@ class SampleRecovery:
             raise ValueError(f"weight {d} at index {index} overflows int64")
         # each added value is formed and reduced in Python ints, so once a
         # cell changes nothing below can raise
-        add = np.array([d, d * index, d * pow(index + self.r, -1, PRIME)
-                        % PRIME], dtype=np.int64)
+        fp = d * pow(index + self.r, -1, PRIME) % PRIME
+        shift = self._shift
+        if shift is not None:
+            # a write raises the bounds by |d| and |d| index
+            a = abs(d)
+            count, total = self._bounds
+            count, total = count + a, total + a * index
+            top, most = self._limits
+            if count > top or total > most:
+                shift = self._refit(a, index)
+            else:
+                self._bounds = count, total
+        if shift is None:
+            add = np.array([d, d * index, fp], dtype=np.int64)
+        else:
+            add = np.array([(d << shift) + d * index, fp], dtype=np.int64)
         depth = self._depth(index) if self.levels > 1 else 0
         at = self._cells_of(int(index), depth)
         v = self.cells[:, at] + add[:, None]
-        v[2] %= PRIME  # from [0, 2P)
+        v[-1] %= PRIME  # from [0, 2P)
         self.cells[:, at] = v
         self.level_support[depth] += d
         self.support += d
@@ -572,24 +669,67 @@ class SampleRecovery:
             return pos, pos, pos
         c = count.reshape(-1)[pos]
         ix = index.reshape(-1)[pos]
-        i = ix // c
-        ok = (ix % c == 0) & (i >= 1) & (i <= self.n)
+        i, rest = np.divmod(ix, c)
+        # 1 <= i <= N as one unsigned test: i - 1 wraps below 0
+        ok = (rest == 0) & ((i - 1).view(np.uint64) < self.n)
         pos, c, i = pos[ok], c[ok], i[ok]
         ok = (_mulmod_exact(fp.reshape(-1)[pos], i + self.r, PRIME)
               == c % PRIME)
         return i[ok], c[ok], pos[ok]
 
+    def _decode(self, cells: np.ndarray) -> np.ndarray:
+        """(count, index sum, fingerprint) of cells in the sketch's
+        layout: of packed (w, fingerprint) cells a new array, with
+        c = (w + 2^(K-1)) >> K and S = w - c 2^K (``_packing``); wide
+        cells as they are."""
+        shift = self._shift
+        if shift is None:
+            return cells
+        w = cells[0]
+        out = np.empty((3,) + w.shape, dtype=np.int64)
+        count, index = out[0], out[1]
+        np.add(w, 1 << (shift - 1), out=index)
+        np.right_shift(index, shift, out=count)
+        np.left_shift(count, shift, out=index)
+        np.subtract(w, index, out=index)
+        out[2] = cells[1]
+        return out
+
+    def _refit(self, weight: int, index: int) -> int | None:
+        """Make room for a write of |d| = ``weight`` at ``index`` that the
+        running bounds would take past the packed range, and return the
+        layout's K, None once wide.  The bounds become those the cells
+        show, the most that a cell's |c|, or its |S|, sums to over the
+        levels, which bound every level sum, raised by the write; if
+        the write passes the range even then, the cells widen to three
+        words for good."""
+        fields = self._decode(self.cells)
+        count, total = np.abs(fields[:2].reshape(2, self.levels, -1)).sum(
+            axis=1).max(axis=1).tolist()
+        count, total = count + weight, total + weight * index
+        top, most = self._limits
+        if count > top or total > most:
+            self.cells = fields
+            self._shift = self._bounds = None
+        else:
+            self._bounds = count, total
+        return self._shift
+
     def _level_sum(self, level: int) -> np.ndarray:
-        """The R x B grid of the subsample {i : depth(i) >= level}: the
-        level grids from ``level`` down, summed, fingerprints reduced once
-        (at most 64 levels of residues below P fit int64); a copy of the
-        deepest grid, which is reduced already."""
+        """The (count, index sum, fingerprint) R x B grid of the subsample
+        {i : depth(i) >= level}: the level grids from ``level`` down,
+        summed, fingerprints reduced once (at most 64 levels of residues
+        below P fit int64), and decoded; the deepest grid is reduced
+        already.  A new array, since a peel works in place."""
         grids = self.grids
-        if level == self.levels - 1:
+        if level < self.levels - 1:
+            cells = grids[:, level:].sum(axis=1)
+            cells[-1] %= PRIME
+        elif self._shift is None:
             return grids[:, level].copy()
-        cells = grids[:, level:].sum(axis=1)
-        cells[2] %= PRIME
-        return cells
+        else:
+            cells = grids[:, level]
+        return self._decode(cells)
 
     def _fit_level(self) -> int:
         """The shallowest level whose subsample holds at most
@@ -744,15 +884,21 @@ class SampleRecovery:
     # -- comparison (linearity tests) -------------------------------------
 
     def state_equals(self, other: "SampleRecovery") -> bool:
+        """Equal counters and decoded cells, so a widened sketch can equal
+        a packed one."""
         return (self.support == other.support
                 and self.level_support == other.level_support
-                and np.array_equal(self.cells, other.cells))
+                and np.array_equal(self._decode(self.cells),
+                                   other._decode(other.cells)))
 
     def words(self) -> int:
-        """Stored machine words: every cell's 3, a hash key per row, past
-        one level the per-level counters and the depth hash key, 3 more
-        (the support counter, the capacity and the offset r), and for a
-        kept read its level and one word per index."""
+        """Stored machine words: every cell's 2 (its packed word and its
+        fingerprint), or 3 once widened, a hash key per row, past one
+        level the per-level counters and the depth hash key, 3 more (the
+        support counter, the capacity and the offset r), the two range
+        bounds while packed, and for a kept read its level and one word
+        per index."""
         levels = self.levels + 1 if self.levels > 1 else 0
         held = 0 if self._held is None else 1 + len(self._held[1])
-        return self.cells.size + self.rows + levels + 3 + held
+        bounds = 0 if self._shift is None else 2
+        return self.cells.size + self.rows + levels + 3 + bounds + held

@@ -532,6 +532,9 @@ def _gen_run(gen, churn):
       for n in (1, 2) for k in (0, 1)),
     # past the old two-prime ceiling of n = 77 936
     _header_run("77937 1 dpsa"),
+    # 7.8e7 edge slots, whose cells would pass the word budget: refused
+    # before the grid is sized
+    _header_run("77936 1000 dpsa"),
     # k far past n - 1
     _header_run("5 1000 pdpsa"),
     # a level capacity for need = 2001, found by bisection
@@ -542,14 +545,17 @@ def _gen_run(gen, churn):
 ])
 def test_cli_small_headers_finish_in_their_own_words(args, stdin):
     # each run ends within the timeout, with an exit code of its own and
-    # no traceback; n * k stays small, so no header asks for much memory.
-    # pdpsa at k = 0 breaks its promise with the first edge: exit 4
+    # no traceback; a header whose sketch would ask for much memory is
+    # refused with exit 2.  pdpsa at k = 0 breaks its promise with the
+    # first edge: exit 4
     done = _python(["-m", "vcstream.harness.cli", *args], stdin=stdin,
                    timeout=30)
     assert done.returncode in (0, 2, 3, 5) or (
         done.returncode == 4 and stdin.startswith("2 0 pdpsa")
         and "answer=promise-violation" in done.stdout), done.stderr
     assert "Traceback" not in done.stderr
+    if stdin.startswith("77936 1000 dpsa"):
+        assert done.returncode == 2 and "past the budget" in done.stdout
 
 
 def test_pdpsa_words_stop_growing_once_2k_plus_1_passes_n_minus_1(tmp_path):

@@ -202,10 +202,11 @@ def test_vertex_sketch_words_at_n600_k2():
     # a sampler bank of 127 samplers x 41 reps x 11 levels, and 22 344
     # with 11 level grids beside a recovery grid for x = 254, 9 084 with
     # 7 level grids of 5 x 64 buckets, 3 453 with 7 of 7 x 17 and two
-    # fingerprints a cell, and 2 517 with one
+    # fingerprints a cell, 2 517 with one, and 1 686 with the count and
+    # index sum packed in one word
     st = MatchingState(Config(n=600, k=2))
     st._fresh_sketch(1)
-    assert st.sketches[1].words() <= 4_000
+    assert st.sketches[1].words() <= 1_800
 
 
 def _state_words(n, k):

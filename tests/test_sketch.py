@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import random
 from itertools import accumulate, product
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from vcstream import sketch
 from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_INDICES, MAX_ROWS,
-                             PRIME, RecoveryFail, SampleRecovery,
-                             _mulmod_exact, derive_seed, grid_geometry,
-                             level_capacity, stall_bound)
+                             MAX_WORDS, PRIME, RecoveryFail, SampleRecovery,
+                             _least_cells, _mulmod_exact, _packing,
+                             derive_seed, grid_geometry, level_capacity,
+                             stall_bound)
 
 
 def test_derive_seed_deterministic():
@@ -67,6 +69,20 @@ def _verified(s, c, ix, fp):
     if fp != _fingerprint(s, i, c):
         return None
     return i
+
+
+def _fields(s):
+    """(count, index sum, fingerprint) of every cell, decoded, as
+    (field, level, row, bucket)."""
+    return s._decode(s.cells).reshape(3, s.levels, s.rows, s.buckets)
+
+
+def _stored(s, c, ix, fp):
+    """The stored words of a cell (c, ix, fp): (c 2^K + ix, fp) while
+    the sketch packs, with K = ``_shift``, else the three fields."""
+    if s._shift is None:
+        return [c, ix, fp]
+    return [(c << s._shift) + ix, fp]
 
 
 def _splitmix64(x):
@@ -332,7 +348,7 @@ def test_an_index_peeled_twice_stalls(row):
     assert s.recover() == {5, 17, 40}
     grid = s.grids[:, 0, row]
     col = next(c for c in range(s.buckets) if not grid[:, c].any())
-    grid[:, col] = [1, 5, _fingerprint(s, 5)]
+    grid[:, col] = _stored(s, 1, 5, _fingerprint(s, 5))
     with pytest.raises(RecoveryFail, match="peeled twice"):
         s.recover()
     with pytest.raises(RecoveryFail):
@@ -387,6 +403,27 @@ def test_grid_geometry_is_the_smallest_grid_within_the_stall_bound(capacity,
     for r in range(1, MAX_ROWS + 1):
         b = (cells - (r >= rows)) // r
         assert b < 1 or stall_bound(capacity, r, b) > delta, r
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
+@pytest.mark.parametrize("delta", [0.01, 1e-6])
+def test_least_cells_bound_the_grid(capacity, delta):
+    rows, buckets = grid_geometry(capacity, delta)
+    assert capacity <= _least_cells(capacity, delta) <= rows * buckets
+
+
+def test_a_sketch_past_the_word_budget_is_refused_before_sizing(monkeypatch):
+    def sized(*args):
+        raise AssertionError("a refused sketch was sized")
+    for name in ("grid_geometry", "_stall_sizes"):
+        monkeypatch.setattr(sketch, name, sized)
+    # dpsa's sketch at n = 77 936, k = 1000: 7.8e7 edge slots over 3.0e9
+    # indices, past the packed range, so at least 3 words a slot
+    n, capacity = 77936 * 77935 // 2, 77936 * 1000
+    assert _packing(n) is None
+    with pytest.raises(ValueError, match=f"{3 * capacity} words of cells, "
+                       f"past the budget of {MAX_WORDS}"):
+        SampleRecovery(n, capacity, seed=0, fail=0.005 / n)
 
 
 def _no_singleton_by_enumeration(s, b):
@@ -532,7 +569,7 @@ def test_level_grids_match_all_levels_reference(ops, capacity, seed):
     for i, d in ops:
         s.update(i, d)
     ref = _reference_levels(s, ops)
-    got = np.cumsum(s.grids[:, ::-1], axis=1)[:, ::-1]
+    got = np.cumsum(_fields(s)[:, ::-1], axis=1)[:, ::-1]
     got[2] %= PRIME
     assert np.array_equal(got, ref.astype(np.int64))
     depths = [0] * s.levels
@@ -710,6 +747,127 @@ def test_large_weight_update_round_trips():
     assert s.state_equals(fresh_state)
 
 
+# -- the two-word cell -------------------------------------------------------
+
+
+def _reads(s):
+    """Every decoded level sum, the read, failures included, and three
+    draws of a sketch."""
+    sums = [s._level_sum(lvl).tolist() for lvl in range(s.levels)]
+    try:
+        got = sorted(s.recover())
+    except RecoveryFail:
+        got = "fail"
+    return sums, got, [s.sample(which) for which in range(3)]
+
+
+def _widened(s):
+    """A copy of ``s`` widened to three words a cell by a write past the
+    packed range and its inverse, which leave its vector as it was."""
+    w = pickle.loads(pickle.dumps(s))
+    big = w._limits[0] + 1
+    w.update(1, big)
+    w.update(1, -big)
+    assert w._shift is None and len(w.cells) == 3
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 6, 300, 600, 179700, 1999000,
+                               2048 * 2047 // 2])
+def test_packed_words_decode_exactly_at_the_corners_of_the_range(n):
+    # every 0/1 vector and one more +/-1 write fit the range
+    shift, count, total = _packing(n)
+    assert count >= n + 1 and total >= n * (n + 3) // 2
+    s = SampleRecovery(n, capacity=1, seed=0)
+    assert s._shift == shift and len(s.cells) == 2
+    corners = [(c, x) for c in (-count, -1, 0, 1, count)
+               for x in (-total, -1, 0, 1, total)]
+    stored = np.array([[(c << shift) + x for c, x in corners],
+                       [7] * len(corners)], dtype=np.int64)
+    got = s._decode(stored)
+    assert got.tolist() == [[c for c, _ in corners], [x for _, x in corners],
+                            [7] * len(corners)]
+
+
+def test_a_sketch_starts_wide_where_a_0_1_vector_may_not_fit():
+    # dpsa's edge slots fit the packed range up to n = 2 048 (above)
+    wide = SampleRecovery(2049 * 2048 // 2, capacity=1, seed=0)
+    assert _packing(wide.n) is None
+    assert wide._shift is None and len(wide.cells) == 3
+
+
+def test_a_widened_sketch_reads_as_the_packed_one():
+    # one seeded +/-1 write sequence over 40 indices, about 20 of them
+    # present, past the capacity of a sampled sketch (level reads) and of
+    # one without levels (failed reads)
+    fails = 0
+    for sampled, cap, fail in ((True, 3, 0.3), (False, 6, 0.01)):
+        packed = SampleRecovery(300, cap, seed=5, fail=fail, sampled=sampled)
+        wide = _widened(packed)
+        rng, present = random.Random(21), set()
+        for _ in range(300):
+            i = rng.randint(1, 40)
+            d = -1 if i in present else 1
+            present ^= {i}
+            packed.update(i, d)
+            wide.update(i, d)
+            assert packed._shift is not None and wide._shift is None
+            assert packed.state_equals(wide) and wide.state_equals(packed)
+            got = _reads(packed)
+            assert got == _reads(wide)
+            fails += got[1] == "fail"
+    assert fails > 0
+
+
+def test_a_write_past_the_packed_range_widens_and_keeps_every_read():
+    s = SampleRecovery(600, 5, seed=3, fail=0.01 / 1200, sampled=True)
+    for i in range(1, 61):
+        s.update(i, +1)
+    twin, before, words = pickle.loads(pickle.dumps(s)), _reads(s), s.words()
+    big = s._limits[0]  # one more than the count bound allows
+    s.update(1, big)
+    assert s._shift is None and len(s.cells) == 3
+    s.update(1, -big)
+    assert s.state_equals(twin) and _reads(s) == before
+    # a third word a cell, and no range bounds
+    assert s.words() == words + s.cells.size // 3 - 2
+
+
+def test_a_write_past_the_sum_range_widens():
+    # at N = 300 the index sum's limit binds first: a weight the count
+    # range holds fits at index 1 and passes the sum range at index N
+    n = 300
+    _, count, total = _packing(n)
+    d = total // n + 1
+    assert d <= count
+    s = SampleRecovery(n, capacity=2, seed=1)
+    s.update(1, d)
+    assert s._shift is not None and s.recover() == {1}
+    s.update(n, d)
+    assert s._shift is None and s.recover() == {1, n}
+
+
+def test_bounds_at_their_limits_recompute_and_keep_the_sketch_packed():
+    # as if a long stream had run the bounds up to the range: each +/-1
+    # write takes the bounds the cells show and stays packed, with the
+    # cells and reads of a sketch whose bounds were never touched
+    s = SampleRecovery(600, 5, seed=4, fail=0.01 / 1200, sampled=True)
+    twin = SampleRecovery(600, 5, seed=4, fail=0.01 / 1200, sampled=True)
+    rng, present = random.Random(4), set()
+    for t in range(200):
+        s._bounds = s._limits
+        i = rng.randint(1, 600)
+        d = -1 if i in present else 1
+        present ^= {i}
+        s.update(i, d)
+        twin.update(i, d)
+        assert s._shift is not None
+        assert s._bounds[0] <= len(present) + 1
+        assert np.array_equal(s.cells, twin.cells)
+        if t % 20 == 0:
+            assert _reads(s) == _reads(twin)
+
+
 @pytest.mark.parametrize("n", [600, 10 ** 5, 1 << 23, 1 << 26, MAX_INDICES])
 def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
     s = SampleRecovery(n_indices=n, capacity=8, seed=4)
@@ -832,7 +990,7 @@ def test_sketch_matches_python_int_reference(n, sampled):
                for i in rng.sample(range(1, n), 29) + [n]]
         for i, d in ops:
             s.update(i, d)
-        got = np.cumsum(s.grids[:, ::-1], axis=1)[:, ::-1]
+        got = np.cumsum(_fields(s)[:, ::-1], axis=1)[:, ::-1]
         got[2] %= PRIME
         assert np.array_equal(got, _reference_levels(s, ops).astype(np.int64))
         support = {i for i, _ in ops}
