@@ -151,6 +151,9 @@ def gen_disjointness_gadget(x_bits: list[int],
     """Chain of 8-vertex blocks; acyclic iff no position has x_i = y_i = 1."""
     if len(x_bits) != len(y_bits):
         raise ValueError("bit strings must have equal length")
+    for bit in (*x_bits, *y_bits):
+        if bit not in (0, 1):
+            raise ValueError(f"gadget bits must be 0 or 1, not {bit}")
     n = len(x_bits)
 
     def vid(block, offset):

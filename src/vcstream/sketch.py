@@ -19,41 +19,44 @@ size and one failure target, which sizes its levels and its grids.
 
 A one-sparse cell is a (count, index-weighted sum, fingerprint) triple
 that recognises a vector with one nonzero entry.  A sketch stores it in
-two int64 words: the packed word w = c 2^K + S, with K fixed by N
-(``_packing``), and the fingerprint.  The map (c, S) -> w is a ring map
-into Z/2^64, so level sums, copies and pickles act on w as they did on
-c and S, and a read decodes w once, in ``_level_sum``, exactly while
-every level sum keeps |c| and |S| within the packed range.  The sketch
-keeps an exact bound on each, raised by |d| and |d| i at a write to
-index i and, when either would pass the range, recomputed from the
-cells; a write that passes the range even then widens the sketch to
-three words a cell for good.  The vectors that pdpsa and dpsa write are
-0/1, so a valid +/-1 stream never widens a sketch; one whose N is too
-large for every 0/1 vector to fit (dpsa from n = 2 049) starts wide.
+two int64 words, for every N: the packed word w = c 2^K + S, with K
+fixed by N (``_packing``), and the fingerprint.  The map (c, S) -> w is
+a ring map into Z/2^64, so level sums, peels, copies and pickles act on
+the stored words exactly, and a read decodes the words of the cells it
+checks as it checks them.  The decode is exact on every one-sparse cell
+c e_i with |c| up to the sketch's weight limit, the most that K leaves
+room for at N (64 at ``MAX_INDICES``), and ``update`` refuses a heavier
+write.  A read needs no more: any other cell, say a bucket of many
+indices whose sums pass the range, decodes to some candidate c' e_i',
+and the fingerprint refuses it (below).  So the +/-1 writes of pdpsa
+and dpsa pack at every N, and an index whose weight sums past the limit
+makes a read fail, never name a wrong index.
 
 The fingerprint is the rational sum of x_j (j + r)^-1 modulo the prime
 P = 2^50 - 27, the largest below 2^50, for r drawn from [0, P - N), so
 that no j + r is 0 mod P.  A cell (c, S, fp) whose count divides S into
 an index i in [1, N] passes when fp (i + r) = c mod P: one exact
 multiply through a float quotient (``_mulmod_exact``), with no power
-table.  For a cell of support s that is not c e_i, its difference z
-from c e_i is nonzero mod P, and clearing the denominators of
-sum z_j / (j + r) gives a nonzero polynomial in r of degree at most s;
-so the check passes the cell with probability at most s / (P - N),
-whatever N is: 1.6e-12 for a dpsa cell at n=600, k=3, which holds at
-most 1 800 edges.  A sketch takes N <= P/2 (``MAX_INDICES``).  Stored
-fingerprints lie in [0, P), and 2^63 / P = 8 192 of them sum within
-int64, so a level sum (at most 64 levels) and a peel block's
-subtractions (at most 8 192 indices) reduce mod P once, after them.
+table.  A cell of support s holding x decodes to a candidate c' e_i'
+that depends on w alone, and w does not depend on r.  If x differs from
+c' e_i' mod P, clearing the denominators of sum z_j / (j + r) for their
+difference z, of support at most s + 1, gives a nonzero polynomial in r
+of degree at most s; so the check passes the cell with probability at
+most s / (P - N), whatever N is and whatever the cell decodes to:
+1.6e-12 for a dpsa cell at n=600, k=3, which holds at most 1 800 edges.
+A sketch takes N <= P/2 (``MAX_INDICES``).  Stored fingerprints lie in
+[0, P), and 2^63 / P = 8 192 of them sum within int64, so a level sum
+(at most 64 levels) and a peel block's subtractions (at most 8 192
+indices) reduce mod P once, after them.
 
 Each row hashes an index to one of B buckets with splitmix64 of the
 index plus the row's key, so that buckets behave as independent uniform
 draws on any support.  A grid is the R x B with the fewest cells whose
 first-moment bound on a stalled peel (``stall_bound``) meets the target
 (``grid_geometry``), so its size does not grow with N.  A grid peels a
-block of rows at a time, and each one-sparse cell is subtracted as
-stored from its index's buckets, so a peel forms no fingerprint of its
-own.
+block of rows at a time, and each one-sparse cell's stored words are
+subtracted from its index's buckets, so a peel forms no fingerprint of
+its own.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.  The fingerprint offset
@@ -115,26 +118,23 @@ MAX_WORDS = 1 << 24
 
 
 @functools.lru_cache(maxsize=64)
-def _packing(n_indices: int) -> tuple[int, int, int] | None:
-    """(K, count limit, sum limit) of the packed word w = c 2^K + S over
-    indices in [1, N], or None where no 0/1 vector is sure to fit.
+def _packing(n_indices: int) -> tuple[int, int]:
+    """(K, weight limit) of the packed word w = c 2^K + S over indices in
+    [1, N].
 
     While |c| <= 2^(63-K) - 1 and |S| <= 2^(K-1) - 1, S + 2^(K-1) lies
     in [1, 2^K) and c 2^K + S + 2^(K-1) in int64, so
-    c = (w + 2^(K-1)) >> K and S = w - c 2^K, exactly.  K makes the
-    least of the count limit and the sum limit / N largest.  A 0/1
-    vector has c <= N and S <= N(N+1)/2 in any cell; packing needs the
-    limits to hold that and one more +/-1 write, so that a valid stream
-    never widens (``update``).  K = 41 at N = 179 700 (dpsa at n=600),
-    limits 2^22 - 1 and 2^40 - 1; dpsa from n = 2 049 has none.
+    c = (w + 2^(K-1)) >> K and S = w - c 2^K, exactly.  A one-sparse
+    cell c e_i has |S| <= |c| N, so it decodes exactly while |c| is at
+    most the weight limit, min(2^(63-K) - 1, (2^(K-1) - 1) // N), and K
+    makes that limit largest: 67 108 863 at N = 600, 4 194 303 at
+    N = 179 700 (dpsa at n=600, K = 41), 1 048 575 at N = 2 098 176
+    (dpsa at n = 2 049) and 64 at ``MAX_INDICES``.
     """
     n = max(1, n_indices)
-    _, shift = max((min((1 << (63 - k)) - 1, ((1 << (k - 1)) - 1) // n), k)
-                   for k in range(1, 63))
-    count, total = (1 << (63 - shift)) - 1, (1 << (shift - 1)) - 1
-    if count < n + 1 or total < n * (n + 3) // 2:
-        return None
-    return shift, count, total
+    limit, shift = max((min((1 << (63 - k)) - 1, ((1 << (k - 1)) - 1) // n), k)
+                       for k in range(1, 63))
+    return shift, limit
 
 
 def _mulmod_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -469,17 +469,18 @@ class SampleRecovery:
     or an unpickled sketch reads the cells it updates.
 
     A cell takes two words in ``cells``: w = c 2^K + S and the
-    fingerprint, with K = ``_shift`` from ``_packing(N)``.  ``update``
-    encodes a write with a shift and an add, and ``_level_sum`` decodes
-    a level sum into the (count, index sum, fingerprint) grid that
-    ``_peel`` and ``_verify_cells`` read.  The sketch keeps exact bounds
-    on |c| and |S| over every level sum, ``_bounds``, which a write
-    raises by |d| and |d| i; when either would pass its limit,
-    ``_refit`` takes the bounds the cells show, and if the write passes
-    a limit even then it widens ``cells`` to three words a cell for
-    good (``_shift`` None).  Under a valid +/-1 stream the vector is
-    0/1 and no write widens; a sketch with N past ``_packing``'s range
-    starts wide.  ``state_equals`` compares decoded cells.
+    fingerprint, with K from ``_packing(N)``.  ``update`` encodes a write
+    with a shift and an add, and refuses a weight past the weight limit
+    before any change, so that the added word fits int64 and a one-sparse
+    cell decodes exactly.  ``_level_sum`` sums stored words, ``_peel``
+    subtracts them, and ``_decode`` turns the cells of a check into the
+    (count, index sum, fingerprint) cells that ``_verify_cells`` reads,
+    so every candidate depends on the stored words alone.  An index
+    whose weight sums past the limit decodes to a candidate that the
+    fingerprint refuses, so a read raises ``RecoveryFail``; writes that
+    bring it back within the limit restore an exact read, since the
+    stored words are exact mod 2^64.  ``state_equals`` compares the
+    stored words: equal vectors have equal words.
 
     The sketch reads its cells one way, ``_fresh_read`` through
     ``recover``, and ``sample`` draws from that read.  A sampled sketch
@@ -522,11 +523,7 @@ class SampleRecovery:
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
-        # packed while every 0/1 vector fits the range, so that the +/-1
-        # writes of a valid stream never widen the sketch
-        packing = _packing(n_indices)
-        fields = 3 if packing is None else 2
-        least = fields * self.levels * _least_cells(self.level_capacity, fail)
+        least = 2 * self.levels * _least_cells(self.level_capacity, fail)
         if least > MAX_WORDS:
             # before ``grid_geometry``, whose sizing grows with capacity
             raise ValueError(f"a sketch of capacity {capacity} over "
@@ -552,12 +549,9 @@ class SampleRecovery:
         self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
         # (packed word, fingerprint) of every cell, level 0 first, with
-        # K = ``_shift`` and the limits on |c| and |S|; (count, index
-        # sum, fingerprint) once widened, when ``_shift`` is None
-        self._shift, *self._limits = packing or (None, None, None)
-        # exact bounds on |c| and on |S| over every level sum, while packed
-        self._bounds = (0, 0)
-        self.cells = np.zeros((fields, self.levels * self._per_level),
+        # K = ``_shift``; ``update`` refuses weights past ``_weight_limit``
+        self._shift, self._weight_limit = _packing(n_indices)
+        self.cells = np.zeros((2, self.levels * self._per_level),
                               dtype=np.int64)
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
@@ -616,26 +610,13 @@ class SampleRecovery:
         if not 1 <= index <= self.n:
             raise ValueError(f"index {index} out of [1, {self.n}]")
         d = int(delta)
-        if abs(d) * index > _INT64_MAX:
-            raise ValueError(f"weight {d} at index {index} overflows int64")
+        if abs(d) > self._weight_limit:
+            raise ValueError(f"weight {d} past the limit of "
+                             f"{self._weight_limit} over {self.n} indices")
         # each added value is formed and reduced in Python ints, so once a
         # cell changes nothing below can raise
         fp = d * pow(index + self.r, -1, PRIME) % PRIME
-        shift = self._shift
-        if shift is not None:
-            # a write raises the bounds by |d| and |d| index
-            a = abs(d)
-            count, total = self._bounds
-            count, total = count + a, total + a * index
-            top, most = self._limits
-            if count > top or total > most:
-                shift = self._refit(a, index)
-            else:
-                self._bounds = count, total
-        if shift is None:
-            add = np.array([d, d * index, fp], dtype=np.int64)
-        else:
-            add = np.array([(d << shift) + d * index, fp], dtype=np.int64)
+        add = np.array([(d << self._shift) + d * index, fp], dtype=np.int64)
         depth = self._depth(index) if self.levels > 1 else 0
         at = self._cells_of(int(index), depth)
         v = self.cells[:, at] + add[:, None]
@@ -678,13 +659,12 @@ class SampleRecovery:
         return i[ok], c[ok], pos[ok]
 
     def _decode(self, cells: np.ndarray) -> np.ndarray:
-        """(count, index sum, fingerprint) of cells in the sketch's
-        layout: of packed (w, fingerprint) cells a new array, with
-        c = (w + 2^(K-1)) >> K and S = w - c 2^K (``_packing``); wide
-        cells as they are."""
+        """(count, index sum, fingerprint) of (w, fingerprint) cells, a
+        new array: c = (w + 2^(K-1)) >> K and S = w - c 2^K
+        (``_packing``).  Exact on a one-sparse cell within the weight
+        limit; any other cell decodes to some (c', S'), whose candidate
+        ``_verify_cells`` refuses by its fingerprint."""
         shift = self._shift
-        if shift is None:
-            return cells
         w = cells[0]
         out = np.empty((3,) + w.shape, dtype=np.int64)
         count, index = out[0], out[1]
@@ -695,41 +675,18 @@ class SampleRecovery:
         out[2] = cells[1]
         return out
 
-    def _refit(self, weight: int, index: int) -> int | None:
-        """Make room for a write of |d| = ``weight`` at ``index`` that the
-        running bounds would take past the packed range, and return the
-        layout's K, None once wide.  The bounds become those the cells
-        show, the most that a cell's |c|, or its |S|, sums to over the
-        levels, which bound every level sum, raised by the write; if
-        the write passes the range even then, the cells widen to three
-        words for good."""
-        fields = self._decode(self.cells)
-        count, total = np.abs(fields[:2].reshape(2, self.levels, -1)).sum(
-            axis=1).max(axis=1).tolist()
-        count, total = count + weight, total + weight * index
-        top, most = self._limits
-        if count > top or total > most:
-            self.cells = fields
-            self._shift = self._bounds = None
-        else:
-            self._bounds = count, total
-        return self._shift
-
     def _level_sum(self, level: int) -> np.ndarray:
-        """The (count, index sum, fingerprint) R x B grid of the subsample
+        """The stored (w, fingerprint) R x B grid of the subsample
         {i : depth(i) >= level}: the level grids from ``level`` down,
         summed, fingerprints reduced once (at most 64 levels of residues
-        below P fit int64), and decoded; the deepest grid is reduced
-        already.  A new array, since a peel works in place."""
+        below P fit int64); the deepest grid is reduced already.  A new
+        array, since a peel works in place."""
         grids = self.grids
         if level < self.levels - 1:
             cells = grids[:, level:].sum(axis=1)
             cells[-1] %= PRIME
-        elif self._shift is None:
-            return grids[:, level].copy()
-        else:
-            cells = grids[:, level]
-        return self._decode(cells)
+            return cells
+        return grids[:, level].copy()
 
     def _fit_level(self) -> int:
         """The shallowest level whose subsample holds at most
@@ -816,7 +773,7 @@ class SampleRecovery:
         first = self._fit_level()
         for lvl in range(first, -1, -1):
             cells = self._level_sum(lvl)
-            found = set(self._verify_cells(*cells)[0].tolist())
+            found = set(self._verify_cells(*self._decode(cells))[0].tolist())
             if len(found) < self.capacity:
                 try:
                     found = self._peel(cells, sum(self.level_support[lvl:]))
@@ -828,7 +785,7 @@ class SampleRecovery:
                            f"indices")
 
     def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
-        """Support of a (count, index, fingerprint) grid, peeled in place,
+        """Support of a stored (w, fingerprint) grid, peeled in place,
         whose exact counters sum to ``weight``.
 
         A pass peels the rows in order, a block of rows at a time: as many
@@ -836,8 +793,9 @@ class SampleRecovery:
         dpsa's 5 x 644 grid at n=600, k=3 and all rows of a small grid.
         All of a block's one-sparse cells peel at once, the first cell of
         each index among them, up to 8 192 indices so that the
-        fingerprints' int64 sums cannot overflow, and each is subtracted
-        as stored from all of its index's buckets.  A pass ends at an
+        fingerprints' int64 sums cannot overflow, and its stored words are
+        subtracted from all of its index's buckets, exactly mod 2^64, so
+        each check decodes the words that remain.  A pass ends at an
         all-zero block: an index left in the grid has a nonzero cell in
         every row, but for a cancellation the fingerprint all but rules
         out.  A pass that peels nothing, or an index peeled twice, stalls,
@@ -856,7 +814,7 @@ class SampleRecovery:
             before = len(found)
             for r in range(0, self.rows, step):
                 block = grid[:, r:r + step]
-                peel, _, pos = self._verify_cells(*block)
+                peel, counts, pos = self._verify_cells(*self._decode(block))
                 if not len(peel):
                     if not block.any():
                         break
@@ -869,36 +827,32 @@ class SampleRecovery:
                     raise RecoveryFail("an index peeled twice")
                 # flat positions and values, numpy's fast path for ufunc.at
                 at = (self._row_cell0 + self._cols(peel[:, None])).ravel()
-                taken = block.reshape(3, -1)[:, pos[first]]
-                peeled += int(taken[0].sum())
+                taken = block.reshape(2, -1)[:, pos[first]]
+                peeled += int(counts[first].sum())
                 for field, cell in zip(grid, np.repeat(taken, self.rows,
                                                        axis=1)):
                     np.subtract.at(field.reshape(-1), at, cell)
-                grid[2].reshape(-1)[at] %= PRIME
+                grid[1].reshape(-1)[at] %= PRIME
             if len(found) == before:
                 raise RecoveryFail(
-                    f"peeling stalled with {int(np.abs(grid[0]).sum())} "
-                    f"residual mass")
+                    f"peeling stalled with {np.count_nonzero(grid[0])} "
+                    f"nonzero cells")
         raise RecoveryFail("peeling did not terminate")
 
     # -- comparison (linearity tests) -------------------------------------
 
     def state_equals(self, other: "SampleRecovery") -> bool:
-        """Equal counters and decoded cells, so a widened sketch can equal
-        a packed one."""
+        """Equal counters and stored words."""
         return (self.support == other.support
                 and self.level_support == other.level_support
-                and np.array_equal(self._decode(self.cells),
-                                   other._decode(other.cells)))
+                and np.array_equal(self.cells, other.cells))
 
     def words(self) -> int:
         """Stored machine words: every cell's 2 (its packed word and its
-        fingerprint), or 3 once widened, a hash key per row, past one
-        level the per-level counters and the depth hash key, 3 more (the
-        support counter, the capacity and the offset r), the two range
-        bounds while packed, and for a kept read its level and one word
-        per index."""
+        fingerprint), a hash key per row, past one level the per-level
+        counters and the depth hash key, 3 more (the support counter, the
+        capacity and the offset r), and for a kept read its level and one
+        word per index."""
         levels = self.levels + 1 if self.levels > 1 else 0
         held = 0 if self._held is None else 1 + len(self._held[1])
-        bounds = 0 if self._shift is None else 2
-        return self.cells.size + self.rows + levels + 3 + bounds + held
+        return self.cells.size + self.rows + levels + 3 + held

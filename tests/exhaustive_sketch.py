@@ -5,14 +5,17 @@ A valid write toggles an index: +1 where it is absent and -1 where it is
 present, so the sketch always holds a 0/1 vector.  The walk applies each
 write to a copy of a sampled ``SampleRecovery`` of capacity 1, so every
 branch starts from the cells, and the read, that its prefix left.  At
-every prefix, the empty one included, it checks that:
+every prefix, the empty one included, it checks that ``recover()``,
+which returns the held read while ``update`` keeps it, equals a fresh
+read of a copy whose held read was dropped, a ``RecoveryFail``
+included.  This proves the kept-read rule of ``SampleRecovery.update``
+on every such sequence.
 
-- ``recover()``, which returns the held read while ``update`` keeps it,
-  equals a fresh read of a copy whose held read was dropped, a
-  ``RecoveryFail`` included.  This proves the kept-read rule of
-  ``SampleRecovery.update`` on every such sequence;
-- the sketch still packs its cells in two words (a valid stream never
-  widens it).
+The failure target sizes the levels: fail 0.3 gives 4 levels of 1 x 1
+grids, each of which reads one index at most; fail 0.1 gives level
+capacity 3 and 3 levels of 5 x 2 grids, where a read can name several
+indices, peel a level's subsample, stall and fall back to shallower
+levels.
 
 Run as a script to walk larger cases than the test suite does, e.g.
 
@@ -66,8 +69,6 @@ def walk_sketch(n: int, length: int, fail: float, seed: int) -> SketchWalk:
         writes = " ".join(f"{d:+d}@{i}" for i, d in path) or "-"
         if got != want:
             out.failures.append(f"{writes}: held {got}, fresh {want}")
-        if sk._shift is None:
-            out.failures.append(f"{writes}: the sketch widened")
         if len(path) == length:
             return
         # a pickle round trip: a deep copy of the cells and the held read
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--length", type=int, default=5)
-    p.add_argument("--fail", type=float, nargs="+", default=[0.3, 0.45])
+    p.add_argument("--fail", type=float, nargs="+", default=[0.3, 0.1])
     p.add_argument("--seed", type=int, nargs="+", default=[0, 1])
     args = p.parse_args(argv)
     failures = 0

@@ -105,7 +105,7 @@ answer=no
 query=8
 recovery_skipped=true
 answer=no
-words_stored=88
+words_stored=86
 """),
     "dpsa-absent-delete": (3, """
 mode=dpsa
@@ -213,7 +213,7 @@ query=8
 answer=yes
 cover=2,6,9
 verified=true
-words_stored=830
+words_stored=822
 sketch_fails=0
 rematch_misses=0
 rematches=11

@@ -96,11 +96,13 @@ def test_gate_exact_at_boundary():
 
 
 def test_dpsa_space_is_linear_in_n():
-    # two words a cell and no power tables, so the grid alone grows
-    # with n at fixed k; n = 2000 still packs its cells
+    # two words a cell at every n and no power tables, so the grid alone
+    # grows with n at fixed k: n = 4 000 takes 42 290 words, against
+    # 63 430 when sketches from n = 2 049 took three words a cell
     big = DpsaState(Config(n=2000, k=3))
     assert big.words() / DpsaState(Config(n=1000, k=3)).words() <= 2.2
-    # 5 x 644 grid cells, 6 452 words; 9 670 with three words a cell,
+    assert DpsaState(Config(n=4000, k=3)).words() / big.words() <= 2.2
+    # 5 x 644 grid cells, 6 450 words; 9 670 with three words a cell,
     # 14 617 with two fingerprints and their power tables, 59 340 with
     # 4 x 3 600
     assert DpsaState(Config(n=600, k=3)).words() <= 6_500

@@ -134,6 +134,9 @@ def test_cli_generator_rejects_fewer_than_one_vertex(gen, n, capsys):
      "a random stream needs n >= 2 to insert an edge, not n=1"),
     (["promised", "--n", "1", "--length", "3"],
      "a promised stream needs n >= 2 to insert an edge, not n=1"),
+    # a 2 used to read as a 1
+    (["disjointness", "--x-bits", "02", "--y-bits", "01"],
+     "gadget bits must be 0 or 1, not 2"),
 ])
 def test_cli_generator_rejects_impossible_streams(args, message):
     done = _python(["-m", "vcstream.harness.cli", "--gen", *args])

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import pickle
 import random
 from itertools import accumulate, product
 
@@ -78,10 +77,8 @@ def _fields(s):
 
 
 def _stored(s, c, ix, fp):
-    """The stored words of a cell (c, ix, fp): (c 2^K + ix, fp) while
-    the sketch packs, with K = ``_shift``, else the three fields."""
-    if s._shift is None:
-        return [c, ix, fp]
+    """The stored words of a cell (c, ix, fp): (c 2^K + ix, fp), with
+    K = ``_shift``."""
     return [(c << s._shift) + ix, fp]
 
 
@@ -114,7 +111,7 @@ def test_bucket_hashes_match_splitmix64(n, cap, x):
 
 def _grid_cells(s):
     """One-sparse cells of the grid that holds every index."""
-    return s._verify_cells(*s._level_sum(0))
+    return s._verify_cells(*s._decode(s._level_sum(0)))
 
 
 def test_detector_zero_vector():
@@ -154,8 +151,8 @@ def test_detector_rejects_two_sparse():
                 held[r, _bucket(s, r, i)] += 1
         multi = held >= 2
         shared += int(multi.sum())
-        cells = [np.where(multi, a, 0) for a in s._level_sum(0)]
-        if len(s._verify_cells(*cells)[0]):
+        cells = np.where(multi, s._level_sum(0), 0)
+        if len(s._verify_cells(*s._decode(cells))[0]):
             false_pos += 1
     assert shared > trials  # the sweep does test shared cells
     assert false_pos / trials < 1e-2
@@ -311,7 +308,8 @@ def test_row_peel_matches_the_all_rows_peel():
         for t in range(trials):
             s = _filled(dpsa_n, cap, t, cap)
             assert _peeled(lambda g: s.recover(), None) \
-                == _peeled(lambda g: _reference_peel(s, g), s._level_sum(0))
+                == _peeled(lambda g: _reference_peel(s, g),
+                           s._decode(s._level_sum(0)))
             sketches.append(s)
     # grids filled past the peeling threshold, weighted vectors, and the
     # level sums of pdpsa vertex sketches at n=600, k=2, each with the
@@ -332,7 +330,8 @@ def test_row_peel_matches_the_all_rows_peel():
     outcomes = []
     for s, grid, weight in grids:
         got = _peeled(lambda g: s._peel(g, weight), grid.copy())
-        assert got == _peeled(lambda g: _reference_peel(s, g), grid)
+        assert got == _peeled(lambda g: _reference_peel(s, g),
+                              s._decode(grid))
         outcomes.append(got == "fail")
     assert len(sketches) + len(outcomes) >= 1000
     assert 0 < sum(outcomes) < len(outcomes)
@@ -352,7 +351,7 @@ def test_an_index_peeled_twice_stalls(row):
     with pytest.raises(RecoveryFail, match="peeled twice"):
         s.recover()
     with pytest.raises(RecoveryFail):
-        _reference_peel(s, s._level_sum(0))
+        _reference_peel(s, s._decode(s._level_sum(0)))
 
 
 def test_a_peel_that_disagrees_with_its_counters_fails():
@@ -418,10 +417,9 @@ def test_a_sketch_past_the_word_budget_is_refused_before_sizing(monkeypatch):
     for name in ("grid_geometry", "_stall_sizes"):
         monkeypatch.setattr(sketch, name, sized)
     # dpsa's sketch at n = 77 936, k = 1000: 7.8e7 edge slots over 3.0e9
-    # indices, past the packed range, so at least 3 words a slot
+    # indices, at least 2 words a slot
     n, capacity = 77936 * 77935 // 2, 77936 * 1000
-    assert _packing(n) is None
-    with pytest.raises(ValueError, match=f"{3 * capacity} words of cells, "
+    with pytest.raises(ValueError, match=f"{2 * capacity} words of cells, "
                        f"past the budget of {MAX_WORDS}"):
         SampleRecovery(n, capacity, seed=0, fail=0.005 / n)
 
@@ -582,7 +580,7 @@ def test_level_grids_match_all_levels_reference(ops, capacity, seed):
             if suffix[lvl] <= s.level_capacity]
     lvl = fits[0] if fits else s.levels - 1
     assert s._fit_level() == lvl
-    assert np.array_equal(s._level_sum(lvl), got[:, lvl])
+    assert np.array_equal(s._decode(s._level_sum(lvl)), got[:, lvl])
 
     net: dict[int, int] = {}
     for i, d in ops:
@@ -737,135 +735,104 @@ def test_large_weight_update_round_trips():
     # used to raise after changing the counters
     s = SampleRecovery(179700, 25, seed=0)
     fresh_state = SampleRecovery(179700, 25, seed=0)
-    s.update(1, 1 << 31)
-    assert s.recover() == {1}
-    s.update(1, -(1 << 31))
-    assert s.state_equals(fresh_state)
-    # an index sum past int64 is refused before any field changes
-    with pytest.raises(ValueError):
-        s.update(179700, 1 << 62)
-    assert s.state_equals(fresh_state)
+    limit = s._weight_limit
+    for i in (1, 179700):
+        s.update(i, -limit)
+        assert s.recover() == {i}
+        s.update(i, limit)
+        assert s.state_equals(fresh_state)
+    # a weight past the limit is refused before any field changes
+    for d in (limit + 1, -(1 << 31), 1 << 62):
+        with pytest.raises(ValueError, match="past the limit"):
+            s.update(179700, d)
+        assert s.state_equals(fresh_state)
 
 
 # -- the two-word cell -------------------------------------------------------
 
 
-def _reads(s):
-    """Every decoded level sum, the read, failures included, and three
-    draws of a sketch."""
-    sums = [s._level_sum(lvl).tolist() for lvl in range(s.levels)]
-    try:
-        got = sorted(s.recover())
-    except RecoveryFail:
-        got = "fail"
-    return sums, got, [s.sample(which) for which in range(3)]
-
-
-def _widened(s):
-    """A copy of ``s`` widened to three words a cell by a write past the
-    packed range and its inverse, which leave its vector as it was."""
-    w = pickle.loads(pickle.dumps(s))
-    big = w._limits[0] + 1
-    w.update(1, big)
-    w.update(1, -big)
-    assert w._shift is None and len(w.cells) == 3
-    return w
+# N -> its weight limit: a pdpsa vertex sketch at n=600, dpsa's edge
+# slots at n=600 and n = 2 049, and the most indices a sketch takes
+_WEIGHT_LIMITS = {600: 67_108_863, 179700: 4_194_303,
+                  2049 * 2048 // 2: 1_048_575, MAX_INDICES: 64}
 
 
 @pytest.mark.parametrize("n", [1, 6, 300, 600, 179700, 1999000,
-                               2048 * 2047 // 2])
+                               2048 * 2047 // 2, 2049 * 2048 // 2, 10 ** 12,
+                               MAX_INDICES])
 def test_packed_words_decode_exactly_at_the_corners_of_the_range(n):
-    # every 0/1 vector and one more +/-1 write fit the range
-    shift, count, total = _packing(n)
-    assert count >= n + 1 and total >= n * (n + 3) // 2
+    # every one-sparse cell c e_i within the weight limit, at both ends of
+    # the index range, decodes exactly and passes the one-sparse check
+    shift, limit = _packing(n)
+    assert limit == _WEIGHT_LIMITS.get(n, limit)
+    assert limit == min((1 << (63 - shift)) - 1,
+                        ((1 << (shift - 1)) - 1) // n)
     s = SampleRecovery(n, capacity=1, seed=0)
     assert s._shift == shift and len(s.cells) == 2
-    corners = [(c, x) for c in (-count, -1, 0, 1, count)
-               for x in (-total, -1, 0, 1, total)]
-    stored = np.array([[(c << shift) + x for c, x in corners],
-                       [7] * len(corners)], dtype=np.int64)
+    corners = [(c, i) for c in (-limit, -1, 1, limit) for i in (1, n)]
+    stored = np.array([_stored(s, c, c * i, _fingerprint(s, i, c))
+                       for c, i in corners], dtype=np.int64).T
     got = s._decode(stored)
-    assert got.tolist() == [[c for c, _ in corners], [x for _, x in corners],
-                            [7] * len(corners)]
+    assert got[:2].tolist() == [[c for c, _ in corners],
+                                [c * i for c, i in corners]]
+    got_i, got_c, _ = s._verify_cells(*got)
+    assert list(zip(got_i.tolist(), got_c.tolist())) == [
+        (i, c) for c, i in corners]
 
 
-def test_a_sketch_starts_wide_where_a_0_1_vector_may_not_fit():
-    # dpsa's edge slots fit the packed range up to n = 2 048 (above)
-    wide = SampleRecovery(2049 * 2048 // 2, capacity=1, seed=0)
-    assert _packing(wide.n) is None
-    assert wide._shift is None and len(wide.cells) == 3
+@pytest.mark.parametrize("n", [2049 * 2048 // 2, MAX_INDICES])
+def test_a_sketch_takes_two_words_a_cell_at_every_size(n):
+    # dpsa's edge slots at n = 2 049 used to take three words a cell
+    for sampled in (False, True):
+        s = SampleRecovery(n, capacity=3, seed=0, sampled=sampled)
+        assert s.cells.shape == (2, s.levels * s.rows * s.buckets)
 
 
-def test_a_widened_sketch_reads_as_the_packed_one():
-    # one seeded +/-1 write sequence over 40 indices, about 20 of them
-    # present, past the capacity of a sampled sketch (level reads) and of
-    # one without levels (failed reads)
-    fails = 0
-    for sampled, cap, fail in ((True, 3, 0.3), (False, 6, 0.01)):
-        packed = SampleRecovery(300, cap, seed=5, fail=fail, sampled=sampled)
-        wide = _widened(packed)
-        rng, present = random.Random(21), set()
-        for _ in range(300):
-            i = rng.randint(1, 40)
-            d = -1 if i in present else 1
-            present ^= {i}
-            packed.update(i, d)
-            wide.update(i, d)
-            assert packed._shift is not None and wide._shift is None
-            assert packed.state_equals(wide) and wide.state_equals(packed)
-            got = _reads(packed)
-            assert got == _reads(wide)
-            fails += got[1] == "fail"
-    assert fails > 0
-
-
-def test_a_write_past_the_packed_range_widens_and_keeps_every_read():
-    s = SampleRecovery(600, 5, seed=3, fail=0.01 / 1200, sampled=True)
-    for i in range(1, 61):
+def test_level_sums_past_the_range_fail_and_recover_once_deleted():
+    # 500 indices near N = P/2 over a grid for 8: their index sums pass
+    # the packed range, so the read fails; deleting all but 8 leaves
+    # cells that decode exactly, as the stored words are exact mod 2^64
+    n = MAX_INDICES
+    s = SampleRecovery(n, capacity=8, seed=3)
+    rng = random.Random(3)
+    ids = rng.sample(range(n - 10 ** 6, n + 1), 500)
+    for i in ids:
         s.update(i, +1)
-    twin, before, words = pickle.loads(pickle.dumps(s)), _reads(s), s.words()
-    big = s._limits[0]  # one more than the count bound allows
-    s.update(1, big)
-    assert s._shift is None and len(s.cells) == 3
-    s.update(1, -big)
-    assert s.state_equals(twin) and _reads(s) == before
-    # a third word a cell, and no range bounds
-    assert s.words() == words + s.cells.size // 3 - 2
+    _, index, _ = s._decode(s._level_sum(0))
+    # some cell's index sum passes the range and decodes to another
+    exact = np.zeros((2, s.rows, s.buckets), dtype=object)
+    for i in ids:
+        for r in range(s.rows):
+            exact[:, r, _bucket(s, r, i)] += (1, i)
+    assert any(int(x) != int(y) for x, y in zip(index.ravel(),
+                                                exact[1].ravel()))
+    with pytest.raises(RecoveryFail):
+        s.recover()
+    for i in ids[8:]:
+        s.update(i, -1)
+    assert s.recover() == set(ids[:8])
 
 
-def test_a_write_past_the_sum_range_widens():
-    # at N = 300 the index sum's limit binds first: a weight the count
-    # range holds fits at index 1 and passes the sum range at index N
-    n = 300
-    _, count, total = _packing(n)
-    d = total // n + 1
-    assert d <= count
-    s = SampleRecovery(n, capacity=2, seed=1)
-    s.update(1, d)
-    assert s._shift is not None and s.recover() == {1}
-    s.update(n, d)
-    assert s._shift is None and s.recover() == {1, n}
-
-
-def test_bounds_at_their_limits_recompute_and_keep_the_sketch_packed():
-    # as if a long stream had run the bounds up to the range: each +/-1
-    # write takes the bounds the cells show and stays packed, with the
-    # cells and reads of a sketch whose bounds were never touched
-    s = SampleRecovery(600, 5, seed=4, fail=0.01 / 1200, sampled=True)
-    twin = SampleRecovery(600, 5, seed=4, fail=0.01 / 1200, sampled=True)
-    rng, present = random.Random(4), set()
-    for t in range(200):
-        s._bounds = s._limits
-        i = rng.randint(1, 600)
-        d = -1 if i in present else 1
-        present ^= {i}
-        s.update(i, d)
-        twin.update(i, d)
-        assert s._shift is not None
-        assert s._bounds[0] <= len(present) + 1
-        assert np.array_equal(s.cells, twin.cells)
-        if t % 20 == 0:
-            assert _reads(s) == _reads(twin)
+def test_a_weight_summed_past_the_limit_fails_the_read():
+    # each write is within the limit, but their sum at index N is not:
+    # its cells decode to candidates that the fingerprint refuses, so the
+    # whole peel stalls, and so does each level read of a sampled sketch
+    n = 179700
+    for sampled in (False, True):
+        s = SampleRecovery(n, capacity=8, seed=6, sampled=sampled)
+        limit = s._weight_limit
+        for i in (3, 50, 4000):
+            s.update(i, +1)
+        s.update(n, limit)
+        s.update(n, limit)
+        with pytest.raises(RecoveryFail):
+            s.recover()
+        s.update(n, -limit)
+        if not sampled:
+            # back within the limit: the whole peel reads it again
+            assert s.recover() == {3, 50, 4000, n}
+        s.update(n, -limit)
+        assert s.recover() == {3, 50, 4000}
 
 
 @pytest.mark.parametrize("n", [600, 10 ** 5, 1 << 23, 1 << 26, MAX_INDICES])
@@ -904,11 +871,10 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
 
 def test_recover_with_weights_past_the_int64_product_bound():
     s = SampleRecovery(n_indices=60, capacity=2, seed=12, sampled=True)
-    big = 1 << 31
-    for _ in range(4):
-        s.update(5, big)  # count 2^33, and 2^33 * P > 2^63
+    big = s._weight_limit  # the most a one-sparse cell decodes exactly
+    s.update(5, big)
     s.update(9, 3)
-    assert 4 * big * PRIME >= 1 << 63
+    assert big * PRIME >= 1 << 63
     # the whole peel
     assert s._peel(s._level_sum(0), s.support) == {5, 9}
     # the level counters sum weights, so the level they pick holds
@@ -979,9 +945,10 @@ def test_mulmod_float_quotient_is_exact(bits):
 
 
 # (n_indices, sampled) of a pdpsa vertex sketch at n=600, and of the
-# dpsa edge sketch at n=600 and n=2000
+# dpsa edge sketch at n=600, n=2000 and n=2049
 @pytest.mark.parametrize("n,sampled", [(600, True), (600 * 599 // 2, False),
-                                       (2000 * 1999 // 2, False)])
+                                       (2000 * 1999 // 2, False),
+                                       (2049 * 2048 // 2, False)])
 def test_sketch_matches_python_int_reference(n, sampled):
     rng = random.Random(n)
     for seed in range(3):
