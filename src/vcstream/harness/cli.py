@@ -208,7 +208,7 @@ def run_cli(argv=None, out=None) -> int:
         text = (sys.stdin.read() if args.input == "-"
                 else open(args.input, encoding="utf-8").read())
         sf = parse_stream(text)
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_PARSE
     return _run(sf, args, out)

@@ -92,12 +92,6 @@ class MatchingState:
         if self.mirror is not None:
             self.mirror[v] = {}
 
-    def _sketch_add(self, v: int, e: Edge) -> None:
-        self._sketch_write(v, e.other(v), +1)
-
-    def _sketch_remove(self, v: int, e: Edge) -> None:
-        self._sketch_write(v, e.other(v), -1)
-
     def _sketch_write(self, v: int, z: int, d: int) -> None:
         self.sketches[v].update(z, d)
         if self.mirror is not None:
@@ -186,7 +180,7 @@ class MatchingState:
             if z not in self.sketches:
                 self.ts[z] = t
                 self._fresh_sketch(z)
-                self._sketch_add(z, e)
+                self._sketch_write(z, e.other(z), +1)
             # a retained sketch already holds e: during Rematch the edge
             # was found by recovering that very sketch.  It keeps its
             # timestamp, the time the sketch began: it holds every edge
@@ -198,23 +192,23 @@ class MatchingState:
             self.tdict[e] = None
         for z in (e.u, e.v):
             if z in self.matched:
-                self._sketch_add(z, e)
+                self._sketch_write(z, e.other(z), +1)
 
     def delete_from_ds(self, e: Edge) -> None:
         u, v = e.u, e.v
         if e in self.tdict:
-            self._sketch_remove(u, e)
-            self._sketch_remove(v, e)
+            self._sketch_write(u, v, -1)
+            self._sketch_write(v, u, -1)
             del self.tdict[e]
         elif u in self.matched and v in self.matched:
             if self.ts[u] < self.ts[v]:
-                self._sketch_remove(u, e)
+                self._sketch_write(u, v, -1)
             else:
-                self._sketch_remove(v, e)
+                self._sketch_write(v, u, -1)
         elif u in self.matched:
-            self._sketch_remove(u, e)
+            self._sketch_write(u, v, -1)
         elif v in self.matched:
-            self._sketch_remove(v, e)
+            self._sketch_write(v, u, -1)
 
     def announce_neighborhood(self, u: int) -> None:
         if u not in self.matched or not self._is_low(u):
@@ -223,7 +217,7 @@ class MatchingState:
             e = Edge(u, z)
             if z in self.matched and e not in self.tdict:
                 self.tdict[e] = None
-                self._sketch_add(z, e)
+                self._sketch_write(z, u, +1)
 
     def delete_neighborhood(self, u: int) -> None:
         for z in self._recover_neighbors(u):
@@ -231,7 +225,7 @@ class MatchingState:
             if e in self.tdict:
                 del self.tdict[e]
             else:
-                self._sketch_add(z, e)
+                self._sketch_write(z, u, +1)
         self._drop_vertex(u)
 
     def _drop_vertex(self, u: int) -> None:

@@ -7,15 +7,16 @@ each index to a deepest level l* with P[l* >= l] = 2^-l, capped at L-1,
 and the index is written once, into the grid of level l*; an exact
 counter per level counts the net indices written there.  By linearity
 the grids of levels l..L-1 sum to a grid of the subsample
-{i : l*(i) >= l}.  A sketch has one read, ``recover()``: the sum over
-all levels peels to the exact support while that fits the sketch's
-capacity; past it a sampled sketch reads as many indices as its capacity
-from the shallowest subsample that fits, and ``sample()`` is a seeded
-pick from that read.  This is the l0-sampler construction of Cormode &
-Firmani ("A unifying framework for l0-sampling", 2014) on the invertible
-Bloom lookup tables of Goodrich & Mitzenmacher (2011).  A sketch that is
-not sampled has one level, a plain recovery grid.  Each sketch has one
-size and one failure target, which sizes its levels and its grids.
+{i : l*(i) >= l}.  A sketch has one read, ``recover()``, and the
+counters pick its level: the shallowest subsample that fits the level
+capacity, where a sampled sketch reads as many indices as its capacity,
+and level 0, the sum over all levels, which peels to the exact support.
+``sample()`` is a seeded pick from that read.  This is the l0-sampler
+construction of Cormode & Firmani ("A unifying framework for
+l0-sampling", 2014) on the invertible Bloom lookup tables of Goodrich &
+Mitzenmacher (2011).  A sketch that is not sampled has one level, a
+plain recovery grid.  Each sketch has one size and one failure target,
+which sizes its levels and its grids.
 
 A one-sparse cell is a (count, index-weighted sum, fingerprint) triple
 that recognises a vector with one nonzero entry.  A sketch stores it in
@@ -49,19 +50,23 @@ A sketch takes N <= P/2 (``MAX_INDICES``).  Stored fingerprints lie in
 (at most 64 levels) and a peel block's subtractions (at most 8 192
 indices) reduce mod P once, after them.
 
-Each row hashes an index to one of B buckets with splitmix64 of the
-index plus the row's key, so that buckets behave as independent uniform
-draws on any support.  A grid is the R x B with the fewest cells whose
-first-moment bound on a stalled peel (``stall_bound``) meets the target
-(``grid_geometry``), so its size does not grow with N.  A grid peels a
-block of rows at a time, and each one-sparse cell's stored words are
-subtracted from its index's buckets, so a peel forms no fingerprint of
-its own.
+A sketch has one hash family, splitmix64 (Steele, Lea & Flood, 2014).
+Its seed, mod 2^64, is a splitmix64 state, whose successive outputs are
+the offset r (reduced mod P - N), the depth key and one key per row.  A
+write hashes its index to its depth and to each row's bucket with
+splitmix64's output function of the index plus that key, so that depths
+and buckets behave as independent uniform draws on any support; the
+leading zero bits of the depth hash give P[depth >= l] = 2^-l.  A grid
+is the R x B with the fewest cells whose first-moment bound on a stalled
+peel (``stall_bound``) meets the target (``grid_geometry``), so its size
+does not grow with N.  A grid peels a block of rows at a time, and each
+one-sparse cell's stored words are subtracted from its index's buckets,
+so a peel forms no fingerprint of its own.
 
 All structures are linear: the state after a sequence of updates depends
-only on the net vector, never on update order.  The fingerprint offset
-r, the row keys and the depth key are blake2b hashes of the sketch's
-seed (``derive_seed``'s chain), so a sketch loads neither
+only on the net vector, never on update order.  blake2b serves only
+``derive_seed``, which turns seed parts, such as a state's seed and a
+sketch's role, into a sketch's seed, so a sketch loads neither
 ``numpy.random`` nor hashlib's OpenSSL backend.
 """
 
@@ -83,7 +88,7 @@ except ImportError:
 
 _INT64_MAX = (1 << 63) - 1
 # splitmix64's increment and multipliers (Steele, Lea & Flood, 2014),
-# the bucket hash of every row
+# the sketch's one hash family
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -94,15 +99,19 @@ class RecoveryFail(SketchFail):
     """Peeling stalled before the grid emptied."""
 
 
-def _hash64(*parts) -> int:
-    """Deterministic 64-bit hash of an arbitrary tuple of parts."""
-    h = blake2b(repr(parts).encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
-
-
 def derive_seed(*parts) -> int:
     """Deterministic 63-bit seed from an arbitrary tuple of parts."""
-    return _hash64(*parts) >> 1
+    h = blake2b(repr(parts).encode(), digest_size=8)
+    return int.from_bytes(h.digest(), "big") >> 1
+
+
+def _mix(z: int) -> int:
+    """splitmix64's output function of a 64-bit state, in Python ints:
+    the sketch's keys and depths.  ``_cells_of`` runs the same function
+    inline, a row at a time, and ``_cols`` on uint64 arrays."""
+    z = (z ^ z >> 30) * _MIX1 & _MASK64
+    z = (z ^ z >> 27) * _MIX2 & _MASK64
+    return z ^ z >> 31
 
 
 # the fingerprints' prime, the largest below 2^50, so that products of
@@ -483,15 +492,14 @@ class SampleRecovery:
     stored words: equal vectors have equal words.
 
     The sketch reads its cells one way, ``_fresh_read`` through
-    ``recover``, and ``sample`` draws from that read.  A sampled sketch
-    keeps its last read, with the shallowest level it reached, None for
-    a whole peel.  A write keeps it only when a fresh read would return
-    it bit for bit: the read was a level read, the support stays above
-    ``capacity``, the write's depth is below that level, and a write
-    just above it leaves the level above holding more than
-    ``level_capacity`` by the counters, so that ``_fit_level`` still
-    starts the read where it did.
-    Any other write drops it, and so does every write after a whole peel.
+    ``recover``, from the level that the counters pick, and ``sample``
+    draws from that read.  A sampled sketch keeps its last read, with the
+    shallowest level it reached, 0 for a whole peel.  A write keeps it
+    only when a fresh read would return it bit for bit: the write's depth
+    is below that level, and a write just above it leaves the level above
+    holding more than ``level_capacity`` by the counters, so that
+    ``_fit_level`` still starts the read where it did.  Any other write
+    drops it, and so does every write after a whole peel.
     An index reaches depth l or more with probability 2^-l, so a read at
     level l survives a write with probability 1 - 2^-l while the level
     above stays past capacity: 15 writes of 16 at level 4.
@@ -523,30 +531,33 @@ class SampleRecovery:
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
+        budget = (f"a sketch of capacity {capacity} over {n_indices} "
+                  f"indices needs {{}} words of cells, past the budget of "
+                  f"{MAX_WORDS}")
         least = 2 * self.levels * _least_cells(self.level_capacity, fail)
         if least > MAX_WORDS:
             # before ``grid_geometry``, whose sizing grows with capacity
-            raise ValueError(f"a sketch of capacity {capacity} over "
-                             f"{n_indices} indices needs at least {least} "
-                             f"words of cells, past the budget of "
-                             f"{MAX_WORDS}")
+            raise ValueError(budget.format(f"at least {least}"))
         self.rows, self.buckets = grid_geometry(self.level_capacity, fail)
+        self._per_level = self.rows * self.buckets
+        if 2 * self.levels * self._per_level > MAX_WORDS:
+            # the sized grid passes its lower bound (1.76 times at
+            # capacity 10^6); refused before any cell exists
+            raise ValueError(budget.format(2 * self.levels * self._per_level))
         self.stall_bound = stall_bound(self.level_capacity, self.rows,
                                        self.buckets)
-        self._per_level = self.rows * self.buckets
-        # the fingerprint offset, so that every index + r lies in [1, P)
-        self.r = _hash64(seed, "r") % (PRIME - n_indices)
-
-        # one 64-bit bucket-hash key per row, shared by every level; the
-        # hashes add splitmix64's increment to it once, here
-        self.hash_keys = np.array(
-            [_hash64(seed, "row-key", r) for r in range(self.rows)],
-            dtype=np.uint64)
+        # splitmix64's outputs from the seed: the fingerprint offset, so
+        # that every index + r lies in [1, P), the key of the hash that
+        # picks each index's deepest level, and one bucket-hash key per
+        # row, shared by every level
+        r, self.depth_key, *keys = (_mix((seed + j * _GAMMA) & _MASK64)
+                                    for j in range(1, self.rows + 3))
+        self.r = r % (PRIME - n_indices)
+        self.hash_keys = np.array(keys, dtype=np.uint64)
+        # the bucket hashes add splitmix64's increment to each key once
         self._keys = self.hash_keys + np.uint64(_GAMMA)
         self._row_keys = list(zip(range(0, self._per_level, self.buckets),
                                   self._keys.tolist()))
-        # key of the hash that picks each index's deepest level
-        self.depth_key = derive_seed(seed, "depth").to_bytes(8, "big")
 
         # (packed word, fingerprint) of every cell, level 0 first, with
         # K = ``_shift``; ``update`` refuses weights past ``_weight_limit``
@@ -556,9 +567,9 @@ class SampleRecovery:
         # the cell of bucket 0 of each row, at level 0
         self._row_cell0 = np.arange(self.rows) * self.buckets
         # (shallowest level read, indices) of a sampled sketch's last
-        # read, level None for a whole peel; kept while every write
-        # leaves a fresh read as it was (``update``)
-        self._held: tuple[int | None, frozenset[int]] | None = None
+        # read, level 0 for a whole peel; kept while every write leaves a
+        # fresh read as it was (``update``)
+        self._held: tuple[int, frozenset[int]] | None = None
 
     @property
     def grids(self) -> np.ndarray:
@@ -572,13 +583,14 @@ class SampleRecovery:
     def _depth(self, index: int) -> int:
         """Deepest level of ``index``: P[depth >= l] = 2^-l, capped.
 
-        A keyed 64-bit hash, so that the levels of any set of indices
-        behave as independent draws; a linear hash on a run of
-        consecutive indices leaves subsamples far from binomial.
+        The leading zero bits of splitmix64 of index + ``depth_key``, the
+        bucket hashes' mixer under a key of its own, so that the levels
+        of any set of indices behave as independent draws; a linear hash
+        on a run of consecutive indices leaves subsamples far from
+        binomial.
         """
-        h = blake2b(int(index).to_bytes(8, "big"), digest_size=8,
-                    key=self.depth_key).digest()
-        return min(self.levels - 1, 64 - int.from_bytes(h, "big").bit_length())
+        h = _mix((index + self.depth_key + _GAMMA) & _MASK64)
+        return min(self.levels - 1, 64 - h.bit_length())
 
     def _cells_of(self, index: int, level: int) -> np.ndarray:
         """Cell of ``index`` in each row of a level's grid: splitmix64 of
@@ -631,8 +643,7 @@ class SampleRecovery:
             # subsample past the level capacity, or ``_fit_level`` would
             # start the next read there
             level = held[0]
-            if not (level is not None and depth < level
-                    and self.support > self.capacity
+            if not (depth < level
                     and (depth < level - 1 or sum(self.level_support[depth:])
                          > self.level_capacity)):
                 self._held = None
@@ -723,19 +734,20 @@ class SampleRecovery:
     def recover(self) -> set[int] | frozenset[int]:
         """Support indices via grid peeling, the sketch's one read.
 
-        While ``support <= capacity``, or on a sketch that is not
-        sampled: the exact support, peeled from the sum of all level
-        grids.  Reliable when the true support fits in ``capacity``;
+        While the support fits ``level_capacity``, which is ``capacity``
+        on a sketch that is not sampled: the exact support, peeled from
+        the sum of all level grids.  Reliable when the true support fits;
         beyond that the peeling stalls, or the weight it peels differs
-        from ``support``; either raises RecoveryFail, so callers should
-        gate on the support counter.
+        from ``support``; either raises RecoveryFail, so callers of a
+        sketch that is not sampled should gate on the support counter.
 
-        On a sampled sketch past ``capacity`` = m: at least m distinct
-        support indices from one level's subsample, or RecoveryFail.  The
-        depth hash makes the subsample sizes s_0 >= s_1 >= ... successive
-        binomial thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at
-        the picked level needs s_l > C >= s_(l+1) with s_(l+1) < m for
-        some l, C = ``level_capacity``.  The chain stays at each size
+        On a sampled sketch past the level capacity: at least
+        ``capacity`` = m distinct support indices from one level's
+        subsample, or RecoveryFail.  The depth hash makes the subsample
+        sizes s_0 >= s_1 >= ... successive binomial thinnings,
+        s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at the picked level
+        needs s_l > C >= s_(l+1) with s_(l+1) < m for some l,
+        C = ``level_capacity``.  The chain stays at each size
         s > C for 1 / (1 - 2^-s) levels in expectation, so
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
@@ -757,21 +769,19 @@ class SampleRecovery:
             self._held = level, frozenset(found)
         return self._held[1]
 
-    def _fresh_read(self) -> tuple[int | None, set[int]]:
+    def _fresh_read(self) -> tuple[int, set[int]]:
         """(shallowest level read, indices) of a read of the cells.
 
-        While the support fits ``capacity``, or on a sketch that is not
-        sampled, the whole peel of the sum of all level grids, level
-        None.  Past it, on a sampled sketch, ``capacity`` indices of the
-        level ``_fit_level`` picks: its grid's one-sparse cells if they
-        name that many, else its whole subsample, peeled; then shallower
-        levels while a read stalls or falls short, as it can under
-        weights other than +/-1, since the counters sum weights.
+        The counters pick the level, ``_fit_level``.  At a level past 0,
+        ``capacity`` indices of its subsample: its grid's one-sparse cells
+        if they name that many, else its whole subsample, peeled; then
+        shallower levels while a read stalls or falls short, as it can
+        under weights other than +/-1, since the counters sum weights.
+        At level 0, the only level of a sketch that is not sampled, the
+        whole peel of the sum of all level grids, checked against
+        ``support``.
         """
-        if not self.sampled or self.support <= self.capacity:
-            return None, self._peel(self._level_sum(0), self.support)
-        first = self._fit_level()
-        for lvl in range(first, -1, -1):
+        for lvl in range(self._fit_level(), 0, -1):
             cells = self._level_sum(lvl)
             found = set(self._verify_cells(*self._decode(cells))[0].tolist())
             if len(found) < self.capacity:
@@ -781,8 +791,7 @@ class SampleRecovery:
                     continue
             if len(found) >= self.capacity:
                 return lvl, found
-        raise RecoveryFail(f"levels {first}..0 gave under {self.capacity} "
-                           f"indices")
+        return 0, self._peel(self._level_sum(0), self.support)
 
     def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
         """Support of a stored (w, fingerprint) grid, peeled in place,

@@ -28,7 +28,7 @@ _LEVELS = {0.3: 4, 0.1: 3}
 
 # (seed, fail) -> the prefixes that a kept level read served
 @pytest.mark.parametrize("seed, kept, fail", [
-    (0, 2_660, 0.3), (1, 3_352, 0.3), (0, 480, 0.1), (1, 480, 0.1)])
+    (0, 2_976, 0.3), (1, 2_448, 0.3), (0, 240, 0.1), (1, 480, 0.1)])
 def test_every_small_write_sequence_holds_only_fresh_reads(seed, kept,
                                                            fail):
     got = walk_sketch(6, 5, fail, seed)

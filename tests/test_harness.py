@@ -343,6 +343,14 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert run_cli(["--input", str(f)]) == 2
 
 
+def test_cli_undecodable_input_exit_2(tmp_path, capsys):
+    # bytes that are not UTF-8 are a parse error, as they are on stdin
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"3 1 psa\n+ 1 \xff\n?\n")
+    assert run_cli(["--input", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error=")
+
+
 def test_cli_invalid_stream_exit_3(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("3 1 dpsa\n- 1 2\n?\n")
@@ -393,7 +401,7 @@ def _degraded_pdpsa(tmp_path):
 
 def test_cli_pdpsa_degraded_recovery_runs_to_the_end(tmp_path):
     # recovery returned a strict subset of a neighborhood, and a T edge it
-    # missed outlived the dropped sketch (KeyError in _sketch_remove)
+    # missed outlived the dropped sketch (KeyError in _sketch_write)
     f = _degraded_pdpsa(tmp_path)
     code, report = run(["--input", str(f), "--seed", "9"])
     assert code == 0

@@ -82,12 +82,28 @@ def _stored(s, c, ix, fp):
     return [(c << s._shift) + ix, fp]
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+
+
 def _splitmix64(x):
     """The splitmix64 output for state x (Steele, Lea & Flood, 2014)."""
-    z = (x + 0x9E3779B97F4A7C15) % 2 ** 64
+    z = (x + _GAMMA) % 2 ** 64
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
     return z ^ (z >> 31)
+
+
+# x as in the test above; seeds past 2^64 and below 0 are taken mod 2^64
+@pytest.mark.parametrize("n, x", [(600, 5), (179700, 0)])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 + 3, -1, 2 ** 63 - 1])
+def test_keys_are_the_seeds_splitmix64_outputs(n, x, seed):
+    # the seed is a splitmix64 state; its successive outputs are r mod
+    # P - N, the depth key and the row keys
+    s = SampleRecovery(n_indices=n, capacity=5, seed=seed, sampled=x > 0)
+    out = [_splitmix64(seed + j * _GAMMA) for j in range(s.rows + 2)]
+    assert s.r == out[0] % (PRIME - n)
+    assert s.depth_key == out[1]
+    assert s.hash_keys.tolist() == out[2:]
 
 
 def _bucket(s, row, i):
@@ -424,6 +440,22 @@ def test_a_sketch_past_the_word_budget_is_refused_before_sizing(monkeypatch):
         SampleRecovery(n, capacity, seed=0, fail=0.005 / n)
 
 
+def test_a_sized_grid_past_the_word_budget_is_refused(monkeypatch):
+    # dpsa's sketch at n=600, k=3: its least grid fits a budget that its
+    # sized 5 x 644 grid passes, and it is refused before any cell
+    n, capacity = 600 * 599 // 2, 1800
+    fail = 0.005 / n
+    rows, buckets = grid_geometry(capacity, fail)
+    sized = 2 * rows * buckets
+    assert 2 * _least_cells(capacity, fail) < sized
+    monkeypatch.setattr(sketch, "MAX_WORDS", sized - 1)
+    with pytest.raises(ValueError, match=f"needs {sized} words of cells, "
+                       f"past the budget of {sized - 1}"):
+        SampleRecovery(n, capacity, seed=0, fail=fail)
+    monkeypatch.setattr(sketch, "MAX_WORDS", sized)
+    assert SampleRecovery(n, capacity, seed=0, fail=fail).cells.size == sized
+
+
 def _no_singleton_by_enumeration(s, b):
     """Q_s(B) over all B^s assignments of s indices to B buckets."""
     hit = sum(all(a.count(x) != 1 for x in range(b))
@@ -531,11 +563,39 @@ def test_words_positive_and_monotone_in_capacity():
 
 
 def _reference_depth(s, i):
-    """Leading zero bits of the index's keyed 64-bit hash, capped."""
-    h = hashlib.blake2b(i.to_bytes(8, "big"), digest_size=8,
-                        key=s.depth_key).digest()
-    bits = format(int.from_bytes(h, "big"), "064b")
+    """Leading zero bits of splitmix64 of the index plus the depth key,
+    capped."""
+    bits = format(_splitmix64(i + s.depth_key), "064b")
     return min(s.levels - 1, len(bits) - len(bits.lstrip("0")))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_depths_of_consecutive_indices_are_binomial(seed):
+    # over 2^20 consecutive indices, the count at each depth l <= 9 lies
+    # within 4.5 standard deviations of Bin(N, 2^-(l+1)); the depth hash
+    # runs here in wrapping uint64, the top 10 bits of each hash giving
+    # its leading zeros up to 10
+    n = 1 << 20
+    s = SampleRecovery(n, capacity=5, seed=seed, sampled=True)
+    assert s.levels > 10
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z += np.uint64((s.depth_key + _GAMMA) % 2 ** 64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    top = (z >> np.uint64(54)).astype(np.int64)
+    depths = 10 - np.searchsorted(1 << np.arange(10), top, side="right")
+    # pinned to the sketch's own depth hash on a spread of indices
+    for i in range(1, n + 1, 997):
+        assert min(s._depth(i), 10) == depths[i - 1] \
+            == min(_reference_depth(s, i), 10)
+    counts = np.bincount(depths, minlength=11)
+    for lvl in range(10):
+        p = 2.0 ** -(lvl + 1)
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(counts[lvl] - n * p) <= 4.5 * sigma, (lvl, counts[lvl])
 
 
 def _reference_levels(s, ops):
@@ -679,7 +739,7 @@ def test_recover_reads_the_levels_only_past_capacity():
     for i in range(1, 11):
         s.update(i, +1)
     assert s.recover() == set(range(1, 11))  # the exact recovery grid
-    assert s._held[0] is None
+    assert s._held[0] == 0
     for i in range(11, 301):
         s.update(i, +1)
     got = s.recover()
@@ -690,6 +750,24 @@ def test_recover_reads_the_levels_only_past_capacity():
     for i in (1, 2, 3):
         no_levels.update(i, +1)
     assert no_levels.sample(0).kind == FAIL
+
+
+def test_a_support_that_fits_the_level_capacity_is_read_whole():
+    # past capacity but within the level capacity, the counters pick
+    # level 0: a whole peel of the support, checked against ``support``
+    for size in (11, 20, level_capacity(10, 1e-6)):
+        s = SampleRecovery(600, capacity=10, seed=size, fail=1e-6,
+                           sampled=True)
+        for i in range(1, size + 1):
+            s.update(i, +1)
+        assert s.capacity < s.support <= s.level_capacity
+        assert s.recover() == set(range(1, size + 1)) and s._held[0] == 0
+    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
+    for i in range(1, 12):
+        s.update(i, +1)
+    s.support += 1
+    with pytest.raises(RecoveryFail, match="peeled weight 11, counters 12"):
+        s.recover()
 
 
 def test_draws_past_capacity_pick_from_one_level_read(monkeypatch):
@@ -712,10 +790,10 @@ def test_draws_past_capacity_pick_from_one_level_read(monkeypatch):
 
 
 def test_a_kept_read_counts_in_words_until_the_support_fits():
-    # a kept read costs its level and a word per index.  Under +/-1
-    # weights a kept level read leaves more than the level capacity at
-    # its level and above, but a large negative weight at a shallow
-    # depth can bring the support within capacity, and drops the read
+    # a kept read costs its level and a word per index.  A large negative
+    # weight at a shallow depth can bring the support within capacity,
+    # but the counters from the level above down are as they were, so
+    # the read is kept, and it is the read a fresh read would give
     s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
     for i in range(1, 301):
         s.update(i, +1)
@@ -727,7 +805,9 @@ def test_a_kept_read_counts_in_words_until_the_support_fits():
     s.update(shallow[0], +1)
     assert s._held == (level, got)
     s.update(shallow[1], -(s.support - s.capacity))
-    assert s._held is None and s.words() == bare
+    assert s.support == s.capacity
+    assert s._held == (level, got) and s.words() == bare + 1 + len(got)
+    assert s._fresh_read() == (level, set(got))
 
 
 def test_large_weight_update_round_trips():
@@ -872,17 +952,19 @@ def test_vectorised_check_agrees_with_scalar_on_large_counts(n):
 def test_recover_with_weights_past_the_int64_product_bound():
     s = SampleRecovery(n_indices=60, capacity=2, seed=12, sampled=True)
     big = s._weight_limit  # the most a one-sparse cell decodes exactly
-    s.update(5, big)
-    s.update(9, 3)
+    # two indices at depth 0
+    a, b = [i for i in range(1, 61) if s._depth(i) == 0][:2]
+    s.update(a, big)
+    s.update(b, 3)
     assert big * PRIME >= 1 << 63
     # the whole peel
-    assert s._peel(s._level_sum(0), s.support) == {5, 9}
+    assert s._peel(s._level_sum(0), s.support) == {a, b}
     # the level counters sum weights, so the level they pick holds
     # neither index here; the reads move on to shallower levels
-    assert s._fit_level() > max(map(s._depth, (5, 9)))
-    assert s.recover() == {5, 9} and s._held[0] is not None
+    assert s._fit_level() > max(map(s._depth, (a, b)))
+    assert s.recover() == {a, b} and s._held[0] == 0
     for which in range(8):
-        assert s.sample(which).index in (5, 9)
+        assert s.sample(which).index in (a, b)
 
 
 def test_crafted_two_index_cells_fail_the_fingerprint():
