@@ -182,6 +182,11 @@ def _run(sf: StreamFile, args, out) -> int:
         except SketchFail as exc:
             print(f"error={exc}", file=out)
             return EXIT_UNRELIABLE
+        except ValueError as exc:
+            # pdpsa builds a vertex's sketch at its first write, and the
+            # sketch may refuse its size there as a state does at build
+            print(f"error={exc}", file=out)
+            return EXIT_PARSE
 
     print(f"words_stored={st.words()}", file=out)
     for key, attr in _COUNTERS:
@@ -205,8 +210,11 @@ def run_cli(argv=None, out=None) -> int:
         print("error=need --input FILE or --gen", file=sys.stderr)
         return EXIT_PARSE
     try:
-        text = (sys.stdin.read() if args.input == "-"
-                else open(args.input, encoding="utf-8").read())
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as f:
+                text = f.read()
         sf = parse_stream(text)
     except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error={exc}", file=sys.stderr)

@@ -59,9 +59,12 @@ and buckets behave as independent uniform draws on any support; the
 leading zero bits of the depth hash give P[depth >= l] = 2^-l.  A grid
 is the R x B with the fewest cells whose first-moment bound on a stalled
 peel (``stall_bound``) meets the target (``grid_geometry``), so its size
-does not grow with N.  A grid peels a block of rows at a time, and each
-one-sparse cell's stored words are subtracted from its index's buckets,
-so a peel forms no fingerprint of its own.
+does not grow with N.  One search, ``_least``, sizes the levels, the
+level capacity and each row count's buckets, and the word budget
+(``MAX_WORDS``) caps the bucket search, so a sketch that no grid within
+it fits is refused before any cell exists.  A grid peels a block of rows
+at a time, and each one-sparse cell's stored words are subtracted from
+its index's buckets, so a peel forms no fingerprint of its own.
 
 All structures are linear: the state after a sequence of updates depends
 only on the net vector, never on update order.  blake2b serves only
@@ -121,8 +124,9 @@ PRIME = (1 << 50) - 27
 MAX_INDICES = PRIME // 2
 # residues below PRIME that an int64 sums without overflow: 8 192
 _HEADROOM = _INT64_MAX // PRIME
-# the most words a sketch's cells may take, 128 MiB of int64: a sketch
-# whose least grid would pass it is refused before it is sized
+# the most words a sketch's cells may take, 128 MiB of int64: it caps
+# ``grid_geometry``'s search, and a sketch with no grid within it is
+# refused
 MAX_WORDS = 1 << 24
 
 
@@ -277,25 +281,19 @@ def _stall_sizes(capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _log_no_singleton(capacity: int,
-                      buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log C(capacity, s), log Q_s(B)) for s = 2..capacity: exact up to
-    ``_EXACT_STALL``, the saddle-point bound past it."""
+def _log_stall(capacity: int, rows: int, buckets: int) -> float:
+    """log of sum over s of C(capacity, s) Q_s(B)^R, ``stall_bound`` in
+    logs, with log Q_s(B) exact up to ``_EXACT_STALL`` and the
+    saddle-point bound past it; -inf below two indices, which always
+    peel."""
     s, subsets, log_fact = _stall_sizes(capacity)
+    if not len(s):
+        return -math.inf
     small = s <= _EXACT_STALL
     q = np.empty(len(s))
     q[small] = _exact_no_singleton(buckets)[s[small] - 2]
     q[~small] = _saddle_no_singleton(s[~small], log_fact[~small], buckets)
-    return subsets, q
-
-
-def _log_stall(capacity: int, rows: int, buckets: int) -> float:
-    """log of sum over s of C(capacity, s) Q_s(B)^R, ``stall_bound`` in
-    logs; -inf below two indices, which always peel."""
-    subsets, q = _log_no_singleton(capacity, buckets)
     x = subsets + rows * q
-    if not len(x):
-        return -math.inf
     top = float(x.max())
     return top + math.log(float(np.exp(x - top).sum()))
 
@@ -315,68 +313,75 @@ def stall_bound(capacity: int, rows: int, buckets: int) -> float:
     return math.exp(log) if log < 700 else math.inf
 
 
+def _least(fits, low: int, high: int | None = None) -> int | None:
+    """Least x >= ``low`` with ``fits(x)``, for ``fits`` false then true:
+    x = low, low + 1, low + 3, low + 7, ..., capped at ``high``, then a
+    bisection of the last step, O(log(x - low + 2)) calls.  None when
+    ``high`` < ``low`` or ``fits(high)`` fails."""
+    if high is not None and (high < low or not fits(high)):
+        return None
+    bad, step, good = low - 1, 1, low
+    while not fits(good):
+        bad, step = good, 2 * step
+        good = low + step - 1 if high is None else min(high, low + step - 1)
+    while good - bad > 1:
+        mid = (good + bad) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _pair_buckets(pairs: int, target: float, rows: int) -> int:
+    """Least B >= 2 with ``pairs`` / B^R <= ``target``, exactly: the s = 2
+    term of ``stall_bound`` alone.  The search starts a relative 2^-40
+    below the float root (pairs / target)^(1/R), taken in logs and at
+    most e^700, so below the least B at any ratio, and takes O(log B)
+    steps."""
+    num, den = target.as_integer_ratio()
+    root = math.exp(min(700.0, (math.log(pairs) - math.log(target)) / rows))
+    return _least(lambda b: pairs * den <= num * b ** rows,
+                  max(2, math.floor(root * (1 - 2 ** -40))))
+
+
 @functools.lru_cache(maxsize=64)
-def grid_geometry(capacity: int, target: float) -> tuple[int, int]:
+def grid_geometry(capacity: int, target: float,
+                  max_cells: int) -> tuple[int, int] | None:
     """(rows R, buckets per row B) of a recovery grid for ``capacity``
     indices: the smallest R * B, fewest rows on a tie, with R at most
-    ``MAX_ROWS``, whose ``stall_bound`` is at most ``target``.
+    ``MAX_ROWS``, whose ``stall_bound`` is at most ``target``; None when
+    no such grid has at most ``max_cells`` cells.  A peel empties a
+    distinct cell for each index, so a ``capacity`` past ``max_cells`` is
+    refused before any bound is summed.
 
-    The s = 2 term alone, C(capacity, 2) / B^R, gives each R its least B;
-    the search steps B up from there, doubling the step, and bisects the
-    last step.  Past the first R, an R is tried only if the largest B
-    that would beat the best so far meets the bound; 4 rows go first, as
-    they come close to the best at every capacity, so that this rules
-    most other R out.  5 x 644 for dpsa at n=600, k=3 (capacity 1 800,
-    target 2.8e-8); 7 x 17 for a pdpsa level grid at n=600, k=2
-    (capacity 32, target 8.3e-6).
+    Each R searches B with ``_least`` from the least B of the pair term
+    (``_pair_buckets``) up to the most B that the budget allows, and past
+    the first R up to the most that beats the best so far.  4 rows go
+    first, as they come close to the best at every capacity, so that
+    this rules most other R out at one bound each.  5 x 644 for dpsa at
+    n=600, k=3 (capacity 1 800, target 2.8e-8); 7 x 17 for a pdpsa level
+    grid at n=600, k=2 (capacity 32, target 8.3e-6).
     """
+    if capacity > max_cells:
+        return None
     if capacity < 2:
         return 1, 1  # a lone index always peels
     log_target = math.log(target)
-
-    def fits(rows: int, buckets: int) -> bool:
-        return _log_stall(capacity, rows, buckets) <= log_target
-
     pairs = math.comb(capacity, 2)
     best = None
     for rows in (4, *range(1, 4), *range(5, MAX_ROWS + 1)):
-        low = max(2, math.ceil((pairs / target) ** (1 / rows)))
-        while low > 2 and pairs / (low - 1) ** rows <= target:
-            low -= 1
-        # the largest B that beats the best: a smaller R * B, or the same
-        # with fewer rows
-        high = None if best is None else (
-            (best[0] * best[1] - (rows >= best[0])) // rows)
-        if high is not None and (high < low or not fits(rows, high)):
-            continue
-        bad, step, good = low - 1, 1, low
-        while not fits(rows, good):
-            bad, step = good, 2 * step
-            good = low + step - 1
-            if high is not None:
-                good = min(high, good)
-        while good - bad > 1:
-            mid = (good + bad) // 2
-            if fits(rows, mid):
-                good = mid
-            else:
-                bad = mid
-        best = rows, good
+        # the most B within the budget, and that beats the best: a smaller
+        # R * B, or the same with fewer rows
+        high = max_cells // rows
+        if best is not None:
+            high = min(high, (best[0] * best[1] - (rows >= best[0])) // rows)
+        buckets = _least(
+            lambda b: _log_stall(capacity, rows, b) <= log_target,
+            _pair_buckets(pairs, target, rows), high)
+        if buckets is not None:
+            best = rows, buckets
     return best
-
-
-def _least_cells(capacity: int, target: float) -> int:
-    """A lower bound on the cells R * B of ``grid_geometry(capacity,
-    target)``, found without sizing.  It is at least ``capacity``: a peel
-    empties a distinct cell for each index, so a smaller grid always
-    stalls.  And at each R, B is at least the least that the pair term
-    C(capacity, 2) / B^R <= target allows, and at least 2."""
-    if capacity < 2:
-        return 1
-    pairs = math.comb(capacity, 2)
-    return max(capacity, min(
-        rows * max(2, math.floor((pairs / target) ** (1 / rows)))
-        for rows in range(1, MAX_ROWS + 1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -388,8 +393,8 @@ def level_capacity(need: int, fail: float) -> int:
     above it holds more than C, and each of those reaches the next level
     with probability 1/2.  C = 32 for need = 5 at fail 8.3e-6 (pdpsa at
     n=600, k=2).  At C = need - 1 the tail is 1 - 2^-need >= 1/2, so any
-    fail below 1/2 gives C >= need.  The tail falls as C grows, so a
-    doubling then a bisection take O(log C) tails.
+    fail below 1/2 gives C >= need.  The tail falls as C grows, so
+    ``_least`` takes O(log C) tails.
     """
     def fits(c: int) -> bool:
         # sum of C(c+1, j) for j < need, each binomial from the last
@@ -399,17 +404,7 @@ def level_capacity(need: int, fail: float) -> int:
             total += term
         return total / 2 ** (c + 1) <= fail
 
-    least = max(1, need - 1)
-    bad, good = least - 1, least
-    while not fits(good):
-        bad, good = good, 2 * good
-    while good - bad > 1:
-        mid = (good + bad) // 2
-        if fits(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    return _least(fits, max(1, need - 1))
 
 
 def _binomial_tail(n: int, q: float, c: int) -> float:
@@ -442,10 +437,8 @@ def level_count(n_indices: int, capacity: int, fail: float) -> int:
     probability ``fail``: 7 levels for pdpsa at n=600, k=2 (C = 32, fail
     8.3e-6), 14 at n=10^5.
     """
-    levels = 1
-    while _binomial_tail(n_indices, 0.5 ** (levels - 1), capacity) > fail:
-        levels += 1
-    return levels
+    return _least(lambda levels: _binomial_tail(
+        n_indices, 0.5 ** (levels - 1), capacity) <= fail, 1)
 
 
 class SampleRecovery:
@@ -457,12 +450,14 @@ class SampleRecovery:
     capacity C is C0 and L = 1, one recovery grid.  With ``sampled`` the
     sketch reads C0 indices past C0: C = ``level_capacity(C0, fail)``,
     at least C0 for any fail below 1/2, and L = ``level_count(N, C,
-    fail)``.  Every grid is ``grid_geometry(C, fail)`` (7 x 17 for pdpsa
-    at n=600, k=2; 5 x 644 for dpsa at n=600, k=3), and ``stall_bound``
-    is the bound on a stalled peel of C indices that this grid meets.
-    All grids share one set of bucket hashes, so the grids of levels
-    l..L-1 add up cell by cell.  ``support`` is an exact signed counter
-    of net insertions, the l0 norm under valid +/-1 streams;
+    fail)``.  Every grid is ``grid_geometry(C, fail, MAX_WORDS // 2L)``
+    (7 x 17 for pdpsa at n=600, k=2; 5 x 644 for dpsa at n=600, k=3),
+    and a sketch for which it finds none within the word budget raises
+    ``ValueError`` before any cell exists.  ``stall_bound`` is the bound
+    on a stalled peel of C indices that this grid meets.  All grids
+    share one set of bucket hashes, so the grids of levels l..L-1 add up
+    cell by cell.  ``support`` is an exact signed counter of net
+    insertions, the l0 norm under valid +/-1 streams;
     ``level_support[l]`` is the same counter over the indices whose
     deepest level is l.
 
@@ -531,19 +526,17 @@ class SampleRecovery:
         else:
             self.level_capacity, self.levels = capacity, 1
         self.level_support = [0] * self.levels
-        budget = (f"a sketch of capacity {capacity} over {n_indices} "
-                  f"indices needs {{}} words of cells, past the budget of "
-                  f"{MAX_WORDS}")
-        least = 2 * self.levels * _least_cells(self.level_capacity, fail)
-        if least > MAX_WORDS:
-            # before ``grid_geometry``, whose sizing grows with capacity
-            raise ValueError(budget.format(f"at least {least}"))
-        self.rows, self.buckets = grid_geometry(self.level_capacity, fail)
+        max_cells = MAX_WORDS // (2 * self.levels)
+        grid = grid_geometry(self.level_capacity, fail, max_cells)
+        if grid is None:
+            # before any cell exists
+            raise ValueError(
+                f"a sketch of capacity {capacity} over {n_indices} indices "
+                f"needs more than {max_cells} cells a level, {self.levels} "
+                f"level(s) at 2 words a cell, past the budget of "
+                f"{MAX_WORDS} words")
+        self.rows, self.buckets = grid
         self._per_level = self.rows * self.buckets
-        if 2 * self.levels * self._per_level > MAX_WORDS:
-            # the sized grid passes its lower bound (1.76 times at
-            # capacity 10^6); refused before any cell exists
-            raise ValueError(budget.format(2 * self.levels * self._per_level))
         self.stall_bound = stall_bound(self.level_capacity, self.rows,
                                        self.buckets)
         # splitmix64's outputs from the seed: the fingerprint offset, so

@@ -508,6 +508,16 @@ def test_cli_module_run_has_no_runtime_warning():
     assert "answer=yes" in done.stdout
 
 
+def test_cli_input_file_is_closed(tmp_path):
+    # -X dev shows a ResourceWarning for a file left to the collector
+    f = tmp_path / "s.txt"
+    f.write_text("4 1 dpsa\n+ 1 2\n?\n")
+    done = _python(["-X", "dev", "-m", "vcstream.harness.cli", "--input",
+                    str(f)])
+    assert done.returncode == 0 and "answer=yes" in done.stdout, done.stderr
+    assert "ResourceWarning" not in done.stderr
+
+
 @pytest.mark.parametrize("header, code, line", [
     # past the two-prime sketch's old ceiling of n = 77 936
     ("80000 1 dpsa", 0, "answer=yes"),
@@ -550,6 +560,9 @@ def _gen_run(gen, churn):
     _header_run("5 1000 pdpsa"),
     # a level capacity for need = 2001, found by bisection
     _header_run("3000 1000 pdpsa"),
+    # vertex sketches over n past P/2: pdpsa builds one at the first
+    # insert, which refuses it
+    _header_run("600000000000000 2 pdpsa"),
     # generators on a graph they fill at once
     *(_gen_run(gen, churn) for gen in ("random", "promised")
       for churn in ("0", "1e-9")),
@@ -567,6 +580,9 @@ def test_cli_small_headers_finish_in_their_own_words(args, stdin):
     assert "Traceback" not in done.stderr
     if stdin.startswith("77936 1000 dpsa"):
         assert done.returncode == 2 and "past the budget" in done.stdout
+    if stdin.startswith("600000000000000 2 pdpsa"):
+        assert done.returncode == 2 and "exceed the sketch's limit" \
+            in done.stdout
 
 
 def test_pdpsa_words_stop_growing_once_2k_plus_1_passes_n_minus_1(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from vcstream import sketch
 from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_INDICES, MAX_ROWS,
                              MAX_WORDS, PRIME, RecoveryFail, SampleRecovery,
-                             _least_cells, _mulmod_exact, _packing,
+                             _mulmod_exact, _packing, _pair_buckets,
                              derive_seed, grid_geometry, level_capacity,
                              stall_bound)
 
@@ -400,7 +401,7 @@ def test_a_peel_that_disagrees_with_its_counters_fails():
 def test_grid_geometry_meets_the_pair_collision_bound(capacity, delta):
     # two indices share a bucket in every row with probability B^-R; the
     # pairs are the s = 2 term of the stall bound
-    rows, buckets = grid_geometry(capacity, delta)
+    rows, buckets = grid_geometry(capacity, delta, MAX_WORDS // 2)
     assert math.comb(capacity, 2) / buckets ** rows <= delta
 
 
@@ -408,7 +409,7 @@ def test_grid_geometry_meets_the_pair_collision_bound(capacity, delta):
 @pytest.mark.parametrize("delta", [0.01, 1e-6])
 def test_grid_geometry_is_the_smallest_grid_within_the_stall_bound(capacity,
                                                                    delta):
-    rows, buckets = grid_geometry(capacity, delta)
+    rows, buckets = grid_geometry(capacity, delta, MAX_WORDS // 2)
     assert stall_bound(capacity, rows, buckets) <= delta
     # one bucket fewer breaks the bound
     assert buckets == 1 or stall_bound(capacity, rows, buckets - 1) > delta
@@ -423,34 +424,91 @@ def test_grid_geometry_is_the_smallest_grid_within_the_stall_bound(capacity,
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
 @pytest.mark.parametrize("delta", [0.01, 1e-6])
 def test_least_cells_bound_the_grid(capacity, delta):
-    rows, buckets = grid_geometry(capacity, delta)
-    assert capacity <= _least_cells(capacity, delta) <= rows * buckets
+    # the grid's cells are the least that a cap on cells admits: one cell
+    # fewer and no grid meets the target.  A peel empties a distinct cell
+    # for each index, so they are at least the capacity
+    rows, buckets = grid_geometry(capacity, delta, MAX_WORDS // 2)
+    cells = rows * buckets
+    assert capacity <= cells
+    assert grid_geometry(capacity, delta, cells) == (rows, buckets)
+    assert grid_geometry(capacity, delta, cells - 1) is None
+
+
+def _exact_pair_buckets(pairs, target, rows):
+    """Least B >= 2 with pairs / B^R <= target in exact rationals, by
+    doubling B from 2 and bisecting the last doubling."""
+    def fits(b):
+        return Fraction(pairs, b ** rows) <= Fraction(target)
+    bad, good = 1, 2
+    while not fits(good):
+        bad, good = good, 2 * good
+    while good - bad > 1:
+        mid = (good + bad) // 2
+        bad, good = (bad, mid) if fits(mid) else (mid, good)
+    return good
+
+
+def test_pair_buckets_are_the_exact_least():
+    cases = [(pairs, pairs / 10 ** e)
+             for e in range(2, 28) for pairs in (1, 45, 1_619_100)]
+    # ratios whose roots are whole powers of two, where a start rounded
+    # up from the float root would pass the least B
+    cases += [(1 << e, 2.0 ** -e) for e in range(1, 90, 7)]
+    # ``300000 13 dpsa``'s grid: 3.9e6 edge slots over N = 4.5e10, a
+    # ratio of 6.8e25; at one row, a search stepping down by one bucket
+    # from the float root took 914 761 257 steps
+    n = 300000 * 299999 // 2
+    cases.append((math.comb(300000 * 13, 2), 0.005 / n))
+    # a ratio past the largest float, whose root overflowed at one row
+    cases.append((45, 1e-320))
+    for pairs, target in cases:
+        for rows in range(1, MAX_ROWS + 1):
+            assert _pair_buckets(pairs, target, rows) \
+                == _exact_pair_buckets(pairs, target, rows), \
+                (pairs, target, rows)
+
+
+def test_a_capacity_past_the_cells_is_refused_before_any_bound(monkeypatch):
+    def sized(*args):
+        raise AssertionError("a refused grid was sized")
+    monkeypatch.setattr(sketch, "_stall_sizes", sized)
+    # a peel empties a distinct cell for each index
+    assert grid_geometry(101, 1e-6, 100) is None
+    assert grid_geometry(10 ** 9, 1e-6, MAX_WORDS // 2) is None
+
+
+def test_a_target_past_the_float_range_is_refused_by_the_budget():
+    # C(1 800, 2) / fail passes the largest float, and the pair term
+    # alone asks for 10^(312/R) buckets a row
+    with pytest.raises(ValueError, match="past the budget"):
+        SampleRecovery(600 * 599 // 2, 1800, seed=0, fail=1e-306)
 
 
 def test_a_sketch_past_the_word_budget_is_refused_before_sizing(monkeypatch):
     def sized(*args):
         raise AssertionError("a refused sketch was sized")
-    for name in ("grid_geometry", "_stall_sizes"):
-        monkeypatch.setattr(sketch, name, sized)
+    monkeypatch.setattr(sketch, "_stall_sizes", sized)
     # dpsa's sketch at n = 77 936, k = 1000: 7.8e7 edge slots over 3.0e9
-    # indices, at least 2 words a slot
+    # indices, at least one cell a slot
     n, capacity = 77936 * 77935 // 2, 77936 * 1000
-    with pytest.raises(ValueError, match=f"{2 * capacity} words of cells, "
-                       f"past the budget of {MAX_WORDS}"):
+    with pytest.raises(ValueError, match=rf"needs more than {MAX_WORDS // 2} "
+                       rf"cells a level, 1 level\(s\) at 2 words a cell, "
+                       rf"past the budget of {MAX_WORDS} words"):
         SampleRecovery(n, capacity, seed=0, fail=0.005 / n)
 
 
 def test_a_sized_grid_past_the_word_budget_is_refused(monkeypatch):
-    # dpsa's sketch at n=600, k=3: its least grid fits a budget that its
+    # dpsa's sketch at n=600, k=3: its capacity fits a budget that its
     # sized 5 x 644 grid passes, and it is refused before any cell
     n, capacity = 600 * 599 // 2, 1800
     fail = 0.005 / n
-    rows, buckets = grid_geometry(capacity, fail)
+    rows, buckets = grid_geometry(capacity, fail, MAX_WORDS // 2)
     sized = 2 * rows * buckets
-    assert 2 * _least_cells(capacity, fail) < sized
+    assert capacity <= (sized - 1) // 2
     monkeypatch.setattr(sketch, "MAX_WORDS", sized - 1)
-    with pytest.raises(ValueError, match=f"needs {sized} words of cells, "
-                       f"past the budget of {sized - 1}"):
+    with pytest.raises(ValueError, match=rf"needs more than {sized // 2 - 1} "
+                       rf"cells a level, 1 level\(s\) at 2 words a cell, "
+                       rf"past the budget of {sized - 1} words"):
         SampleRecovery(n, capacity, seed=0, fail=fail)
     monkeypatch.setattr(sketch, "MAX_WORDS", sized)
     assert SampleRecovery(n, capacity, seed=0, fail=fail).cells.size == sized
