@@ -125,6 +125,15 @@ class Config:
         return min(2 * self.k + 1, self.n - 1)
 
 
+def check_query_k(k: int, state_k: int | None = None) -> None:
+    """Raise ``ValueError`` for a query k below 0, or above ``state_k``
+    when given: the k that a state's contents answer for."""
+    if k < 0:
+        raise ValueError(f"query k={k} is negative")
+    if state_k is not None and k > state_k:
+        raise ValueError(f"query k={k} exceeds the state's k={state_k}")
+
+
 class ShadowGraph:
     """Plain adjacency-set graph tracking the live edge set of a stream.
 

@@ -24,7 +24,7 @@ from functools import partial
 
 from . import kernel
 from .core import (Config, DELETE, Edge, SketchFail, SolverError,
-                   StreamUpdate, VcAnswer)
+                   StreamUpdate, VcAnswer, check_query_k)
 
 
 class DpsaState:
@@ -100,9 +100,8 @@ def kernelize_arrays(u, v, k: int, n: int) -> kernel.KernelInstance | None:
     u, v = u[keep], v[keep]
     if len(u) > k_res * k_res:
         return None
-    us, vs = u.tolist(), v.tolist()
-    kept = set(map(partial(tuple.__new__, Edge), zip(us, vs)))
-    return kernel.KernelInstance(set(us).union(vs), kept, k_res, forced)
+    kept = set(map(partial(tuple.__new__, Edge), zip(u.tolist(), v.tolist())))
+    return kernel.KernelInstance(kept, k_res, forced)
 
 
 def check_cover_arrays(cover, u, v, k: int, n: int) -> None:
@@ -145,6 +144,7 @@ def dpsa_query(st: DpsaState, k: int | None = None) -> VcAnswer:
     cfg = st.config
     if k is None:
         k = cfg.k
+    check_query_k(k)
     if st.live > cfg.n * k:
         ans = VcAnswer.no()
     elif st.live > st.sketch.capacity:

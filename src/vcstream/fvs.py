@@ -10,7 +10,7 @@ search is skipped when the residue holds more vertex-disjoint 2-cycles
 
 The state keeps the k its inserts used.  A live state stores every edge,
 so it answers any k; a dead state's No holds for that k and below, and
-a query k above it raises ``ValueError``.
+a query k above it raises ``ValueError``, as does a negative k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Edge, SolverError, VcAnswer, matching_exceeds
+from .core import (Edge, SolverError, VcAnswer, check_query_k,
+                   matching_exceeds)
 
 
 @dataclass
@@ -45,10 +46,9 @@ def fvs_insert(st: FvsState, e: Edge, n: int, k: int) -> FvsState:
 
 
 def fvs_query(st: FvsState, k: int) -> VcAnswer:
+    # more than n(st.k + 1) edges rule out only k <= st.k
+    check_query_k(k, st.k if st.dead else None)
     if st.dead:
-        if k > st.k:
-            # more than n(st.k + 1) edges rule out only k <= st.k
-            raise ValueError(f"query k={k} exceeds the state's k={st.k}")
         return VcAnswer.no()
     return fvs_decide(st.stored, k)
 

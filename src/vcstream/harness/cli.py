@@ -201,10 +201,13 @@ def run_cli(argv=None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.gen:
         try:
-            out.write(_generate(args))
+            text = _generate(args)
+            # write only a stream that --input reads back
+            parse_stream(text)
         except ValueError as exc:
             print(f"error={exc}", file=sys.stderr)
             return EXIT_PARSE
+        out.write(text)
         return EXIT_OK
     if not args.input:
         print("error=need --input FILE or --gen", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Invariant checker for the promised-dynamic matching state.
 
-Reads the state's exact mirror of its sketches' contents (states built
-with ``mirror=True``) and compares against a shadow graph holding ground
-truth.  Returns violation strings instead of raising so a property test
-can report all breaks from one stream prefix at once.
+Checks that the mate map is a maximal matching of live edges (each
+mate symmetric, each pair a live edge, each matched vertex sketched and
+timestamped), then reads the state's exact mirror of its sketches'
+contents (states built with ``mirror=True``) and compares it against a
+shadow graph holding ground truth.  Returns violation strings instead
+of raising so a property test can report all breaks from one stream
+prefix at once.
 """
 
 from __future__ import annotations
@@ -19,25 +22,21 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
     # each sketched vertex's neighborhood; the mirror drops zero weights
     sketched = {v: set(held) for v, held in st.mirror.items()}
 
-    # matching well-formedness: edges live, disjoint, endpoints tracked
-    seen: set[int] = set()
-    for e in sorted(st.matching):
-        if not shadow.has_edge(e):
-            out.append(f"matching edge {e} is not live")
-        if e.u in seen or e.v in seen:
-            out.append(f"matching edge {e} shares a vertex")
-        seen.update((e.u, e.v))
-    if seen != st.matched:
-        out.append(f"matched set {sorted(st.matched)} != matching "
-                   f"endpoints {sorted(seen)}")
-    for v in st.matched:
+    # the mate map: symmetric, each pair a live edge, each matched
+    # vertex sketched and timestamped
+    mate = st.mate
+    for v, w in sorted(mate.items()):
+        if w == v or mate.get(w) != v:
+            out.append(f"mate of {v} is {w}, whose mate is {mate.get(w)}")
+        elif v < w and not shadow.has_edge(Edge(v, w)):
+            out.append(f"matching edge {Edge(v, w)} is not live")
         if v not in st.sketches or v not in st.ts:
             out.append(f"matched vertex {v} lacks sketch or timestamp")
 
     # maximality: no live edge with both endpoints exposed
     live = sorted(shadow.edges())
     for e in live:
-        if e.u not in st.matched and e.v not in st.matched:
+        if e.u not in mate and e.v not in mate:
             out.append(f"live edge {e} has both endpoints exposed")
 
     for e in live:
@@ -52,7 +51,7 @@ def check_invariants(st: MatchingState, shadow: ShadowGraph) -> list[str]:
                        f"T-listed={e in st.tdict}")
         # invariant 2: both matched, not in T: only the sketch that began
         # earlier holds the edge
-        if (e.u in st.matched and e.v in st.matched
+        if (e.u in mate and e.v in mate
                 and e not in st.tdict and in_u != in_v):
             early = e.u if st.ts[e.u] < st.ts[e.v] else e.v
             holder = e.u if in_u else e.v

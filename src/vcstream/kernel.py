@@ -9,9 +9,12 @@ from .core import Edge, SolverError, VcAnswer, covers, matching_exceeds
 
 @dataclass
 class KernelInstance:
-    """Residual instance after the reduction rules ran to fixpoint."""
+    """Residual instance after the reduction rules ran to fixpoint.
 
-    vertices: set[int]
+    Rule 2 leaves no isolated vertex, so the instance's vertices are the
+    endpoints of ``edges``.
+    """
+
     edges: set[Edge]
     k_residual: int
     forced: list[int] = field(default_factory=list)
@@ -60,7 +63,7 @@ def kernelize(edges, k: int) -> KernelInstance | None:
     if len(adj) > 2 * len(kept):
         raise SolverError(f"kernel keeps {len(adj)} vertices for "
                           f"{len(kept)} edges")
-    return KernelInstance(set(adj), kept, k_res, forced)
+    return KernelInstance(kept, k_res, forced)
 
 
 def _branch_cover(edges: list[tuple[int, int]],

@@ -1,9 +1,10 @@
 """Promised-dynamic maximal matching with per-matched-vertex sketches.
 
-Maintains a maximal matching under edge inserts and deletes.  Every
-matched vertex carries a linear sketch of its incident edges; the
-dictionary T records the edges known to sit in both endpoints' sketches,
-and per-vertex timestamps (when each vertex's current sketch began)
+Maintains a maximal matching under edge inserts and deletes, stored
+once as a map from each matched vertex to its mate.  Every matched
+vertex carries a linear sketch of its incident edges; the dictionary T
+records the edges known to sit in both endpoints' sketches, and
+per-vertex timestamps (when each vertex's current sketch began)
 disambiguate which single sketch holds an edge that T does not know
 about.  Three invariants tie these together:
 
@@ -35,8 +36,8 @@ level read peeled.  A high-support vertex reads a deep level, so most
 writes to it keep its read, and a query re-reads only the sketches
 whose read a write dropped.
 
-An update whose edge leaves 1..n, and a query whose k exceeds the
-state's, raise ``ValueError`` before anything changes.
+An update whose edge leaves 1..n, and a query whose k is negative or
+exceeds the state's, raise ``ValueError`` before anything changes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .core import (DELETE, Config, Edge, SketchFail, StreamUpdate,
-                   VcAnswer)
+                   VcAnswer, check_query_k)
 from .kernel import vc_decide
 
 if TYPE_CHECKING:
@@ -55,6 +56,9 @@ if TYPE_CHECKING:
 class MatchingState:
     """Sketch-backed maximal matching over a promised dynamic stream.
 
+    ``mate`` holds the matching once, as a map from each matched vertex
+    to its mate: an edge e is matched when ``mate.get(e.u) == e.v``, and
+    the matching outgrows k when more than 2k vertices are matched.
     ``violated_at`` is the clock of the first update after which the
     matching outgrew k, or None while the promise holds.
     ``mirror=True`` keeps, beside the sketches, each sketched vertex's
@@ -66,8 +70,7 @@ class MatchingState:
     def __init__(self, config: Config, mirror: bool = False):
         self.config = config
         self.clock = 0
-        self.matching: set[Edge] = set()
-        self.matched: set[int] = set()
+        self.mate: dict[int, int] = {}
         self.ts: dict[int, int] = {}
         self.sketches: dict[int, SampleRecovery] = {}
         self.tdict: dict[Edge, None] = {}
@@ -120,7 +123,7 @@ class MatchingState:
         return self.sketches[v].support <= self.config.x
 
     def _check_promise(self) -> None:
-        if self.violated_at is None and len(self.matching) > self.config.k:
+        if self.violated_at is None and len(self.mate) > 2 * self.config.k:
             self.violated_at = self.clock
 
     @property
@@ -130,11 +133,11 @@ class MatchingState:
         return bool(self.sketch_fail_count or self.rematch_miss_count)
 
     def words(self) -> int:
-        """Sketch words, each kept read among them, 2 per edge of T and
-        of the matching, and 3 per matched vertex."""
+        """Sketch words, each kept read among them, 2 per edge of T, and
+        4 per matched vertex: 2 for its entry in ``mate`` and 2 for its
+        timestamp."""
         sk = sum(s.words() for s in self.sketches.values())
-        return sk + 2 * len(self.tdict) + 2 * len(self.matching) \
-            + 3 * len(self.matched)
+        return sk + 2 * len(self.tdict) + 4 * len(self.mate)
 
     # -- stream entry points -----------------------------------------------
 
@@ -153,7 +156,7 @@ class MatchingState:
     def insertion(self, e: Edge) -> None:
         self._check_edge(e)
         self.clock += 1
-        if e.u not in self.matched and e.v not in self.matched:
+        if e.u not in self.mate and e.v not in self.mate:
             self.add_edge_to_matching(e, self.clock)
         else:
             self.insert_to_ds(e)
@@ -162,7 +165,7 @@ class MatchingState:
     def deletion(self, e: Edge) -> None:
         self._check_edge(e)
         self.clock += 1
-        if e in self.matching:
+        if self.mate.get(e.u) == e.v:
             self.rematch(e, self.clock)
         else:
             self.delete_from_ds(e)
@@ -173,10 +176,9 @@ class MatchingState:
     # -- procedures --------------------------------------------------------
 
     def add_edge_to_matching(self, e: Edge, t: int) -> None:
-        self.matching.add(e)
+        self.mate[e.u], self.mate[e.v] = e.v, e.u
         self.tdict[e] = None
         for z in (e.u, e.v):
-            self.matched.add(z)
             if z not in self.sketches:
                 self.ts[z] = t
                 self._fresh_sketch(z)
@@ -188,10 +190,10 @@ class MatchingState:
             # of the sketches' starts
 
     def insert_to_ds(self, e: Edge) -> None:
-        if e.u in self.matched and e.v in self.matched:
+        if e.u in self.mate and e.v in self.mate:
             self.tdict[e] = None
         for z in (e.u, e.v):
-            if z in self.matched:
+            if z in self.mate:
                 self._sketch_write(z, e.other(z), +1)
 
     def delete_from_ds(self, e: Edge) -> None:
@@ -200,22 +202,22 @@ class MatchingState:
             self._sketch_write(u, v, -1)
             self._sketch_write(v, u, -1)
             del self.tdict[e]
-        elif u in self.matched and v in self.matched:
+        elif u in self.mate and v in self.mate:
             if self.ts[u] < self.ts[v]:
                 self._sketch_write(u, v, -1)
             else:
                 self._sketch_write(v, u, -1)
-        elif u in self.matched:
+        elif u in self.mate:
             self._sketch_write(u, v, -1)
-        elif v in self.matched:
+        elif v in self.mate:
             self._sketch_write(v, u, -1)
 
     def announce_neighborhood(self, u: int) -> None:
-        if u not in self.matched or not self._is_low(u):
+        if u not in self.mate or not self._is_low(u):
             return
         for z in self._recover_neighbors(u):
             e = Edge(u, z)
-            if z in self.matched and e not in self.tdict:
+            if z in self.mate and e not in self.tdict:
                 self.tdict[e] = None
                 self._sketch_write(z, u, +1)
 
@@ -239,19 +241,16 @@ class MatchingState:
         if self.mirror is not None:
             del self.mirror[u]
         del self.ts[u]
-        self.matched.discard(u)
 
     def rematch(self, e: Edge, t: int) -> None:
         self.rematch_count += 1
         self.delete_from_ds(e)
-        self.matching.discard(e)
         # endpoints leave the matching logically; sketches and timestamps
         # stay alive until each endpoint's branch below has run
-        self.matched.discard(e.u)
-        self.matched.discard(e.v)
+        del self.mate[e.u], self.mate[e.v]
         for w in sorted((e.u, e.v)):
             nbrs = self._recover_neighbors(w)
-            exposed = sorted(z for z in nbrs if z not in self.matched)
+            exposed = sorted(z for z in nbrs if z not in self.mate)
             if exposed:
                 self.add_edge_to_matching(Edge(w, exposed[0]), t)
             elif self._is_low(w):
@@ -272,14 +271,11 @@ class MatchingState:
         them when it has fewer, or raises ``SketchFail``.
         """
         cap = self.config.k + 1
-        mates = {}
-        for e in self.matching:
-            mates[e.u], mates[e.v] = e.v, e.u
         out: set[Edge] = set()
-        for v in sorted(self.matched):
+        for v, mate in sorted(self.mate.items()):
             nbrs = sorted(self._recover_neighbors(v))
-            picked = [mates[v]] if mates.get(v) in nbrs else []
-            picked += [z for z in nbrs if z != mates.get(v)]
+            picked = [mate] if mate in nbrs else []
+            picked += [z for z in nbrs if z != mate]
             out.update(Edge(v, z) for z in picked[:cap])
         return out
 
@@ -287,10 +283,8 @@ class MatchingState:
 def pdpsa_query(st: MatchingState, k: int | None = None) -> VcAnswer:
     if k is None:
         k = st.config.k
-    elif k > st.config.k:
-        # k+1 neighbors a vertex and the promise hold for the state's k
-        raise ValueError(f"query k={k} exceeds the state's k="
-                         f"{st.config.k}")
+    # k+1 neighbors a vertex and the promise hold for the state's k
+    check_query_k(k, st.config.k)
     if st.violated_at is not None:
         ans = VcAnswer.promise_violation()
     else:

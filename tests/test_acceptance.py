@@ -66,9 +66,10 @@ def psa_suite():
                 if st.stored:
                     space_breaks += 1
             else:
-                non_matching = {f for f in st.stored_edges()
-                                if f not in st.matching}
-                if len(non_matching) > 2 * k * k or len(st.matched) > 2 * k:
+                # each stored list starts with its vertex's matching edge
+                matching = {lst[0] for lst in st.stored.values()}
+                non_matching = st.stored_edges() - matching
+                if len(non_matching) > 2 * k * k or len(st.stored) > 2 * k:
                     space_breaks += 1
     return dict(prefixes=prefixes, mismatches=mismatches,
                 space_breaks=space_breaks,

@@ -250,7 +250,7 @@ query=5
 answer=no
 query=6
 answer=no
-words_stored=16
+words_stored=0
 """),
     "psa-deletion": (3, """
 mode=psa

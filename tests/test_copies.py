@@ -92,7 +92,7 @@ def test_a_copied_matching_state_matches_its_original(how):
     st = MatchingState(cfg)
     twin, (want, got) = _replayed(st, MatchingState.apply, pdpsa_query,
                                   stream, how)
-    assert twin.matching == st.matching and twin.tdict == st.tdict
+    assert twin.mate == st.mate and twin.tdict == st.tdict
     assert twin.sketches.keys() == st.sketches.keys()
     for v, sk in st.sketches.items():
         assert twin.sketches[v].state_equals(sk)

@@ -154,6 +154,46 @@ def test_config_validation():
         Config(n=5, k=1, c=1.0)
 
 
+def _mode_state(mode, edges):
+    """A state of ``mode`` at n=4, k=1 after inserting ``edges``, and its
+    query."""
+    from vcstream import (DpsaState, FvsState, MatchingState, PsaState,
+                          dpsa_query, dpsa_update, fvs_insert, fvs_query,
+                          pdpsa_query, psa_insert, psa_query)
+    cfg = Config(n=4, k=1)
+    if mode == "psa":
+        st = PsaState(k=cfg.k)
+        for e in edges:
+            psa_insert(st, e)
+        return st, psa_query
+    if mode == "pdpsa":
+        st = MatchingState(cfg)
+        for e in edges:
+            st.insertion(e)
+        return st, pdpsa_query
+    if mode == "dpsa":
+        st = DpsaState(cfg)
+        for e in edges:
+            dpsa_update(st, StreamUpdate(INSERT, e))
+        return st, dpsa_query
+    st = FvsState()
+    for e in edges:
+        fvs_insert(st, e, cfg.n, cfg.k)
+    return st, fvs_query
+
+
+@pytest.mark.parametrize("edges", [(), (Edge(1, 2),)], ids=["empty", "edge"])
+@pytest.mark.parametrize("mode", ["psa", "pdpsa", "dpsa", "fvs"])
+def test_a_negative_query_k_is_refused_in_every_mode(mode, edges):
+    st, query = _mode_state(mode, edges)
+    before = pickle.dumps(st)
+    with pytest.raises(ValueError, match="query k=-1 is negative"):
+        query(st, -1)
+    # refused before anything was read or changed
+    assert pickle.dumps(st) == before
+    assert query(st, 1).is_yes
+
+
 def test_covers():
     es = [Edge(1, 2), Edge(2, 3)]
     assert covers({2}, es)

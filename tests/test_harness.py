@@ -145,6 +145,20 @@ def test_cli_generator_rejects_impossible_streams(args, message):
     assert done.stderr == f"error={message}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["random", "--k", "-1", "--length", "3"],
+    ["index", "--k", "-1"],
+    ["disjointness", "--x-bits", "0", "--y-bits", "1", "--k", "-2"],
+    ["disjointness", "--x-bits", "", "--y-bits", ""],
+], ids=["random-k", "index-k", "disjointness-k", "disjointness-empty"])
+def test_cli_generator_writes_only_streams_input_reads(args, capsys):
+    # each of these wrote a header that --input refuses, and exited 0
+    buf = io.StringIO()
+    assert run_cli(["--gen", *args], out=buf) == 2
+    assert buf.getvalue() == ""
+    assert capsys.readouterr().err.startswith("error=")
+
+
 def test_random_stream_without_churn_fills_the_graph():
     events = gen_random_stream(3, 3, 0.0, random.Random(0))
     assert sorted(upd.edge for upd in events) == [(1, 2), (1, 3), (2, 3)]
@@ -415,7 +429,7 @@ def test_cli_unverified_certificate_exit_5(tmp_path, monkeypatch):
     # neighbors now raises SketchFail instead
     from vcstream.pdpsa import MatchingState
     monkeypatch.setattr(MatchingState, "extract_kernel_edges",
-                        lambda self: set(self.matching))
+                        lambda self: {Edge(*p) for p in self.mate.items()})
     f = _degraded_pdpsa(tmp_path)
     code, report = run(["--input", str(f), "--seed", "10"])
     assert code == 5

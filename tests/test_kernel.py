@@ -37,14 +37,14 @@ def test_matching_of_k_plus_1_edges_survives_then_no():
 
 
 def test_solve_single_edge_lexicographic():
-    kern = KernelInstance({1, 2}, {Edge(1, 2)}, 1)
+    kern = KernelInstance({Edge(1, 2)}, 1)
     ans = solve_kernel(kern)
     assert ans.is_yes and ans.cover == {1}
 
 
 def test_solve_triangle_needs_two():
     tri = {Edge(1, 2), Edge(1, 3), Edge(2, 3)}
-    assert solve_kernel(KernelInstance({1, 2, 3}, tri, 1)).is_no
+    assert solve_kernel(KernelInstance(tri, 1)).is_no
     assert vc_decide(tri, 2).is_yes
 
 
@@ -63,7 +63,8 @@ def test_kernel_size_bounds():
             assert oracle_vc(edges, k).is_no
             continue
         assert len(kern.edges) <= kern.k_residual ** 2
-        assert len(kern.vertices) <= 2 * kern.k_residual ** 2
+        vertices = {w for e in kern.edges for w in e}
+        assert len(vertices) <= 2 * kern.k_residual ** 2
         assert kern.k_residual == k - len(kern.forced)
 
 
@@ -130,7 +131,7 @@ def _reference_kernelize(edges, k):
     kept = {Edge(u, v) for u, nbrs in adj.items() for v in nbrs if u < v}
     if len(kept) > k_res * k_res:
         return None
-    return KernelInstance(set(adj), kept, k_res, forced)
+    return KernelInstance(kept, k_res, forced)
 
 
 def _hub_graph(rng, hubs, leaves, extra):
@@ -165,7 +166,7 @@ def test_kernelize_matches_the_reference():
             assert got is None
             outcomes.add("none")
             continue
-        assert (got.forced, got.edges, got.k_residual, got.vertices) \
-            == (want.forced, want.edges, want.k_residual, want.vertices)
+        assert (got.forced, got.edges, got.k_residual) \
+            == (want.forced, want.edges, want.k_residual)
         outcomes.add("empty" if not got.edges else "kernel")
     assert outcomes == {"none", "empty", "kernel"}

@@ -29,7 +29,7 @@ def contents(st, v):
 def test_first_insert_matches_and_seeds_both_sketches():
     st = mk()
     st.insertion(Edge(1, 2))
-    assert st.matching == {Edge(1, 2)}
+    assert st.mate == {1: 2, 2: 1}
     assert st.ts[1] == st.ts[2] == 1
     assert Edge(1, 2) in st.tdict
     assert contents(st, 1) == {2} and contents(st, 2) == {1}
@@ -59,7 +59,7 @@ def test_delete_nonmatching_single_sketch_edge():
     st.insertion(Edge(2, 3))
     st.deletion(Edge(2, 3))
     assert contents(st, 2) == {1}
-    assert st.matching == {Edge(1, 2)}
+    assert st.mate == {1: 2, 2: 1}
 
 
 def test_delete_t_edge_clears_both_sketches():
@@ -78,7 +78,7 @@ def test_rematch_low_degree_recovers_neighbor():
     st.insertion(Edge(1, 2))
     st.insertion(Edge(2, 3))
     st.deletion(Edge(1, 2))
-    assert st.matching == {Edge(2, 3)}
+    assert st.mate == {2: 3, 3: 2}
     assert 1 not in st.sketches
 
 
@@ -86,8 +86,7 @@ def test_delete_only_edge_empties_everything():
     st = mk()
     st.insertion(Edge(1, 2))
     st.deletion(Edge(1, 2))
-    assert st.matching == set()
-    assert st.matched == set()
+    assert st.mate == {}
     assert st.sketches == {}
     assert st.tdict == {}
 
@@ -121,6 +120,37 @@ def test_invariant_checker_flags_constructed_break():
     violations = check_invariants(st, sh)
     assert any("neither sketch" in v for v in violations)
     assert any("exposed" in v for v in violations)
+
+
+def _one_sided(st):
+    del st.mate[2]
+
+
+def _swapped(st):
+    st.mate.update({1: 3, 3: 1, 2: 4, 4: 2})
+
+
+def _unsketched(st):
+    del st.sketches[2], st.mirror[2]
+
+
+@pytest.mark.parametrize("brk, want", [
+    (_one_sided, ["mate of 1 is 2, whose mate is None"]),
+    (_swapped, [f"matching edge {Edge(1, 3)} is not live",
+                f"matching edge {Edge(2, 4)} is not live"]),
+    # the matching edge (1, 2) is in T, so it is now in one sketch only
+    (_unsketched, ["matched vertex 2 lacks sketch or timestamp",
+                   f"edge {Edge(1, 2)}: both-sketches=False but "
+                   "T-listed=True"]),
+], ids=["one-sided-mate", "mate-pair-not-live", "matched-without-sketch"])
+def test_invariant_checker_flags_a_broken_mate_map(brk, want):
+    st, sh = mk(), ShadowGraph(12)
+    for e in (Edge(1, 2), Edge(3, 4)):
+        st.insertion(e)
+        sh.insert(e)
+    assert check_invariants(st, sh) == []
+    brk(st)
+    assert check_invariants(st, sh) == want
 
 
 def test_fresh_state_empty_graph_ok():
@@ -173,7 +203,7 @@ def test_space_census_during_replay():
         st.apply(upd)
         assert len(st.sketches) <= 2 * cfg.k
         assert len(st.tdict) <= 2 * cfg.k * cfg.k
-        if st.matching:
+        if st.mate:
             assert st.words() > 0
 
 
@@ -232,7 +262,8 @@ def test_vertex_sketch_sizing_rules(n):
     # x fits the level capacity, so the sum of the level grids recovers
     # a low vertex exactly, and the levels are the fewest whose deepest
     # subsample fits that capacity but with probability fail = delta/2n
-    binom = pytest.importorskip("scipy.stats").binom
+    # a plain import: without scipy this test fails rather than skips
+    from scipy.stats import binom
     for k in range(1, 9):
         cfg = Config(n=n, k=k)
         st = MatchingState(cfg)
@@ -297,7 +328,7 @@ def test_high_support_rematch_on_hub_stream(seed):
     _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=90)
     high_rematches = 0
     for j, upd in enumerate(stream):
-        if upd.op == DELETE and upd.edge in st.matching:
+        if upd.op == DELETE and st.mate.get(upd.edge.u) == upd.edge.v:
             # the support still counts the deleted edge here
             high_rematches += any(st.sketches[w].support - 1 > cfg.x
                                   for w in (upd.edge.u, upd.edge.v))
@@ -335,7 +366,7 @@ def test_high_support_shortfall_raises_sketch_fail(monkeypatch):
         st.extract_kernel_edges()
     assert st.sketch_fail_count == 1
     # the hub's first edge is its matching edge
-    hub_edge = next(e for e in st.matching if hubs[0] in (e.u, e.v))
+    hub_edge = Edge(hubs[0], st.mate[hubs[0]])
     with pytest.raises(SketchFail, match="recovered 1 of 5 neighbors"):
         st.deletion(hub_edge)
     assert st.sketch_fail_count == 2
@@ -452,8 +483,8 @@ def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
                     for v, sk in memo.sketches.items() if v in before)
         _held_reads_are_fresh(memo)
         assert check_invariants(memo, sh) == check_invariants(plain, sh)
-        assert (memo.matching, memo.tdict, memo.ts) == \
-            (plain.matching, plain.tdict, plain.ts)
+        assert (memo.mate, memo.tdict, memo.ts) == \
+            (plain.mate, plain.tdict, plain.ts)
         if j % every == 0:
             a, b = _outcome(pdpsa_query, memo), _outcome(pdpsa_query, plain)
             if isinstance(a, str):
@@ -492,7 +523,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
 
     def hub_reads_after(op, z):
         # the update writes the hub's sketch alone: z is unmatched
-        assert z not in st.matched
+        assert z not in st.mate
         st.apply(StreamUpdate(op, Edge(h, z)))
         reads.clear()
         pdpsa_query(st)
@@ -504,7 +535,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
     reads.clear()
     assert pdpsa_query(st) == first and reads == []
     free = [z for z in range(1, st.config.n + 1)
-            if z != h and z not in st.matched and z not in st.mirror[h]]
+            if z != h and z not in st.mate and z not in st.mirror[h]]
     # a write at depth below level - 1 keeps the read
     z = next(z for z in free if sk._depth(z) < level - 1)
     assert hub_reads_after(INSERT, z) == 0 and sk._held[0] == level
@@ -517,7 +548,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
     level = sk._held[0]
     assert level >= 2
     above = sorted(z for z in st.mirror[h]
-                   if sk._depth(z) == level - 1 and z not in st.matched)
+                   if sk._depth(z) == level - 1 and z not in st.mate)
     while sum(sk.level_support[level - 1:]) > sk.level_capacity + 1:
         assert hub_reads_after(DELETE, above.pop()) == 0
         assert sk._held[0] == level
@@ -558,7 +589,7 @@ def test_words_count_the_memo_and_stay_under_dpsa():
 
 
 def _snapshot(st):
-    return (st.clock, set(st.matching), set(st.matched), dict(st.ts),
+    return (st.clock, dict(st.mate), dict(st.ts),
             dict(st.tdict), {v: dict(m) for v, m in st.mirror.items()},
             {v: (sk.support, sk.cells.tobytes())
              for v, sk in st.sketches.items()})
