@@ -1,7 +1,7 @@
 """Streaming decision algorithms for parameterized vertex cover and FVS."""
 
-from .core import (Config, Edge, InvalidStream, SelfLoop, ShadowGraph,
-                   SketchFail, SolverError, StreamUpdate, VcAnswer, covers)
+from .core import (Config, Edge, InvalidStream, SelfLoop, SketchFail,
+                   SolverError, StreamUpdate, VcAnswer, covers)
 from .dpsa import DpsaState, dpsa_query, dpsa_update
 from .fvs import FvsState, fvs_decide, fvs_insert, fvs_query
 from .kernel import KernelInstance, kernelize, solve_kernel, vc_decide
@@ -13,8 +13,8 @@ from .psa import PsaState, psa_insert, psa_query
 _SKETCH_NAMES = ("RecoveryFail", "SampleRecovery")
 
 __all__ = [
-    "Config", "Edge", "InvalidStream", "SelfLoop", "ShadowGraph",
-    "SketchFail", "SolverError", "StreamUpdate", "VcAnswer", "covers",
+    "Config", "Edge", "InvalidStream", "SelfLoop", "SketchFail",
+    "SolverError", "StreamUpdate", "VcAnswer", "covers",
     "DpsaState", "dpsa_query", "dpsa_update",
     "FvsState", "fvs_decide", "fvs_insert", "fvs_query",
     "KernelInstance", "kernelize", "solve_kernel", "vc_decide",

@@ -1,4 +1,4 @@
-"""Shared domain types: edges, stream updates, configuration, shadow graph."""
+"""Shared domain types: edges, stream updates, configuration, answers."""
 
 from __future__ import annotations
 
@@ -132,51 +132,6 @@ def check_query_k(k: int, state_k: int | None = None) -> None:
         raise ValueError(f"query k={k} is negative")
     if state_k is not None and k > state_k:
         raise ValueError(f"query k={k} exceeds the state's k={state_k}")
-
-
-class ShadowGraph:
-    """Plain adjacency-set graph tracking the live edge set of a stream.
-
-    Test/oracle fixture; never counted against any streaming space budget.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: dict[int, set[int]] = {}
-        self.m = 0
-
-    def edges(self) -> set[Edge]:
-        return {Edge(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v}
-
-    def degree(self, u: int) -> int:
-        return len(self.adj.get(u, ()))
-
-    def has_edge(self, e: Edge) -> bool:
-        return e.v in self.adj.get(e.u, ())
-
-    def insert(self, e: Edge) -> None:
-        if self.has_edge(e):
-            raise InvalidStream(f"insert of live edge {e}")
-        self.adj.setdefault(e.u, set()).add(e.v)
-        self.adj.setdefault(e.v, set()).add(e.u)
-        self.m += 1
-
-    def delete(self, e: Edge) -> None:
-        if not self.has_edge(e):
-            raise InvalidStream(f"delete of absent edge {e}")
-        self.adj[e.u].discard(e.v)
-        self.adj[e.v].discard(e.u)
-        if not self.adj[e.u]:
-            del self.adj[e.u]
-        if not self.adj[e.v]:
-            del self.adj[e.v]
-        self.m -= 1
-
-    def apply(self, upd: StreamUpdate) -> None:
-        if upd.op == INSERT:
-            self.insert(upd.edge)
-        else:
-            self.delete(upd.edge)
 
 
 # ---------------------------------------------------------------------------

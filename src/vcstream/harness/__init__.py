@@ -6,8 +6,8 @@ from .generators import (edges_to_stream, gen_disjointness_gadget,
 from .invariants import check_invariants
 from .oracles import (BudgetExceeded, oracle_fvs, oracle_min_fvs,
                       oracle_min_vc, oracle_vc)
-from .streams import (MODES, QUERY, ParseError, StreamFile, emit_stream,
-                      parse_stream)
+from .streams import (MODES, QUERY, ParseError, ShadowGraph, StreamFile,
+                      emit_stream, parse_stream)
 
 # The CLI loads on first use of these names (PEP 562): importing it here
 # would put it in sys.modules before ``python -m vcstream.harness.cli``
@@ -21,8 +21,8 @@ __all__ = [
     "check_invariants",
     "BudgetExceeded", "oracle_fvs", "oracle_min_fvs", "oracle_min_vc",
     "oracle_vc",
-    "MODES", "QUERY", "ParseError", "StreamFile", "emit_stream",
-    "parse_stream",
+    "MODES", "QUERY", "ParseError", "ShadowGraph", "StreamFile",
+    "emit_stream", "parse_stream",
 ]
 
 

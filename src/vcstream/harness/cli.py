@@ -17,7 +17,7 @@ import sys
 import time
 
 from ..core import (INSERT, PROMISE_VIOLATION, Config, InvalidStream,
-                    ShadowGraph, SketchFail, SolverError)
+                    SketchFail, SolverError)
 from ..dpsa import DpsaState, dpsa_query, dpsa_update
 from ..fvs import FvsState, check_fvs, fvs_insert, fvs_query
 from ..kernel import check_cover
@@ -26,8 +26,8 @@ from ..psa import PsaState, psa_insert, psa_query
 from .generators import (edges_to_stream, gen_disjointness_gadget,
                          gen_index_gadget, gen_promised_stream,
                          gen_random_stream)
-from .streams import (MODES, QUERY, ParseError, StreamFile, emit_stream,
-                      parse_stream)
+from .streams import (MODES, QUERY, ParseError, ShadowGraph, StreamFile,
+                      emit_stream, parse_stream)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,6 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- generation -------------------------------------------------------------
 
 
+def _bits(text: str) -> list[int]:
+    # a digit past 1 is the gadget's to refuse
+    for ch in text:
+        if not ch.isdecimal():
+            raise ValueError(f"gadget bits must be 0 or 1, not {ch!r}")
+    return [int(ch) for ch in text]
+
+
 def _generate(args) -> str:
     rng = random.Random(args.seed)
     if args.gen in ("random", "promised"):
@@ -89,8 +97,7 @@ def _generate(args) -> str:
         k = args.k if args.k is not None else 2 * gk - 1
         return emit_stream(StreamFile(6 * gk, k, args.mode or "psa",
                                       edges_to_stream(edges) + [QUERY]))
-    xb = [int(ch) for ch in args.x_bits]
-    yb = [int(ch) for ch in args.y_bits]
+    xb, yb = _bits(args.x_bits), _bits(args.y_bits)
     edges = gen_disjointness_gadget(xb, yb)
     k = args.k if args.k is not None else 0
     return emit_stream(StreamFile(8 * len(xb), k, args.mode or "fvs",
@@ -142,7 +149,7 @@ def _run(sf: StreamFile, args, out) -> int:
     except ValueError as exc:
         print(f"error={exc}", file=out)
         return EXIT_PARSE
-    shadow = ShadowGraph(sf.n)
+    shadow = ShadowGraph()
     started = time.perf_counter()
     n_queries = 0
 

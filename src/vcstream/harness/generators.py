@@ -5,7 +5,8 @@ from __future__ import annotations
 import bisect
 import random
 
-from ..core import Config, DELETE, Edge, INSERT, ShadowGraph, StreamUpdate
+from ..core import Config, DELETE, Edge, INSERT, StreamUpdate
+from .streams import ShadowGraph
 
 
 def _track(live: list[Edge], upd: StreamUpdate) -> None:
@@ -37,7 +38,7 @@ def gen_random_stream(n: int, length: int, churn: float,
         raise ValueError(f"a random stream with churn {churn} never "
                          f"deletes, so n={n} allows at most {pairs} "
                          f"updates, not {length}")
-    shadow = ShadowGraph(n)
+    shadow = ShadowGraph()
     live: list[Edge] = []
     out: list[StreamUpdate] = []
     while len(out) < length:
@@ -72,9 +73,9 @@ def gen_promised_stream(cfg: Config, length: int, churn: float,
         raise ValueError(f"a promised stream needs n >= 2 to insert an "
                          f"edge, not n={cfg.n}")
     cover = sorted(rng.sample(range(1, cfg.n + 1),
-                              rng.randint(1, cfg.k)))
+                              rng.randint(1, min(cfg.k, cfg.n))))
     planted = set(cover)
-    shadow = ShadowGraph(cfg.n)
+    shadow = ShadowGraph()
     live: list[Edge] = []
     out: list[StreamUpdate] = []
     tries = 0

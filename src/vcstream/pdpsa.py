@@ -13,6 +13,9 @@ about.  Three invariants tie these together:
    exactly the endpoint whose sketch began later, unless T lists it;
 3. the edge sits in both sketches exactly when T lists it.
 
+``vcstream.harness.check_invariants`` audits them on the sketches' own
+cells.
+
 Each vertex sketch has one size, x = min(2k+1, n-1), one failure
 target, delta/2n, and one read (``SampleRecovery.recover()``).  While
 its support is at most x the read is the whole sketched neighborhood,
@@ -61,13 +64,9 @@ class MatchingState:
     the matching outgrows k when more than 2k vertices are matched.
     ``violated_at`` is the clock of the first update after which the
     matching outgrew k, or None while the promise holds.
-    ``mirror=True`` keeps, beside the sketches, each sketched vertex's
-    exact net contents ``{neighbor: weight}`` so the invariant checker can
-    read sketched neighborhoods without recovery; diagnostics only, never
-    part of the space account.
     """
 
-    def __init__(self, config: Config, mirror: bool = False):
+    def __init__(self, config: Config):
         self.config = config
         self.clock = 0
         self.mate: dict[int, int] = {}
@@ -75,7 +74,6 @@ class MatchingState:
         self.sketches: dict[int, SampleRecovery] = {}
         self.tdict: dict[Edge, None] = {}
         self.violated_at: int | None = None
-        self.mirror: dict[int, dict[int, int]] | None = {} if mirror else None
         self.rematch_count = 0
         self.rematch_miss_count = 0
         self.sketch_fail_count = 0
@@ -92,16 +90,6 @@ class MatchingState:
             n_indices=cfg.n, capacity=cfg.x,
             seed=derive_seed(cfg.seed, "vertex-sketch", v, self._sketch_epoch),
             fail=cfg.delta / (2 * cfg.n), sampled=True)
-        if self.mirror is not None:
-            self.mirror[v] = {}
-
-    def _sketch_write(self, v: int, z: int, d: int) -> None:
-        self.sketches[v].update(z, d)
-        if self.mirror is not None:
-            held = self.mirror[v]
-            held[z] = held.get(z, 0) + d
-            if held[z] == 0:
-                del held[z]
 
     def _recover_neighbors(self, v: int) -> frozenset[int]:
         """v's sketched neighborhood, or past capacity x at least x
@@ -182,7 +170,7 @@ class MatchingState:
             if z not in self.sketches:
                 self.ts[z] = t
                 self._fresh_sketch(z)
-                self._sketch_write(z, e.other(z), +1)
+                self.sketches[z].update(e.other(z), +1)
             # a retained sketch already holds e: during Rematch the edge
             # was found by recovering that very sketch.  It keeps its
             # timestamp, the time the sketch began: it holds every edge
@@ -194,23 +182,23 @@ class MatchingState:
             self.tdict[e] = None
         for z in (e.u, e.v):
             if z in self.mate:
-                self._sketch_write(z, e.other(z), +1)
+                self.sketches[z].update(e.other(z), +1)
 
     def delete_from_ds(self, e: Edge) -> None:
         u, v = e.u, e.v
         if e in self.tdict:
-            self._sketch_write(u, v, -1)
-            self._sketch_write(v, u, -1)
+            self.sketches[u].update(v, -1)
+            self.sketches[v].update(u, -1)
             del self.tdict[e]
         elif u in self.mate and v in self.mate:
             if self.ts[u] < self.ts[v]:
-                self._sketch_write(u, v, -1)
+                self.sketches[u].update(v, -1)
             else:
-                self._sketch_write(v, u, -1)
+                self.sketches[v].update(u, -1)
         elif u in self.mate:
-            self._sketch_write(u, v, -1)
+            self.sketches[u].update(v, -1)
         elif v in self.mate:
-            self._sketch_write(v, u, -1)
+            self.sketches[v].update(u, -1)
 
     def announce_neighborhood(self, u: int) -> None:
         if u not in self.mate or not self._is_low(u):
@@ -219,7 +207,7 @@ class MatchingState:
             e = Edge(u, z)
             if z in self.mate and e not in self.tdict:
                 self.tdict[e] = None
-                self._sketch_write(z, u, +1)
+                self.sketches[z].update(u, +1)
 
     def delete_neighborhood(self, u: int) -> None:
         for z in self._recover_neighbors(u):
@@ -227,7 +215,7 @@ class MatchingState:
             if e in self.tdict:
                 del self.tdict[e]
             else:
-                self._sketch_write(z, u, +1)
+                self.sketches[z].update(u, +1)
         self._drop_vertex(u)
 
     def _drop_vertex(self, u: int) -> None:
@@ -238,8 +226,6 @@ class MatchingState:
         for e in [e for e in self.tdict if u in (e.u, e.v)]:
             del self.tdict[e]
         del self.sketches[u]
-        if self.mirror is not None:
-            del self.mirror[u]
         del self.ts[u]
 
     def rematch(self, e: Edge, t: int) -> None:

@@ -849,6 +849,45 @@ class SampleRecovery:
                 and self.level_support == other.level_support
                 and np.array_equal(self.cells, other.cells))
 
+    def holds(self, indices) -> bool:
+        """True when the sketched vector is the 0/1 indicator of
+        ``indices``, checked on the counters and the cells, read-only.
+
+        Each index sits at one level and in one bucket of every row, so
+        the indicator has ``support`` = |indices|, each level's counter
+        the number of indices at that depth, and in every row, over all
+        levels and buckets, words summing to sum (2^K + i) mod 2^64 and
+        fingerprints to sum (i + r)^-1 mod P.  A vector x written
+        through ``update`` that differs from the indicator passes only if
+        the fingerprint sum of the difference, a nonzero polynomial in r
+        once its denominators are cleared, vanishes: with probability at
+        most s / (P - N) over r, s the support of the difference, the
+        bound of a cell check.  The fingerprints are reduced mod P every
+        ``_HEADROOM`` residues, so no int64 sum overflows.
+        """
+        want = set(indices)
+        if len(want) != self.support or not all(
+                1 <= i <= self.n for i in want):
+            return False
+        # the fingerprint sum as one fraction num / den, inverted once
+        depths, num, den = [0] * self.levels, 0, 1
+        for i in want:
+            depths[self._depth(i)] += 1
+            num = (num * (i + self.r) + den) % PRIME
+            den = den * (i + self.r) % PRIME
+        if depths != self.level_support:
+            return False
+        got = np.zeros((2, self.rows), dtype=np.int64)
+        step = max(1, (_HEADROOM - 1) // self.levels)
+        for at in range(0, self.buckets, step):
+            got += self.grids[..., at:at + step].sum(axis=3).sum(axis=1)
+            got[1] %= PRIME
+        w = ((len(want) << self._shift) + sum(want)) & _MASK64
+        fp = num * pow(den, -1, PRIME) % PRIME
+        words, fps = got.tolist()
+        return (all(x & _MASK64 == w for x in words)
+                and all(x == fp for x in fps))
+
     def words(self) -> int:
         """Stored machine words: every cell's 2 (its packed word and its
         fingerprint), a hash key per row, past one level the per-level

@@ -2,8 +2,8 @@
 
 A promised stream inserts absent edges and deletes live ones, and every
 prefix has a vertex cover of at most k.  The walk applies each such
-update to copies of a pdpsa state (with its mirror), a dpsa state and a
-shadow graph, so every branch starts from the states its prefix built.
+update to copies of a pdpsa state, a dpsa state and a shadow graph, so
+every branch starts from the states its prefix built.
 At every prefix, the empty one included, it checks that:
 
 - ``check_invariants`` finds nothing;
@@ -29,11 +29,12 @@ import pickle
 import sys
 from dataclasses import dataclass, field
 
-from vcstream.core import (DELETE, INSERT, Config, Edge, ShadowGraph,
-                           SketchFail, StreamUpdate, covers)
+from vcstream.core import (DELETE, INSERT, Config, Edge, SketchFail,
+                           StreamUpdate, covers)
 from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
+from vcstream.harness.streams import ShadowGraph
 from vcstream.pdpsa import MatchingState, pdpsa_query
 
 
@@ -110,7 +111,7 @@ def walk(n: int, k: int, length: int, seed: int = 0) -> Walk:
                 visit(pd2, dp2, shadow2)
             path.pop()
 
-    visit(MatchingState(cfg, mirror=True), DpsaState(cfg), ShadowGraph(n))
+    visit(MatchingState(cfg), DpsaState(cfg), ShadowGraph())
     return out
 
 

@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from vcstream.core import (Config, Edge, ShadowGraph, StreamUpdate, covers,
-                           INSERT)
+from vcstream.core import Config, Edge, StreamUpdate, covers, INSERT
 from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
 from vcstream.fvs import FvsState, fvs_decide, fvs_insert, fvs_query
 from vcstream.kernel import vc_decide
@@ -26,6 +25,7 @@ from vcstream.harness.generators import (gen_disjointness_gadget,
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import (oracle_fvs, oracle_min_vc, oracle_vc,
                                       _acyclic)
+from vcstream.harness.streams import ShadowGraph
 
 
 def announce(criterion, detail):
@@ -49,7 +49,7 @@ def psa_suite():
         max_edges = n * (n - 1) // 2
         length = rng.randint(1, min(28, max_edges))
         st = PsaState(k=k)
-        sh = ShadowGraph(n)
+        sh = ShadowGraph()
         seen = set()
         while len(seen) < length:
             u, v = rng.sample(range(1, n + 1), 2)
@@ -105,8 +105,8 @@ def pdpsa_suite():
         length = rng.randint(100, 600)
         churn = rng.uniform(0.3, 0.45)
         cfg = Config(n=n, k=k, delta=0.01, seed=run)
-        st = MatchingState(cfg, mirror=True)
-        sh = ShadowGraph(n)
+        st = MatchingState(cfg)
+        sh = ShadowGraph()
         for upd in gen_promised_stream(cfg, length, churn, rng):
             sh.apply(upd)
             st.apply(upd)
@@ -190,7 +190,7 @@ def test_criterion_7_dpsa_gate_and_recovery():
         n = rng.randint(5, 30)
         k = rng.randint(0, 4)
         st = DpsaState(Config(n=n, k=k, seed=runs))
-        sh = ShadowGraph(n)
+        sh = ShadowGraph()
         length = rng.randint(5, min(80, 2 * n * max(k, 1)))
         for upd in gen_random_stream(n, length, 0.35, rng):
             sh.apply(upd)

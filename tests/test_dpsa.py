@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
-                           StreamUpdate, covers, INSERT, DELETE)
+from vcstream.core import (Config, Edge, SketchFail, StreamUpdate, covers,
+                           INSERT, DELETE)
 from vcstream.dpsa import DpsaState, decode_edges, dpsa_query, dpsa_update
 from vcstream.harness.generators import gen_random_stream
 from vcstream.harness.oracles import oracle_vc
+from vcstream.harness.streams import ShadowGraph
 
 
 def mk(n=8, k=2, **kw):
@@ -70,7 +71,7 @@ def test_random_streams_match_oracle():
         n = rng.randint(5, 18)
         k = rng.randint(0, 4)
         st = DpsaState(Config(n=n, k=k, seed=t))
-        sh = ShadowGraph(n)
+        sh = ShadowGraph()
         for upd in gen_random_stream(n, rng.randint(5, 60), 0.35, rng):
             sh.apply(upd)
             dpsa_update(st, upd)
@@ -85,7 +86,7 @@ def test_gate_exact_at_boundary():
     # exactly nk live edges must still take the recovery path
     n, k = 6, 2
     st = mk(n=n, k=k)
-    sh = ShadowGraph(n)
+    sh = ShadowGraph()
     for i, (u, v) in enumerate(itertools.combinations(range(1, 7), 2)):
         if i == n * k:
             break
@@ -153,7 +154,7 @@ def test_query_past_the_sketch_capacity_is_refused_not_degraded(
     from vcstream.sketch import SampleRecovery
     st = mk(n=12, k=1)
     assert st.sketch.capacity == 12
-    sh = ShadowGraph(12)
+    sh = ShadowGraph()
     pairs = iter(itertools.combinations(range(1, 13), 2))
 
     def insert(count):

@@ -13,17 +13,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcstream.core import Config, ShadowGraph, SketchFail, covers
+from vcstream.core import Config, SketchFail, covers
 from vcstream.dpsa import DpsaState, dpsa_query, dpsa_update
 from vcstream.harness.generators import gen_promised_stream, gen_random_stream
 from vcstream.harness.oracles import oracle_vc
+from vcstream.harness.streams import ShadowGraph
 from vcstream.pdpsa import MatchingState, pdpsa_query
 
 
 def _replay(stream, cfg, update, query, every):
     """Answers at every ``every``-th update, each checked against the
     oracle.  Returns (checked answers, flagged answers)."""
-    shadow = ShadowGraph(cfg.n)
+    shadow = ShadowGraph()
     checked = flagged = 0
     for t, upd in enumerate(stream, 1):
         shadow.apply(upd)

@@ -10,8 +10,7 @@ import sys
 import pytest
 
 import vcstream
-from vcstream.core import (Config, Edge, InvalidStream, ShadowGraph,
-                           StreamUpdate)
+from vcstream.core import Config, Edge, InvalidStream, StreamUpdate
 from vcstream.core import INSERT, DELETE
 from vcstream.harness.cli import run_cli
 from vcstream.harness.generators import (edges_to_stream,
@@ -22,8 +21,8 @@ from vcstream.harness.generators import (edges_to_stream,
 from vcstream.harness.oracles import (BudgetExceeded, oracle_fvs,
                                       oracle_min_fvs, oracle_min_vc,
                                       oracle_vc, _acyclic)
-from vcstream.harness.streams import (QUERY, ParseError, StreamFile,
-                                      emit_stream, parse_stream)
+from vcstream.harness.streams import (QUERY, ParseError, ShadowGraph,
+                                      StreamFile, emit_stream, parse_stream)
 
 
 # -- stream files -----------------------------------------------------------
@@ -74,7 +73,7 @@ def test_round_trip_byte_exact():
 
 def test_random_stream_is_valid():
     rng = random.Random(2)
-    sh = ShadowGraph(15)
+    sh = ShadowGraph()
     for upd in gen_random_stream(15, 400, 0.45, rng):
         sh.apply(upd)  # raises on invalid
 
@@ -83,7 +82,7 @@ def test_promised_stream_prefixes_covered():
     rng = random.Random(3)
     for seed in range(25):
         cfg = Config(n=15, k=3, seed=seed)
-        sh = ShadowGraph(15)
+        sh = ShadowGraph()
         for upd in gen_promised_stream(cfg, 60, 0.35, rng):
             sh.apply(upd)
             assert oracle_vc(sh.edges(), cfg.k).is_yes
@@ -137,6 +136,9 @@ def test_cli_generator_rejects_fewer_than_one_vertex(gen, n, capsys):
     # a 2 used to read as a 1
     (["disjointness", "--x-bits", "02", "--y-bits", "01"],
      "gadget bits must be 0 or 1, not 2"),
+    # a letter was an int() parse error, read before the lengths
+    (["disjointness", "--x-bits", "ab"],
+     "gadget bits must be 0 or 1, not 'a'"),
 ])
 def test_cli_generator_rejects_impossible_streams(args, message):
     done = _python(["-m", "vcstream.harness.cli", "--gen", *args])
@@ -159,6 +161,15 @@ def test_cli_generator_writes_only_streams_input_reads(args, capsys):
     assert capsys.readouterr().err.startswith("error=")
 
 
+def test_cli_promised_generator_takes_a_k_past_n():
+    # the planted cover's size was drawn from 1..k, past the 5 vertices
+    buf = io.StringIO()
+    assert run_cli(["--gen", "promised", "--n", "5", "--k", "9",
+                    "--length", "12"], out=buf) == 0
+    sf = parse_stream(buf.getvalue(), validate=True)
+    assert (sf.n, sf.k, sf.mode, len(sf.events)) == (5, 9, "pdpsa", 13)
+
+
 def test_random_stream_without_churn_fills_the_graph():
     events = gen_random_stream(3, 3, 0.0, random.Random(0))
     assert sorted(upd.edge for upd in events) == [(1, 2), (1, 3), (2, 3)]
@@ -169,7 +180,7 @@ def test_random_stream_deletes_when_the_graph_is_full():
     # with churn 1e-9 each step once spun on inserts into the full K3
     events = gen_random_stream(3, 5, 1e-9, random.Random(0))
     assert [upd.op for upd in events] == [INSERT] * 3 + [DELETE, INSERT]
-    sh = ShadowGraph(3)
+    sh = ShadowGraph()
     for upd in events:
         sh.apply(upd)  # raises on invalid
 
@@ -186,7 +197,7 @@ def test_cli_generator_defaults_to_20_vertices():
 
 
 def _old_random_stream(n, length, churn, rng):
-    shadow = ShadowGraph(n)
+    shadow = ShadowGraph()
     out = []
     while len(out) < length:
         if shadow.m and rng.random() < churn:
@@ -204,7 +215,7 @@ def _old_random_stream(n, length, churn, rng):
 
 def _old_promised_stream(cfg, length, churn, rng):
     cover = sorted(rng.sample(range(1, cfg.n + 1), rng.randint(1, cfg.k)))
-    shadow = ShadowGraph(cfg.n)
+    shadow = ShadowGraph()
     out = []
     tries = 0
     while len(out) < length and tries < 50 * length:
@@ -510,8 +521,15 @@ def test_lazy_exports_resolve():
     from vcstream.sketch import SampleRecovery as direct
     assert SampleRecovery is direct
     assert harness.run_cli is run_cli
-    with pytest.raises(AttributeError):
-        vcstream.no_such_name
+    for module in (vcstream, harness):
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+    # the shadow graph is the harness's ground truth, not the library's
+    assert harness.ShadowGraph is ShadowGraph
+    assert "ShadowGraph" not in vcstream.__all__
+    for name in ("ShadowGraph", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(vcstream, name)
 
 
 def test_cli_module_run_has_no_runtime_warning():

@@ -6,24 +6,31 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vcstream.core import (Config, Edge, ShadowGraph, SketchFail,
-                           StreamUpdate, covers)
+from vcstream.core import Config, Edge, SketchFail, StreamUpdate, covers
 from vcstream.core import INSERT, DELETE
 from vcstream.pdpsa import MatchingState, pdpsa_query
 from vcstream.sketch import SampleRecovery, level_capacity
 from vcstream.harness.generators import gen_promised_stream
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
+from vcstream.harness.streams import ShadowGraph
 
 CFG = dict(n=12, k=3, delta=0.01, seed=0)
 
 
 def mk(**kw):
-    return MatchingState(Config(**{**CFG, **kw}), mirror=True)
+    return MatchingState(Config(**{**CFG, **kw}))
 
 
 def contents(st, v):
-    return set(st.mirror.get(v, ()))
+    """v's sketched neighborhood, read from its cells without keeping the
+    read, and checked to be all that the sketch holds."""
+    if v not in st.sketches:
+        return set()
+    sk = st.sketches[v]
+    got = sk._fresh_read()[1]
+    assert sk.holds(got)
+    return got
 
 
 def test_first_insert_matches_and_seeds_both_sketches():
@@ -113,7 +120,7 @@ def test_query_empty_k0():
 
 def test_invariant_checker_flags_constructed_break():
     st = mk()
-    sh = ShadowGraph(12)
+    sh = ShadowGraph()
     st.insertion(Edge(1, 2))
     sh.insert(Edge(1, 2))
     sh.insert(Edge(5, 6))  # live edge the state never saw
@@ -131,21 +138,57 @@ def _swapped(st):
 
 
 def _unsketched(st):
-    del st.sketches[2], st.mirror[2]
+    del st.sketches[2]
 
 
+def _untimestamped(st):
+    del st.ts[3]
+
+
+def _sketch_at_exposed(st):
+    st._fresh_sketch(5)
+
+
+def _written(*writes):
+    """Writes straight into 2's sketch, which holds 1 and 3."""
+    def brk(st):
+        for z, d in writes:
+            st.sketches[2].update(z, d)
+    return brk
+
+
+def _not_held(support):
+    return (f"sketch of 2 (support {support}) does not hold exactly its "
+            "neighbors [1, 3]")
+
+
+# on the path 1-2-3-4, matched as 1-2 and 3-4: T lists both matching
+# edges, and (2, 3) sits in 2's sketch alone, which began first
 @pytest.mark.parametrize("brk, want", [
-    (_one_sided, ["mate of 1 is 2, whose mate is None"]),
+    # 2 is exposed now, so 3's sketch should hold (2, 3)
+    (_one_sided, ["mate of 1 is 2, whose mate is None",
+                  "sketched vertex 2 is not matched",
+                  "sketch of 3 (support 1) does not hold exactly its "
+                  "neighbors [2, 4]"]),
     (_swapped, [f"matching edge {Edge(1, 3)} is not live",
                 f"matching edge {Edge(2, 4)} is not live"]),
-    # the matching edge (1, 2) is in T, so it is now in one sketch only
     (_unsketched, ["matched vertex 2 lacks sketch or timestamp",
-                   f"edge {Edge(1, 2)}: both-sketches=False but "
-                   "T-listed=True"]),
-], ids=["one-sided-mate", "mate-pair-not-live", "matched-without-sketch"])
+                   f"T lists {Edge(1, 2)}, whose endpoint 2 has no "
+                   "sketch"]),
+    (_untimestamped, ["matched vertex 3 lacks sketch or timestamp"]),
+    (_sketch_at_exposed, ["sketched vertex 5 is not matched"]),
+    # the swap keeps the support counter, so only the cells show it
+    (_written((3, -1), (5, +1)), [_not_held(2)]),
+    (_written((3, +1)), [_not_held(3)]),
+    (_written((5, +1)), [_not_held(3)]),
+    (_written((3, -1)), [_not_held(1)]),
+], ids=["one-sided-mate", "mate-pair-not-live", "matched-without-sketch",
+        "matched-without-timestamp", "sketch-at-exposed-vertex",
+        "swapped-neighbor", "doubled-weight", "phantom-neighbor",
+        "lost-neighbor"])
 def test_invariant_checker_flags_a_broken_mate_map(brk, want):
-    st, sh = mk(), ShadowGraph(12)
-    for e in (Edge(1, 2), Edge(3, 4)):
+    st, sh = mk(), ShadowGraph()
+    for e in (Edge(1, 2), Edge(2, 3), Edge(3, 4)):
         st.insertion(e)
         sh.insert(e)
     assert check_invariants(st, sh) == []
@@ -154,22 +197,14 @@ def test_invariant_checker_flags_a_broken_mate_map(brk, want):
 
 
 def test_fresh_state_empty_graph_ok():
-    assert check_invariants(mk(), ShadowGraph(12)) == []
-
-
-def test_invariant_checker_needs_the_mirror():
-    st = MatchingState(Config(**CFG))
-    st.insertion(Edge(1, 2))
-    assert st.mirror is None
-    with pytest.raises(ValueError, match="mirror=True"):
-        check_invariants(st, ShadowGraph(12))
+    assert check_invariants(mk(), ShadowGraph()) == []
 
 
 def _replay_checked(seed, n=14, k=3, length=150, churn=0.35):
     rng = random.Random(seed)
     cfg = Config(n=n, k=k, seed=seed)
-    st = MatchingState(cfg, mirror=True)
-    sh = ShadowGraph(n)
+    st = MatchingState(cfg)
+    sh = ShadowGraph()
     for upd in gen_promised_stream(cfg, length, churn, rng):
         sh.apply(upd)
         st.apply(upd)
@@ -198,7 +233,7 @@ def test_query_matches_oracle_at_stream_end(seed):
 def test_space_census_during_replay():
     rng = random.Random(42)
     cfg = Config(n=16, k=3, seed=42)
-    st = MatchingState(cfg, mirror=True)
+    st = MatchingState(cfg)
     for upd in gen_promised_stream(cfg, 200, 0.4, rng):
         st.apply(upd)
         assert len(st.sketches) <= 2 * cfg.k
@@ -323,8 +358,8 @@ def test_high_support_rematch_on_hub_stream(seed):
     rng = random.Random(seed)
     cfg = Config(**HUB_CFG, seed=seed)
     assert cfg.x == 5
-    st = MatchingState(cfg, mirror=True)
-    sh = ShadowGraph(cfg.n)
+    st = MatchingState(cfg)
+    sh = ShadowGraph()
     _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=30, churn=90)
     high_rematches = 0
     for j, upd in enumerate(stream):
@@ -383,7 +418,7 @@ def test_sketch_fail_flags_every_later_answer(monkeypatch):
     # the fresh answer comes from a twin, so that st holds no memoised
     # recovery and the stall below hits a real read
     st, twin = MatchingState(cfg), MatchingState(cfg)
-    sh = ShadowGraph(cfg.n)
+    sh = ShadowGraph()
     _, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=30,
                             churn=0)
     for upd in stream:
@@ -469,8 +504,8 @@ def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
     else:
         cfg = Config(**DEEP_HUB_CFG, seed=seed)
         _, stream = _hub_stream(rng, cfg.n, cfg.k, warm=100, churn=120)
-    memo, plain = MatchingState(cfg, mirror=True), _NoMemo(cfg, mirror=True)
-    sh = ShadowGraph(cfg.n)
+    memo, plain = MatchingState(cfg), _NoMemo(cfg)
+    sh = ShadowGraph()
     kept = 0
     for j, upd in enumerate(stream):
         sh.apply(upd)
@@ -502,18 +537,22 @@ def test_memo_changes_no_answer_counter_or_invariant(kind, seed, every):
 
 
 def _hub_state(hub_cfg=HUB_CFG, warm=30):
+    """(state, hubs, live edges) after the warm-up inserts alone."""
     cfg = Config(**hub_cfg, seed=1)
-    st = MatchingState(cfg, mirror=True)
+    st = MatchingState(cfg)
     hubs, stream = _hub_stream(random.Random(1), cfg.n, cfg.k, warm=warm,
                                churn=0)
     for upd in stream:
         st.apply(upd)
-    return st, hubs
+    return st, hubs, {upd.edge for upd in stream}
 
 
 def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
-    st, (h,) = _hub_state(DEEP_HUB_CFG, warm=100)
+    st, (h,), live = _hub_state(DEEP_HUB_CFG, warm=100)
     sk = st.sketches[h]
+    # the hub's live neighbors, each in its sketch
+    nbrs = {e.other(h) for e in live}
+    assert sk.holds(nbrs)
     real, reads = SampleRecovery._fresh_read, []
 
     def counted(self):
@@ -525,6 +564,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
         # the update writes the hub's sketch alone: z is unmatched
         assert z not in st.mate
         st.apply(StreamUpdate(op, Edge(h, z)))
+        (nbrs.add if op == INSERT else nbrs.remove)(z)
         reads.clear()
         pdpsa_query(st)
         return sum(r is sk for r in reads)
@@ -535,7 +575,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
     reads.clear()
     assert pdpsa_query(st) == first and reads == []
     free = [z for z in range(1, st.config.n + 1)
-            if z != h and z not in st.mate and z not in st.mirror[h]]
+            if z != h and z not in st.mate and z not in nbrs]
     # a write at depth below level - 1 keeps the read
     z = next(z for z in free if sk._depth(z) < level - 1)
     assert hub_reads_after(INSERT, z) == 0 and sk._held[0] == level
@@ -547,7 +587,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
     # real read, which starts there
     level = sk._held[0]
     assert level >= 2
-    above = sorted(z for z in st.mirror[h]
+    above = sorted(z for z in nbrs
                    if sk._depth(z) == level - 1 and z not in st.mate)
     while sum(sk.level_support[level - 1:]) > sk.level_capacity + 1:
         assert hub_reads_after(DELETE, above.pop()) == 0
@@ -561,7 +601,7 @@ def test_a_write_keeps_a_read_only_below_the_level_it_read(monkeypatch):
 
 
 def test_words_count_the_memo_and_stay_under_dpsa():
-    st, _ = _hub_state()
+    st, _, _ = _hub_state()
     bare = st.words()
     pdpsa_query(st)
     held = sum(1 + len(sk._held[1]) for sk in st.sketches.values()
@@ -590,8 +630,8 @@ def test_words_count_the_memo_and_stay_under_dpsa():
 
 def _snapshot(st):
     return (st.clock, dict(st.mate), dict(st.ts),
-            dict(st.tdict), {v: dict(m) for v, m in st.mirror.items()},
-            {v: (sk.support, sk.cells.tobytes())
+            dict(st.tdict),
+            {v: (sk.support, list(sk.level_support), sk.cells.tobytes())
              for v, sk in st.sketches.items()})
 
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from vcstream.core import Edge, ShadowGraph, StreamUpdate, covers, INSERT
+from vcstream.core import Edge, StreamUpdate, covers, INSERT
 from vcstream.psa import PsaState, psa_insert, psa_query
 from vcstream.harness.oracles import oracle_vc
+from vcstream.harness.streams import ShadowGraph
 
 
 def replay(edges, k):
@@ -72,7 +73,7 @@ def test_anytime_oracle_equality():
         n = rng.randint(4, 18)
         k = rng.randint(0, 5)
         st = PsaState(k=k)
-        sh = ShadowGraph(n)
+        sh = ShadowGraph()
         length = rng.randint(1, min(30, n * (n - 1) // 2))
         for e in _random_insertion_stream(rng, n, length):
             sh.apply(StreamUpdate(INSERT, e))

@@ -178,6 +178,43 @@ def test_detector_rejects_two_sparse():
 # -- sample recovery --------------------------------------------------------
 
 
+@pytest.mark.parametrize("sampled", [True, False])
+def test_holds_agrees_with_a_rebuilt_sketch(sampled, monkeypatch):
+    # a sampled sketch's 40 indices span its levels; each variant is read
+    # as held exactly when its cells equal those of the indicator
+    rng = random.Random(11)
+    base = rng.sample(range(1, 1001), 40)
+    spare = next(i for i in range(1, 1001) if i not in base)
+
+    def built(writes):
+        s = SampleRecovery(n_indices=1000, capacity=50, seed=3,
+                           sampled=sampled)
+        for i, d in writes:
+            s.update(i, d)
+        return s
+
+    want = built([(i, 1) for i in base])
+    assert sampled == (len(set(map(want._depth, base))) > 1)
+    variants = {
+        "same": [(i, 1) for i in reversed(base)],
+        "missing": [(i, 1) for i in base[1:]],
+        "extra": [(i, 1) for i in base + [spare]],
+        "swapped": [(i, 1) for i in base[1:] + [spare]],
+        "weight-2": [(i, 1) for i in base[1:]] + [(base[0], 2)],
+    }
+    for headroom in (sketch._HEADROOM, 2, 7):
+        # a small headroom splits each row's fingerprint sum into blocks
+        monkeypatch.setattr(sketch, "_HEADROOM", headroom)
+        for name, writes in variants.items():
+            s = built(writes)
+            assert s.holds(base) == s.state_equals(want) == (name == "same")
+            # each 0/1 vector is held as its own indicator
+            assert s.holds(i for i, _ in writes) == (name != "weight-2")
+    assert not want.holds([*base[1:], 0])
+    assert not want.holds([*base[1:], 1001])
+    assert fresh().holds([])
+
+
 def test_recovery_trivial_sets():
     s = fresh()
     assert s.recover() == set()
@@ -1112,9 +1149,45 @@ def test_sketch_matches_python_int_reference(n, sampled):
                     else s.support > s.capacity and not sampled)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m):
+    """Miller-Rabin to the prime bases 2..37, exact below 3.3e24."""
+    if m < 2:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def test_the_fingerprint_prime_is_the_largest_below_2_50():
-    sympy = pytest.importorskip("sympy")
-    assert sympy.isprime(PRIME) and sympy.prevprime(1 << 50) == PRIME
+    # the test against a sieve, and against strong pseudoprimes to the
+    # bases 2..7 and 2..23
+    sieve = [True] * 10_000
+    sieve[:2] = [False, False]
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [_is_prime(m) for m in range(10_000)] == sieve
+    assert not _is_prime(3_215_031_751)
+    assert not _is_prime(3_825_123_056_546_413_051)
+    assert _is_prime(PRIME)
+    assert not any(_is_prime(m) for m in range(PRIME + 1, 1 << 50))
     # the headroom the level sums and peel blocks rely on
     assert 8192 * PRIME < 1 << 63 < 8193 * PRIME
     assert MAX_INDICES == PRIME // 2
