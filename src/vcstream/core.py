@@ -83,14 +83,22 @@ INSERT = "+"
 DELETE = "-"
 
 
-@dataclass(frozen=True, slots=True)
-class StreamUpdate:
-    op: str  # INSERT or DELETE
-    edge: Edge
+class StreamUpdate(namedtuple("_Update", "op edge")):
+    """One stream update: ``op`` is INSERT or DELETE, ``edge`` an Edge.
 
-    def __post_init__(self):
-        if self.op not in (INSERT, DELETE):
-            raise ValueError(f"bad op {self.op!r}")
+    A ``tuple``, in the same idiom as ``Edge``: it hashes and compares as
+    ``(op, edge)`` does, and its namedtuple base reads ``op`` and
+    ``edge`` in C.  Build one with ``StreamUpdate(op, edge)``, which
+    refuses any other op with ``ValueError``: ``_make`` and ``_replace``
+    skip that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, edge: Edge) -> "StreamUpdate":
+        if op not in (INSERT, DELETE):
+            raise ValueError(f"bad op {op!r}")
+        return tuple.__new__(cls, (op, edge))
 
 
 @dataclass

@@ -4,9 +4,11 @@ Reports are line-oriented ``key=value`` text on stdout.  ``--delta``
 sets the sketches' one failure target each: delta/2n for a pdpsa vertex
 sketch, delta/2N for dpsa's sketch over its N edge slots.  Exit codes:
 0 ok, 2 parse error or a header the states refuse (such as a dpsa n
-past its sketch's index limit), 3 invalid stream, 4 promise violation,
-5 unreliable run (a sketch failed, or a Yes certificate failed its
-check against the replayed stream).
+past its sketch's index limit), 3 invalid stream (an insert of a live
+edge, a delete of an absent one, or any delete in an insertion-only
+mode), 4 promise violation, 5 unreliable run (a sketch failed, or a Yes
+certificate failed its check against the live edges so far, which the
+driver keeps in one set).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import sys
 import time
 
-from ..core import (INSERT, PROMISE_VIOLATION, Config, InvalidStream,
+from ..core import (INSERT, PROMISE_VIOLATION, Config, Edge, InvalidStream,
                     SketchFail, SolverError)
 from ..dpsa import DpsaState, dpsa_query, dpsa_update
 from ..fvs import FvsState, check_fvs, fvs_insert, fvs_query
@@ -26,7 +28,7 @@ from ..psa import PsaState, psa_insert, psa_query
 from .generators import (edges_to_stream, gen_disjointness_gadget,
                          gen_index_gadget, gen_promised_stream,
                          gen_random_stream)
-from .streams import (MODES, QUERY, ParseError, ShadowGraph, StreamFile,
+from .streams import (MODES, QUERY, ParseError, StreamFile, apply_live,
                       emit_stream, parse_stream)
 
 EXIT_OK = 0
@@ -149,7 +151,7 @@ def _run(sf: StreamFile, args, out) -> int:
     except ValueError as exc:
         print(f"error={exc}", file=out)
         return EXIT_PARSE
-    shadow = ShadowGraph()
+    live: set[Edge] = set()
     started = time.perf_counter()
     n_queries = 0
 
@@ -170,7 +172,7 @@ def _run(sf: StreamFile, args, out) -> int:
                 cover = sorted(ans.cover)
                 print("cover=" + ",".join(map(str, cover)), file=out)
                 try:
-                    check(cover, shadow.edges(), k)
+                    check(cover, live, k)
                 except SolverError:
                     print("verified=false", file=out)
                     return EXIT_UNRELIABLE
@@ -178,7 +180,7 @@ def _run(sf: StreamFile, args, out) -> int:
             continue
 
         try:
-            shadow.apply(ev)
+            apply_live(live, ev)
             if insertion_only and ev.op != INSERT:
                 raise InvalidStream("deletion in insertion-only mode")
         except InvalidStream as exc:

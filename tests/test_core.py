@@ -1,5 +1,6 @@
 """Domain types: edges, stream replay, configuration."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -35,6 +36,32 @@ def test_edge_is_a_canonical_int_pair():
     assert type(back) is Edge and back == e
     # the benchmark's tracer patches ``from_index`` by name on the class
     assert isinstance(Edge.__dict__["from_index"], staticmethod)
+
+
+def test_stream_update_is_an_immutable_pair():
+    upd = StreamUpdate(INSERT, Edge(3, 1))
+    same = StreamUpdate(op=INSERT, edge=Edge(1, 3))
+    assert isinstance(upd, tuple) and upd == same == (INSERT, (1, 3))
+    assert (upd.op, upd.edge) == tuple(upd) and type(upd.edge) is Edge
+    assert hash(upd) == hash(same)
+    assert upd != StreamUpdate(DELETE, Edge(1, 3))
+    assert len({upd, same, StreamUpdate(DELETE, Edge(1, 3))}) == 2
+    assert repr(upd) == "StreamUpdate(op='+', edge=Edge(u=1, v=3))"
+    assert not hasattr(upd, "__dict__")
+    with pytest.raises(AttributeError):
+        upd.op = DELETE
+    with pytest.raises(AttributeError):
+        upd.note = "x"
+    for back in (copy.copy(upd), copy.deepcopy(upd),
+                 pickle.loads(pickle.dumps(upd))):
+        assert type(back) is StreamUpdate and back == upd
+        assert type(back.edge) is Edge
+
+
+@pytest.mark.parametrize("op", ["*", "", "?", "+-", "++", None, 1])
+def test_stream_update_rejects_a_bad_op(op):
+    with pytest.raises(ValueError, match="bad op"):
+        StreamUpdate(op, Edge(1, 2))
 
 
 def test_edges_sort_by_u_then_v():

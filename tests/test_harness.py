@@ -383,6 +383,18 @@ def test_cli_invalid_stream_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["psa", "dpsa"])
+def test_cli_insert_of_live_edge_exit_3(tmp_path, mode):
+    # an insertion-only mode refuses a repeated insert as a dynamic one does
+    f = tmp_path / "bad.txt"
+    f.write_text(f"4 1 {mode}\n+ 1 2\n?\n+ 3 4\n+ 2 1\n?\n")
+    buf = io.StringIO()
+    assert run_cli(["--input", str(f)], out=buf) == 3
+    lines = buf.getvalue().splitlines()
+    assert lines[-1] == "error=insert of live edge Edge(u=1, v=2)"
+    assert "query=1" in lines and "query=2" not in lines
+
+
 def test_cli_promise_violation_exit_4(tmp_path):
     f = tmp_path / "pv.txt"
     f.write_text("6 1 pdpsa\n+ 1 2\n+ 3 4\n?\n")
