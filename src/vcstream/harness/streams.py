@@ -135,21 +135,13 @@ def parse_stream(text: str, validate: bool = False) -> StreamFile:
             u, v = v, u
         if u < 1 or v > n or u == v:
             raise ParseError(lineno, f"bad endpoints {line!r}")
-        e = new(Edge, (u, v))
+        upd = new(StreamUpdate, (op, new(Edge, (u, v))))
         if live is not None:
-            # apply_live's rule and messages, inline: calling it cost
-            # about an eighth of the parse
-            if op == INSERT:
-                if e in live:
-                    raise InvalidStream(
-                        f"line {lineno}: insert of live edge {e}")
-                live.add(e)
-            elif e in live:
-                live.remove(e)
-            else:
-                raise InvalidStream(
-                    f"line {lineno}: delete of absent edge {e}")
-        append(new(StreamUpdate, (op, e)))
+            try:
+                apply_live(live, upd)
+            except InvalidStream as exc:
+                raise InvalidStream(f"line {lineno}: {exc}") from None
+        append(upd)
     return StreamFile(n, k, mode, events)
 
 

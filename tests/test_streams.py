@@ -139,19 +139,6 @@ def test_parse_matches_the_shadow_graph_replay(text, validate):
         assert ev == QUERY or (type(ev) is StreamUpdate
                                and type(ev.edge) is Edge)
     assert parse_stream(emit_stream(got)) == got
-    # the CLI's rule: apply_live rejects the update a validating parse
-    # rejects, with the message after its line number
-    live: set = set()
-    try:
-        for ev in got.events:
-            if ev != QUERY:
-                apply_live(live, ev)
-    except InvalidStream as exc:
-        checked = outcome(parse_stream, text, True)
-        assert checked[0] is InvalidStream
-        assert checked[2].split(": ", 1)[1] == str(exc)
-    else:
-        assert outcome(parse_stream, text, True) == got
 
 
 def test_validating_mode_catches_insert_of_live_edge():
