@@ -20,7 +20,10 @@ Each vertex sketch has one size, x = min(2k+1, n-1), one failure
 target, delta/2n, and one read (``SampleRecovery.recover()``).  While
 its support is at most x the read is the whole sketched neighborhood,
 peeled from the sum of the sketch's level grids; past x it is at least
-x distinct neighbors from one level's subsample.
+x distinct neighbors from one level's subsample, level 0 while the
+whole neighborhood fits the level capacity, read in part: the grids are
+sized for a whole read of x neighbors and a read of x of more, not for
+a whole read of the level capacity.
 
 Deleting a matched edge triggers Rematch: each endpoint reads its
 sketch and pairs with the smallest exposed neighbor.  A low-support
@@ -34,10 +37,10 @@ state is then ``degraded``, and so is every later answer.
 
 A recovery is a function of the sketch's cells alone, so each sketch
 keeps its last read until a write could change what a fresh read
-returns: any write after a whole peel, and a write into the subsample a
-level read peeled.  A high-support vertex reads a deep level, so most
-writes to it keep its read, and a query re-reads only the sketches
-whose read a write dropped.
+returns: any write after a read of level 0, and a write into the
+subsample a deeper read took.  A high-support vertex reads a deep
+level, so most writes to it keep its read, and a query re-reads only
+the sketches whose read a write dropped.
 
 An update whose edge leaves 1..n, and a query whose k is negative or
 exceeds the state's, raise ``ValueError`` before anything changes.

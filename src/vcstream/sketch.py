@@ -7,11 +7,12 @@ each index to a deepest level l* with P[l* >= l] = 2^-l, capped at L-1,
 and the index is written once, into the grid of level l*; an exact
 counter per level counts the net indices written there.  By linearity
 the grids of levels l..L-1 sum to a grid of the subsample
-{i : l*(i) >= l}.  A sketch has one read, ``recover()``, and the
-counters pick its level: the shallowest subsample that fits the level
-capacity, where a sampled sketch reads as many indices as its capacity,
-and level 0, the sum over all levels, which peels to the exact support.
-``sample()`` is a seeded pick from that read.  This is the l0-sampler
+{i : l*(i) >= l}.  A sketch has one read, ``recover()``: within its
+capacity, a whole peel of level 0, the sum over all levels, to the exact
+support; past it, on a sampled sketch, a partial read of as many indices
+as its capacity, from the shallowest subsample that fits the level
+capacity by the counters, level 0 among them.  ``sample()`` is a seeded
+pick from that read.  This is the l0-sampler
 construction of Cormode & Firmani ("A unifying framework for
 l0-sampling", 2014) on the invertible Bloom lookup tables of Goodrich &
 Mitzenmacher (2011).  A sketch that is not sampled has one level, a
@@ -57,12 +58,16 @@ write hashes its index to its depth and to each row's bucket with
 splitmix64's output function of the index plus that key, so that depths
 and buckets behave as independent uniform draws on any support; the
 leading zero bits of the depth hash give P[depth >= l] = 2^-l.  A grid
-is the R x B with the fewest cells whose first-moment bound on a stalled
-peel (``stall_bound``) meets the target (``grid_geometry``), so its size
-does not grow with N.  One search, ``_least``, sizes the levels, the
-level capacity and each row count's buckets, and the word budget
-(``MAX_WORDS``) caps the bucket search, so a sketch that no grid within
-it fits is refused before any cell exists.  A grid peels a block of rows
+is the R x B with the fewest cells whose first-moment bounds meet the
+target for the reads it serves (``grid_geometry``): a whole peel
+(``stall_bound``), and past the capacity a peel that returns fewer
+indices than the capacity (``short_read_bound``), so its size does not
+grow with N.  A sampled sketch takes the level capacity, of two, whose
+levels and grids take the fewer words (``level_geometry``).  One search,
+``_least``, sizes the levels, the level capacity and each row count's
+buckets, and the word budget (``MAX_WORDS``) caps the bucket search, so
+a sketch that no grid within it fits is refused before any cell
+exists.  A grid peels a block of rows
 at a time, and each one-sparse cell's stored words are subtracted from
 its index's buckets, so a peel forms no fingerprint of its own.
 
@@ -281,21 +286,59 @@ def _stall_sizes(capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _log_stall(capacity: int, rows: int, buckets: int) -> float:
-    """log of sum over s of C(capacity, s) Q_s(B)^R, ``stall_bound`` in
-    logs, with log Q_s(B) exact up to ``_EXACT_STALL`` and the
-    saddle-point bound past it; -inf below two indices, which always
-    peel."""
-    s, subsets, log_fact = _stall_sizes(capacity)
-    if not len(s):
-        return -math.inf
+def _log_no_singleton(s: np.ndarray, log_fact: np.ndarray,
+                      buckets: int) -> np.ndarray:
+    """log Q_s(B) for the sizes ``s`` >= 2, each with ``log_fact`` = log s!:
+    exact up to ``_EXACT_STALL`` and the saddle-point bound past it."""
     small = s <= _EXACT_STALL
     q = np.empty(len(s))
     q[small] = _exact_no_singleton(buckets)[s[small] - 2]
     q[~small] = _saddle_no_singleton(s[~small], log_fact[~small], buckets)
-    x = subsets + rows * q
+    return q
+
+
+def _log_stall(capacity: int, rows: int, buckets: int,
+               least: int = 2) -> float:
+    """log of sum over s >= ``least`` of C(capacity, s) Q_s(B)^R,
+    ``stall_bound`` in logs at ``least`` = 2; -inf for an empty sum, as
+    below two indices, which always peel."""
+    s, subsets, log_fact = _stall_sizes(capacity)
+    if least > 2:
+        s, subsets, log_fact = s[least - 2:], subsets[least - 2:], \
+            log_fact[least - 2:]
+    if not len(s):
+        return -math.inf
+    x = subsets + rows * _log_no_singleton(s, log_fact, buckets)
     top = float(x.max())
     return top + math.log(float(np.exp(x - top).sum()))
+
+
+@functools.lru_cache(maxsize=16)
+def _short_terms(capacity: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, log C(s, j)) for s = need+1..capacity down the rows and
+    j = s, s-1, ..., s-need+1 >= 2 along them: each row holds
+    ``short_read_bound``'s terms for one size s."""
+    s = np.arange(need + 1, capacity + 1)[:, None]
+    j = s - np.arange(need)
+    # log 0!, log 1!, then ``_stall_sizes``' log s! for s = 2..capacity
+    log_fact = np.concatenate(([0.0, 0.0], _stall_sizes(capacity)[2]))
+    log_comb = log_fact[s] - log_fact[j] - log_fact[s - j]
+    for a in (j, log_comb):
+        a.setflags(write=False)  # cached, so shared by every caller
+    return j, log_comb
+
+
+def _log_short(capacity: int, need: int, rows: int, buckets: int) -> float:
+    """The most, over s in (need, capacity], of log ``short_read_bound``
+    (s, need): every size a read past ``need`` indices may find at a
+    level of at most ``capacity``; -inf when there is none."""
+    if capacity <= need:
+        return -math.inf
+    j, log_comb = _short_terms(capacity, need)
+    s, _, log_fact = _stall_sizes(capacity)
+    x = log_comb + rows * _log_no_singleton(s, log_fact, buckets)[j - 2]
+    top = x.max(axis=1)
+    return float((top + np.log(np.exp(x - top[:, None]).sum(axis=1))).max())
 
 
 @functools.lru_cache(maxsize=64)
@@ -310,6 +353,21 @@ def stall_bound(capacity: int, rows: int, buckets: int) -> float:
     (Goodrich & Mitzenmacher, "Invertible Bloom Lookup Tables", 2011).
     """
     log = _log_stall(capacity, rows, buckets)
+    return math.exp(log) if log < 700 else math.inf
+
+
+def short_read_bound(size: int, need: int, rows: int, buckets: int) -> float:
+    """First-moment bound on the chance that a peel of ``size`` indices
+    returns fewer than ``need`` of them.
+
+    A union of stopping sets is one, so a peel stops at the largest, and
+    returns exactly the indices outside it (Goodrich & Mitzenmacher,
+    2011).  It returns fewer than ``need`` when some stopping set has
+    more than size - need indices: at most sum over j > size - need of
+    C(size, j) Q_j(B)^R, ``stall_bound``'s sum with a lower limit, and
+    ``stall_bound`` itself while size <= need.
+    """
+    log = _log_stall(size, rows, buckets, size - need + 1)
     return math.exp(log) if log < 700 else math.inf
 
 
@@ -346,29 +404,51 @@ def _pair_buckets(pairs: int, target: float, rows: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def grid_geometry(capacity: int, target: float,
-                  max_cells: int) -> tuple[int, int] | None:
-    """(rows R, buckets per row B) of a recovery grid for ``capacity``
-    indices: the smallest R * B, fewest rows on a tie, with R at most
-    ``MAX_ROWS``, whose ``stall_bound`` is at most ``target``; None when
-    no such grid has at most ``max_cells`` cells.  A peel empties a
-    distinct cell for each index, so a ``capacity`` past ``max_cells`` is
-    refused before any bound is summed.
+def grid_geometry(capacity: int, target: float, max_cells: int,
+                  need: int | None = None) -> tuple[int, int] | None:
+    """(rows R, buckets per row B) of a recovery grid for up to
+    ``capacity`` indices, read whole up to ``need`` of them (all of them
+    when None) and in part past that: the smallest R * B, fewest rows on
+    a tie, with R at most ``MAX_ROWS``, that meets both requirements
+    within ``target``; None when no such grid has at most ``max_cells``
+    cells.
+    - A whole peel of every support within a set of W indices:
+      ``stall_bound`` (W, R, B), for W = min(2 need, capacity), or the
+      capacity when ``need`` is None.  A sketch read whole is read anew
+      after every write, and the supports of at most ``need`` indices
+      that ``need`` writes pass through lie in a set of 2 need.
+    - A read of at least ``need`` of s indices, for every s in (need,
+      ``capacity``]: ``short_read_bound`` (s, need, R, B).
+    A grid that meets them for a need meets them for any smaller one:
+    its whole peels cover the sizes that the smaller need adds.  A whole
+    peel empties a distinct cell for each index, so a W past
+    ``max_cells`` is refused before any bound is summed.
 
     Each R searches B with ``_least`` from the least B of the pair term
-    (``_pair_buckets``) up to the most B that the budget allows, and past
-    the first R up to the most that beats the best so far.  4 rows go
-    first, as they come close to the best at every capacity, so that
-    this rules most other R out at one bound each.  5 x 644 for dpsa at
-    n=600, k=3 (capacity 1 800, target 2.8e-8); 7 x 17 for a pdpsa level
-    grid at n=600, k=2 (capacity 32, target 8.3e-6).
+    of W (``_pair_buckets``), which the first requirement holds and which
+    bounds the second's at s = need + 1 <= W, up to the most B that the
+    budget allows, and past the first R up to the most that beats the
+    best so far.  4 rows go first, as they come close to the best at
+    every capacity, so that this rules most other R out at one bound
+    each.  5 x 644 for dpsa's whole peel at n=600, k=3 (capacity 1 800,
+    target 2.8e-8); 6 x 19 for a pdpsa level grid at n=600, k=2 (5 of up
+    to 40 indices, target 8.3e-6).
     """
-    if capacity > max_cells:
+    if need is None or need >= capacity:
+        need = whole = capacity
+    else:
+        whole = min(2 * need, capacity)
+    if whole > max_cells:
         return None
     if capacity < 2:
         return 1, 1  # a lone index always peels
     log_target = math.log(target)
-    pairs = math.comb(capacity, 2)
+    pairs = math.comb(whole, 2)
+
+    def fits(rows: int, buckets: int) -> bool:
+        return (_log_stall(whole, rows, buckets) <= log_target
+                and _log_short(capacity, need, rows, buckets) <= log_target)
+
     best = None
     for rows in (4, *range(1, 4), *range(5, MAX_ROWS + 1)):
         # the most B within the budget, and that beats the best: a smaller
@@ -376,9 +456,8 @@ def grid_geometry(capacity: int, target: float,
         high = max_cells // rows
         if best is not None:
             high = min(high, (best[0] * best[1] - (rows >= best[0])) // rows)
-        buckets = _least(
-            lambda b: _log_stall(capacity, rows, b) <= log_target,
-            _pair_buckets(pairs, target, rows), high)
+        buckets = _least(functools.partial(fits, rows),
+                         _pair_buckets(pairs, target, rows), high)
         if buckets is not None:
             best = rows, buckets
     return best
@@ -391,10 +470,11 @@ def level_capacity(need: int, fail: float) -> int:
     A sampled sketch reads ``need`` indices, its capacity, from the
     shallowest level whose subsample holds at most C indices; the level
     above it holds more than C, and each of those reaches the next level
-    with probability 1/2.  C = 32 for need = 5 at fail 8.3e-6 (pdpsa at
-    n=600, k=2).  At C = need - 1 the tail is 1 - 2^-need >= 1/2, so any
-    fail below 1/2 gives C >= need.  The tail falls as C grows, so
-    ``_least`` takes O(log C) tails.
+    with probability 1/2.  This is the least level capacity that
+    ``level_geometry`` considers: C = 32 for need = 5 at fail 8.3e-6
+    (pdpsa at n=600, k=2).  At C = need - 1 the tail is
+    1 - 2^-need >= 1/2, so any fail below 1/2 gives C >= need.  The tail
+    falls as C grows, so ``_least`` takes O(log C) tails.
     """
     def fits(c: int) -> bool:
         # sum of C(c+1, j) for j < need, each binomial from the last
@@ -434,11 +514,61 @@ def level_count(n_indices: int, capacity: int, fail: float) -> int:
 
     The deepest level, L-1, holds a Bin(N, 2^-(L-1)) subsample of a
     support of N, so with this L it fits the level capacity C but with
-    probability ``fail``: 7 levels for pdpsa at n=600, k=2 (C = 32, fail
-    8.3e-6), 14 at n=10^5.
+    probability ``fail``: 6 levels for pdpsa at n=600, k=2 (C = 40, fail
+    8.3e-6).
     """
     return _least(lambda levels: _binomial_tail(
         n_indices, 0.5 ** (levels - 1), capacity) <= fail, 1)
+
+
+def _grid_words(levels: int, rows: int, buckets: int) -> int:
+    """Words of a sketch's cells and fixed fields (``words()`` without a
+    kept read): 2 a cell, a hash key a row, past one level the level
+    counters and the depth hash key, and 3 more (the support counter, the
+    capacity and the offset r)."""
+    return (2 * levels * rows * buckets + rows
+            + (levels + 1 if levels > 1 else 0) + 3)
+
+
+@functools.lru_cache(maxsize=64)
+def level_geometry(n_indices: int, need: int, fail: float, sampled: bool,
+                   budget: int) -> tuple[int, int, int, int] | None:
+    """(level capacity C, levels L, rows R, buckets B) of a sketch over
+    ``n_indices`` indices that reads ``need`` of them, each grid
+    ``grid_geometry(C, fail, budget // 2L, need)``; None when neither
+    candidate C has a grid within the word budget.
+
+    A sketch that is not sampled has C = need and one level.  A sampled
+    one takes, of two level capacities, the one with the fewer words
+    (``_grid_words``), the first on a tie: the least, C0 =
+    ``level_capacity(need, fail)`` with L0 = ``level_count(N, C0,
+    fail)`` levels, and the least that one level fewer serves.  Within
+    one level count a larger C needs no fewer cells, as its grid meets a
+    smaller C's requirements.  At n=600, k=2 (need 5, fail 8.3e-6) C = 40
+    takes 6 levels of 6 x 19, 1 384 words, where C0 = 32 takes 7 levels
+    of 6 x 17, 1 445.
+
+    The search goes no further on purpose.  Fewer levels can take fewer
+    words still (one level of 3 x 176, 1 062 words, at n=600, k=2), but
+    a read there sits at a shallower level, which more writes drop: at
+    one level no read outlives a write, and pdpsa's queries on the
+    ``dynamic-sketch`` benchmark took twice as long.
+    """
+    capacity = level_capacity(need, fail) if sampled else need
+    levels = level_count(n_indices, capacity, fail) if sampled else 1
+    options = [(capacity, levels)]
+    if levels > 1:
+        # the least C that the deepest of one level fewer holds
+        fewer = _least(lambda c: _binomial_tail(
+            n_indices, 0.5 ** (levels - 2), c) <= fail, capacity + 1)
+        options.append((fewer, level_count(n_indices, fewer, fail)))
+    best = None
+    for capacity, levels in options:
+        grid = grid_geometry(capacity, fail, budget // (2 * levels), need)
+        if grid is not None and (best is None
+                                 or _grid_words(levels, *grid) < best[0]):
+            best = _grid_words(levels, *grid), capacity, levels, *grid
+    return best and best[1:]
 
 
 class SampleRecovery:
@@ -447,14 +577,16 @@ class SampleRecovery:
     A sketch has one size, ``capacity`` = C0, and one failure target,
     ``fail``, which defaults to 0.005 / max(1, N), delta / 2N at
     delta = 0.01, and must lie in (0, 1/2).  Without ``sampled`` the level
-    capacity C is C0 and L = 1, one recovery grid.  With ``sampled`` the
-    sketch reads C0 indices past C0: C = ``level_capacity(C0, fail)``,
-    at least C0 for any fail below 1/2, and L = ``level_count(N, C,
-    fail)``.  Every grid is ``grid_geometry(C, fail, MAX_WORDS // 2L)``
-    (7 x 17 for pdpsa at n=600, k=2; 5 x 644 for dpsa at n=600, k=3),
-    and a sketch for which it finds none within the word budget raises
-    ``ValueError`` before any cell exists.  ``stall_bound`` is the bound
-    on a stalled peel of C indices that this grid meets.  All grids
+    capacity C is C0 and L = 1, one recovery grid read whole.  With
+    ``sampled`` the sketch reads C0 indices past C0: C is at least
+    ``level_capacity(C0, fail)``, itself at least C0 for any fail below
+    1/2, and L = ``level_count(N, C, fail)``.  ``level_geometry`` picks C
+    and the grid, ``grid_geometry(C, fail, MAX_WORDS // 2L, C0)``: 6
+    levels of 6 x 19 at C = 40 for pdpsa at n=600, k=2, and one 5 x 644
+    grid for dpsa at n=600, k=3.  A sketch for which it finds none within
+    the word budget raises ``ValueError`` before any cell exists.
+    ``stall_bound`` is the bound on a stalled whole peel of C0 indices
+    that this grid meets.  All grids
     share one set of bucket hashes, so the grids of levels l..L-1 add up
     cell by cell.  ``support`` is an exact signed counter of net
     insertions, the l0 norm under valid +/-1 streams;
@@ -466,11 +598,11 @@ class SampleRecovery:
     a cell (c, S, fp) naming index i = S / c passes when
     fp (i + r) = c mod P, one ``_mulmod_exact`` a cell with c reduced
     mod P, so any int64 count is checked exactly.  ``update`` forms the
-    inverse in Python ints.  A full peel ends by comparing the weight it
-    peeled with the exact counters (``support``, or a level subsample's
-    suffix of ``level_support``), and raises ``RecoveryFail`` when they
-    differ.  ``grids`` is a view of ``cells`` taken on access, so a copy
-    or an unpickled sketch reads the cells it updates.
+    inverse in Python ints.  A whole peel ends by comparing the weight it
+    peeled with ``support``, and raises ``RecoveryFail`` when they
+    differ; a partial read is not checked against the counters
+    (``_fresh_read``).  ``grids`` is a view of ``cells`` taken on access,
+    so a copy or an unpickled sketch reads the cells it updates.
 
     A cell takes two words in ``cells``: w = c 2^K + S and the
     fingerprint, with K from ``_packing(N)``.  ``update`` encodes a write
@@ -487,14 +619,16 @@ class SampleRecovery:
     stored words: equal vectors have equal words.
 
     The sketch reads its cells one way, ``_fresh_read`` through
-    ``recover``, from the level that the counters pick, and ``sample``
-    draws from that read.  A sampled sketch keeps its last read, with the
-    shallowest level it reached, 0 for a whole peel.  A write keeps it
-    only when a fresh read would return it bit for bit: the write's depth
-    is below that level, and a write just above it leaves the level above
-    holding more than ``level_capacity`` by the counters, so that
-    ``_fit_level`` still starts the read where it did.  Any other write
-    drops it, and so does every write after a whole peel.
+    ``recover``, whole within capacity and past it from the level that
+    the counters pick, and ``sample`` draws from that read.  A sampled
+    sketch keeps its last read, with the shallowest level it reached, 0
+    for a whole peel or a partial read of level 0.  A write keeps it only
+    when a fresh read would return it bit for bit: the write's depth is
+    below that level, the support stays past capacity, and a write just
+    above it leaves the level above holding more than ``level_capacity``
+    by the counters, so that ``_fit_level`` still starts the read where
+    it did.  Any other write drops it, and so does every write after a
+    read of level 0.
     An index reaches depth l or more with probability 2^-l, so a read at
     level l survives a write with probability 1 - 2^-l while the level
     above stays past capacity: 15 writes of 16 at level 4.
@@ -520,25 +654,22 @@ class SampleRecovery:
         self.seed = seed
         self.support = 0
 
-        if sampled:
-            self.level_capacity = level_capacity(capacity, fail)
-            self.levels = level_count(n_indices, self.level_capacity, fail)
-        else:
-            self.level_capacity, self.levels = capacity, 1
-        self.level_support = [0] * self.levels
-        max_cells = MAX_WORDS // (2 * self.levels)
-        grid = grid_geometry(self.level_capacity, fail, max_cells)
-        if grid is None:
-            # before any cell exists
+        geometry = level_geometry(n_indices, capacity, fail, sampled,
+                                  MAX_WORDS)
+        if geometry is None:
+            # before any cell exists; the least level capacity's levels
+            # have the fewest cells a level within the budget
+            levels = (level_count(n_indices, level_capacity(capacity, fail),
+                                  fail) if sampled else 1)
             raise ValueError(
                 f"a sketch of capacity {capacity} over {n_indices} indices "
-                f"needs more than {max_cells} cells a level, {self.levels} "
-                f"level(s) at 2 words a cell, past the budget of "
-                f"{MAX_WORDS} words")
-        self.rows, self.buckets = grid
+                f"needs more than {MAX_WORDS // (2 * levels)} cells a "
+                f"level, {levels} level(s) at 2 words a cell, past the "
+                f"budget of {MAX_WORDS} words")
+        self.level_capacity, self.levels, self.rows, self.buckets = geometry
+        self.level_support = [0] * self.levels
         self._per_level = self.rows * self.buckets
-        self.stall_bound = stall_bound(self.level_capacity, self.rows,
-                                       self.buckets)
+        self.stall_bound = stall_bound(capacity, self.rows, self.buckets)
         # splitmix64's outputs from the seed: the fingerprint offset, so
         # that every index + r lies in [1, P), the key of the hash that
         # picks each index's deepest level, and one bucket-hash key per
@@ -632,11 +763,12 @@ class SampleRecovery:
         held = self._held
         if held is not None:
             # a write below the level read leaves the cells and counters
-            # from that level down; one just above it must leave that
-            # subsample past the level capacity, or ``_fit_level`` would
-            # start the next read there
+            # from that level down; it must leave the support past
+            # capacity, or the next read would be a whole peel, and one
+            # just above it must leave that subsample past the level
+            # capacity, or ``_fit_level`` would start the next read there
             level = held[0]
-            if not (depth < level
+            if not (depth < level and self.support > self.capacity
                     and (depth < level - 1 or sum(self.level_support[depth:])
                          > self.level_capacity)):
                 self._held = None
@@ -727,27 +859,31 @@ class SampleRecovery:
     def recover(self) -> set[int] | frozenset[int]:
         """Support indices via grid peeling, the sketch's one read.
 
-        While the support fits ``level_capacity``, which is ``capacity``
-        on a sketch that is not sampled: the exact support, peeled from
+        On a sketch that is not sampled, and on a sampled one while the
+        support is at most ``capacity``: the exact support, peeled from
         the sum of all level grids.  Reliable when the true support fits;
         beyond that the peeling stalls, or the weight it peels differs
         from ``support``; either raises RecoveryFail, so callers of a
         sketch that is not sampled should gate on the support counter.
+        A whole peel of m = ``capacity`` indices or fewer stalls with
+        probability at most ``stall_bound`` (min(2m, C), R, B) <= fail
+        (``grid_geometry``; 9.6e-7 for the 6 x 19 grids of pdpsa at
+        n=600, k=2, fail 8.3e-6).
 
-        On a sampled sketch past the level capacity: at least
-        ``capacity`` = m distinct support indices from one level's
-        subsample, or RecoveryFail.  The depth hash makes the subsample
-        sizes s_0 >= s_1 >= ... successive binomial thinnings,
-        s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at the picked level
-        needs s_l > C >= s_(l+1) with s_(l+1) < m for some l,
-        C = ``level_capacity``.  The chain stays at each size
-        s > C for 1 / (1 - 2^-s) levels in expectation, so
+        On a sampled sketch past capacity: at least m distinct support
+        indices from one level's subsample, level 0 while the support is
+        at most C = ``level_capacity``, or RecoveryFail.  The depth hash
+        makes the subsample sizes s_0 >= s_1 >= ... successive binomial
+        thinnings, s_(l+1) ~ Bin(s_l, 1/2), and a shortfall at the picked
+        level needs s_l > C >= s_(l+1) with s_(l+1) < m for some l.  The
+        chain stays at each size s > C for 1 / (1 - 2^-s) levels in
+        expectation, so
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
-        1.2e-5 for pdpsa at n=600, k=2 (m=5, C=32, fail 8.3e-6).  A level
-        grid at most C full stalls with probability at most
-        ``stall_bound`` <= fail (``grid_geometry``; 1.4e-6 for the 7 x 17
-        grids there), and the deepest level holds more than C with
+        1.1e-7 for pdpsa at n=600, k=2 (m=5, C=40).  A read of a level
+        of s indices, m < s <= C, returns fewer than m with probability
+        at most ``short_read_bound`` (s, m, R, B) <= fail (1.4e-6 at most
+        there, at s = C), and the deepest level holds more than C with
         probability at most fail (``level_count``).
 
         A sampled sketch returns a frozenset and keeps it, so that the
@@ -765,30 +901,40 @@ class SampleRecovery:
     def _fresh_read(self) -> tuple[int, set[int]]:
         """(shallowest level read, indices) of a read of the cells.
 
-        The counters pick the level, ``_fit_level``.  At a level past 0,
-        ``capacity`` indices of its subsample: its grid's one-sparse cells
-        if they name that many, else its whole subsample, peeled; then
-        shallower levels while a read stalls or falls short, as it can
-        under weights other than +/-1, since the counters sum weights.
-        At level 0, the only level of a sketch that is not sampled, the
-        whole peel of the sum of all level grids, checked against
-        ``support``.
+        On a sketch that is not sampled, and on a sampled one while the
+        support is at most ``capacity``: the whole peel of the sum of all
+        level grids, checked against ``support``, read at level 0.  Past
+        it, a sampled sketch makes a partial read of ``capacity``
+        indices, from the level that the counters pick (``_fit_level``)
+        and then shallower levels, level 0 among them, while a read
+        stalls or falls short, as it can under weights other than +/-1,
+        since the counters sum weights: a level's one-sparse cells if
+        they name that many indices, else a peel of its subsample that
+        stops once it has peeled that many.  A partial read is not
+        checked against the counters, as its level may hold more indices
+        than it returns, so a read whose cells disagree with them can
+        return a subset of the wrong set; each returned index passed its
+        fingerprint check, and the miss rate of such a read is not yet
+        charged to any failure budget.
         """
-        for lvl in range(self._fit_level(), 0, -1):
+        if not self.sampled or self.support <= self.capacity:
+            return 0, self._peel(self._level_sum(0), self.support)
+        for lvl in range(self._fit_level(), -1, -1):
             cells = self._level_sum(lvl)
             found = set(self._verify_cells(*self._decode(cells))[0].tolist())
             if len(found) < self.capacity:
                 try:
-                    found = self._peel(cells, sum(self.level_support[lvl:]))
+                    found = self._peel(cells, None)
                 except RecoveryFail:
                     continue
-            if len(found) >= self.capacity:
-                return lvl, found
-        return 0, self._peel(self._level_sum(0), self.support)
+            return lvl, found
+        raise RecoveryFail(f"no level read named {self.capacity} indices")
 
-    def _peel(self, grid: np.ndarray, weight: int) -> set[int]:
+    def _peel(self, grid: np.ndarray, weight: int | None) -> set[int]:
         """Support of a stored (w, fingerprint) grid, peeled in place,
-        whose exact counters sum to ``weight``.
+        whose exact counters sum to ``weight``; with ``weight`` None, a
+        partial read: the indices peeled once there are ``capacity`` of
+        them.
 
         A pass peels the rows in order, a block of rows at a time: as many
         as fit in ``_PEEL_BLOCK`` cells, and at least two, so two rows of
@@ -802,13 +948,17 @@ class SampleRecovery:
         every row, but for a cancellation the fingerprint all but rules
         out.  A pass that peels nothing, or an index peeled twice, stalls,
         and so does an emptied grid whose peeled weights do not sum to
-        ``weight``: cells that disagree with their counters.
+        ``weight``, cells that disagree with their counters, or, for a
+        partial read, that leaves fewer than ``capacity`` indices.
         """
         found: set[int] = set()
         peeled = 0
         step = max(2, _PEEL_BLOCK // self.buckets)
         for _ in range(grid[0].size + 1):
             if not grid.any():
+                if weight is None:
+                    raise RecoveryFail(f"peeled {len(found)} of "
+                                       f"{self.capacity} indices")
                 if peeled != weight:
                     raise RecoveryFail(f"peeled weight {peeled}, counters "
                                        f"{weight}")
@@ -827,6 +977,8 @@ class SampleRecovery:
                 found.update(peel.tolist())
                 if len(found) < size:
                     raise RecoveryFail("an index peeled twice")
+                if weight is None and len(found) >= self.capacity:
+                    return found
                 # flat positions and values, numpy's fast path for ufunc.at
                 at = (self._row_cell0 + self._cols(peel[:, None])).ravel()
                 taken = block.reshape(2, -1)[:, pos[first]]
@@ -894,6 +1046,5 @@ class SampleRecovery:
         counters and the depth hash key, 3 more (the support counter, the
         capacity and the offset r), and for a kept read its level and one
         word per index."""
-        levels = self.levels + 1 if self.levels > 1 else 0
         held = 0 if self._held is None else 1 + len(self._held[1])
-        return self.cells.size + self.rows + levels + 3 + held
+        return _grid_words(self.levels, self.rows, self.buckets) + held

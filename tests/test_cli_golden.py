@@ -213,7 +213,7 @@ query=8
 answer=yes
 cover=2,6,9
 verified=true
-words_stored=822
+words_stored=742
 sketch_fails=0
 rematch_misses=0
 rematches=11

@@ -21,18 +21,22 @@ def test_every_small_promised_stream(n, k, length, prefixes, level_reads):
 
 
 # fail -> the sketch's levels.  At capacity 1, fail 0.3 gives 4 levels of
-# 1 x 1 grids; fail 0.1 gives level capacity 3 and 3 levels of 5 x 2
-# grids, which can stall and read several indices a level
-_LEVELS = {0.3: 4, 0.1: 3}
+# 1 x 1 grids; fail 0.1 gives level capacity 5 and 2 levels of 2 x 4
+# grids, and fail 0.15 level capacity 3 and 3 levels of 2 x 3 grids,
+# which can stall and read several indices a level
+_LEVELS = {0.3: 4, 0.1: 2, 0.15: 3}
 
 
-# (seed, fail) -> the prefixes that a kept level read served
-_KEPT = {(0, 0.3): 2_976, (1, 0.3): 2_448, (0, 0.1): 240, (1, 0.1): 480}
+# (seed, fail) -> (the prefixes that a kept level read served, those read
+# in part at level 0)
+_KEPT = {(0, 0.3): (2_976, 0), (1, 0.3): (2_448, 0),
+         (0, 0.1): (0, 6_730), (1, 0.1): (0, 6_812),
+         (0, 0.15): (240, 5_698), (1, 0.15): (480, 5_698)}
 
 
 @pytest.mark.parametrize("seed, fail", list(_KEPT))
 def test_every_small_write_sequence_holds_only_fresh_reads(seed, fail):
     got = walk_sketch(6, 5, fail, seed)
     assert got.failures == []
-    assert (got.levels, got.prefixes, got.kept) == (_LEVELS[fail], 9_331,
-                                                     _KEPT[seed, fail])
+    assert (got.levels, got.prefixes, (got.kept, got.partial)) \
+        == (_LEVELS[fail], 9_331, _KEPT[seed, fail])

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from vcstream.core import Config, Edge, SketchFail, StreamUpdate, covers
 from vcstream.core import INSERT, DELETE
 from vcstream.pdpsa import MatchingState, pdpsa_query
-from vcstream.sketch import SampleRecovery, level_capacity
+from vcstream.sketch import (SampleRecovery, level_capacity,
+                             short_read_bound, stall_bound)
 from vcstream.harness.generators import gen_promised_stream
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
@@ -267,11 +268,12 @@ def test_vertex_sketch_words_at_n600_k2():
     # a sampler bank of 127 samplers x 41 reps x 11 levels, and 22 344
     # with 11 level grids beside a recovery grid for x = 254, 9 084 with
     # 7 level grids of 5 x 64 buckets, 3 453 with 7 of 7 x 17 and two
-    # fingerprints a cell, 2 517 with one, and 1 686 with the count and
-    # index sum packed in one word
+    # fingerprints a cell, 2 517 with one, 1 686 with the count and
+    # index sum packed in one word, and 1 384 with 6 of 6 x 19, sized for
+    # the read pdpsa makes, not a whole peel of the level capacity
     st = MatchingState(Config(n=600, k=2))
     st._fresh_sketch(1)
-    assert st.sketches[1].words() <= 1_800
+    assert st.sketches[1].words() <= 1_400
 
 
 def _state_words(n, k):
@@ -294,9 +296,12 @@ def test_state_words_grow_slower_than_k_to_the_1_5(n):
 
 @pytest.mark.parametrize("n", [10, 600, 10 ** 4, 10 ** 6])
 def test_vertex_sketch_sizing_rules(n):
-    # x fits the level capacity, so the sum of the level grids recovers
-    # a low vertex exactly, and the levels are the fewest whose deepest
-    # subsample fits that capacity but with probability fail = delta/2n
+    # the level capacity C is at least the least that the binomial tail
+    # allows, the levels are the fewest whose deepest subsample fits C
+    # but with probability fail = delta/2n, and every grid meets both
+    # requirements within fail: a whole peel of up to x indices, read
+    # anew after each of x writes, so of a set of 2x, and a read of x of
+    # every size past x up to C
     # a plain import: without scipy this test fails rather than skips
     from scipy.stats import binom
     for k in range(1, 9):
@@ -307,11 +312,15 @@ def test_vertex_sketch_sizing_rules(n):
         fail = cfg.delta / (2 * n)
         assert cfg.x == sk.capacity == min(2 * k + 1, n - 1)
         assert sk.capacity <= level_capacity(cfg.x, fail) \
-            == sk.level_capacity
+            <= sk.level_capacity
         tails = [binom.sf(sk.level_capacity, n, 0.5 ** lvl)
                  for lvl in range(sk.levels)]
         assert tails[-1] <= fail
         assert sk.levels == 1 or tails[-2] > fail
+        whole = min(2 * cfg.x, sk.level_capacity)
+        assert stall_bound(whole, sk.rows, sk.buckets) <= fail
+        assert all(short_read_bound(s, cfg.x, sk.rows, sk.buckets) <= fail
+                   for s in range(cfg.x + 1, sk.level_capacity + 1))
 
 
 # -- high-support vertices --------------------------------------------------
@@ -609,8 +618,9 @@ def test_words_count_the_memo_and_stay_under_dpsa():
     assert held > 0 and st.words() == bare + held
     # the dynamic-sketch benchmark's pdpsa shape, n=600, k=2, two hubs
     # past capacity under churn: with its kept reads the state peaks at
-    # 10 151 words here, and sets that benchmark's words_peak (the dpsa
-    # state at n=600, k=3 takes 9 670)
+    # 5 614 words here (6 823 with grids sized to peel all of the level
+    # capacity), under the dpsa state at n=600, k=3 (6 450), which sets
+    # that benchmark's words_peak
     cfg = Config(n=600, k=2, seed=5)
     st = MatchingState(cfg)
     _, stream = _hub_stream(random.Random(5), cfg.n, cfg.k, warm=80,
@@ -622,7 +632,7 @@ def test_words_count_the_memo_and_stay_under_dpsa():
             pdpsa_query(st)
             assert all(sk._held is not None for sk in st.sketches.values())
         peak = max(peak, st.words())
-    assert peak <= 10_200
+    assert peak <= 6_000
 
 
 # -- refused input ----------------------------------------------------------

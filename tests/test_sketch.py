@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcstream import sketch
+from vcstream.core import Config
+from vcstream.dpsa import DpsaState
 from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_INDICES, MAX_ROWS,
                              MAX_WORDS, PRIME, RecoveryFail, SampleRecovery,
                              _mulmod_exact, _packing, _pair_buckets,
                              derive_seed, grid_geometry, level_capacity,
-                             stall_bound)
+                             short_read_bound, stall_bound)
 
 
 def test_derive_seed_deterministic():
@@ -409,7 +411,7 @@ def test_an_index_peeled_twice_stalls(row):
 
 
 def test_a_peel_that_disagrees_with_its_counters_fails():
-    # cells and counters must agree: a full recovery compares the weight
+    # cells and counters must agree: a whole recovery compares the weight
     # it peeled with ``support``, a peeled level with its counters' suffix
     s = SampleRecovery(n_indices=1000, capacity=8, seed=2, sampled=True)
     for i in (4, 9, 30):
@@ -423,14 +425,20 @@ def test_a_peel_that_disagrees_with_its_counters_fails():
     for i in range(100, 400):
         s.update(i, +1)
     assert s.sample(0).kind == INDEX
-    # a level read whose one-sparse cells fall short peels the level's
-    # subsample, and compares its weight with the counters' suffix
+    # a whole peel of a level's subsample compares its weight with the
+    # counters' suffix
     lvl = s._fit_level()
     weight = sum(s.level_support[lvl:])
     s.level_support = [c + 1 for c in s.level_support]
     with pytest.raises(RecoveryFail, match=f"peeled weight {weight}, "
                        f"counters {weight + s.levels - lvl}"):
         s._peel(s._level_sum(lvl), sum(s.level_support[lvl:]))
+    # a read past capacity is partial, and not checked against the
+    # counters: with every level counter off by one it still names
+    # indices of the support
+    s._held = None
+    got = s.recover()
+    assert len(got) >= s.capacity and got <= {4, 9, 30, *range(100, 400)}
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
@@ -469,6 +477,86 @@ def test_least_cells_bound_the_grid(capacity, delta):
     assert capacity <= cells
     assert grid_geometry(capacity, delta, cells) == (rows, buckets)
     assert grid_geometry(capacity, delta, cells - 1) is None
+
+
+def _meets_both(capacity, need, rows, buckets, target):
+    """``grid_geometry``'s two requirements, one size at a time: a whole
+    peel within a set of min(2 need, capacity) indices, and a read of
+    need of every size s in (need, capacity]."""
+    whole = min(2 * need, capacity)
+    return (stall_bound(whole, rows, buckets) <= target
+            and all(short_read_bound(s, need, rows, buckets) <= target
+                    for s in range(need + 1, capacity + 1)))
+
+
+@pytest.mark.parametrize("capacity, need, target", [
+    (40, 5, 0.01 / 1200), (45, 5, 0.01 / 20000), (73, 17, 0.01 / 20000),
+    (12, 3, 0.01), (5, 1, 0.1), (3, 1, 0.15)])
+def test_grid_geometry_past_need_is_the_smallest_that_meets_both(
+        capacity, need, target):
+    rows, buckets = grid_geometry(capacity, target, MAX_WORDS // 2, need)
+    assert _meets_both(capacity, need, rows, buckets, target)
+    assert buckets == 1 or not _meets_both(capacity, need, rows,
+                                           buckets - 1, target)
+    cells = rows * buckets
+    for r in range(1, MAX_ROWS + 1):
+        b = (cells - (r >= rows)) // r
+        assert b < 1 or not _meets_both(capacity, need, r, b, target), r
+    # the vectorised search reads the same bound at every size
+    worst = max(sketch._log_stall(s, rows, buckets, s - need + 1)
+                for s in range(need + 1, capacity + 1))
+    assert math.isclose(sketch._log_short(capacity, need, rows, buckets),
+                        worst, rel_tol=1e-9)
+
+
+def test_the_short_read_bound_is_the_stall_bound_within_need():
+    # up to need indices, a read of need of them is a whole peel
+    for rows, buckets in ((1, 1), (3, 6), (5, 20), (6, 33)):
+        for need in (1, 3, 5, 17):
+            for size in range(1, need + 1):
+                assert short_read_bound(size, need, rows, buckets) \
+                    == stall_bound(size, rows, buckets)
+
+
+def test_a_read_past_need_falls_short_within_its_bound(monkeypatch):
+    """Partial peels on a deliberately small grid: 3 rows of 6 buckets,
+    need 3, one level, so every read past 3 indices is a partial read of
+    level 0.  Each trial writes 12 seeded indices one at a time and reads
+    in part at every size s from 4; the rate of reads that return fewer
+    than 3 indices must stay within ``short_read_bound`` (s, 3, 3, 6)
+    plus 3 binomial standard deviations.  The bound passes 1e-2 at s = 4
+    (2.8e-2, nearly all of it the pairs of 4 that share a bucket in all 3
+    rows, so it is close to exact there) and at s = 10..12.  The seeded
+    rates run from 0 to 0.032; at s = 5 (0.003 against 0.0023) and s = 9
+    (0.010 against 0.0070) they pass the bound by about one standard
+    deviation, and 20 000 trials at s = 4 and 5 read 0.0292 and 0.00235
+    against 0.0283 and 0.0023.  A read that does not fall short names
+    indices of the support only.
+    """
+    rows, buckets, need, top, trials = 3, 6, 3, 12, 1000
+    monkeypatch.setattr(sketch, "level_geometry",
+                        lambda *args: (top, 1, rows, buckets))
+    rng = random.Random(5)
+    short = [0] * (top + 1)
+    for t in range(trials):
+        s = SampleRecovery(1000, need, seed=derive_seed("short-read", t),
+                           fail=0.01, sampled=True)
+        support = rng.sample(range(1, 1001), top)
+        for size, i in enumerate(support, 1):
+            s.update(i, +1)
+            if size <= need:
+                continue
+            try:
+                got = s._fresh_read()[1]
+            except RecoveryFail:
+                short[size] += 1
+                continue
+            assert len(got) >= need and got <= set(support[:size])
+    assert short_read_bound(need + 1, need, rows, buckets) >= 1e-2
+    for size in range(need + 1, top + 1):
+        bound = short_read_bound(size, need, rows, buckets)
+        spread = 3 * math.sqrt(bound * (1 - bound) / trials)
+        assert short[size] / trials <= bound + spread, size
 
 
 def _exact_pair_buckets(pairs, target, rows):
@@ -652,6 +740,30 @@ def test_words_positive_and_monotone_in_capacity():
     cells = [SampleRecovery(64, capacity=c, seed=1).cells.size
              for c in range(1, 65)]
     assert cells == sorted(cells)
+    # a sampled sketch takes the fewest words of its two level capacities,
+    # and no capacity takes fewer than a smaller one
+    words = [SampleRecovery(600, capacity=c, seed=1, sampled=True).words()
+             for c in range(1, 65)]
+    assert words == sorted(words)
+
+
+@pytest.mark.parametrize("n, k, most", [
+    # 1 684, 3 191 and 3 800 words with grids sized to peel all of the
+    # least level capacity
+    (600, 2, 1384), (10 ** 4, 2, 2660), (10 ** 4, 8, 3583)])
+def test_vertex_sketch_words_at_three_sizes(n, k, most):
+    s = SampleRecovery(n, 2 * k + 1, seed=1, fail=0.01 / (2 * n),
+                       sampled=True)
+    assert s.words() <= most
+
+
+def test_dpsa_keeps_its_whole_peel_grid():
+    # not sampled, so sized to peel all of its n*k edge slots
+    n_pairs = 600 * 599 // 2
+    s = SampleRecovery(n_pairs, 1800, seed=1, fail=0.005 / n_pairs)
+    assert (s.level_capacity, s.levels, s.rows, s.buckets) == (1800, 1, 5,
+                                                                644)
+    assert DpsaState(Config(n=600, k=3)).words() == 6450
 
 
 # -- level grids ------------------------------------------------------------
@@ -765,29 +877,33 @@ def _shortfall_bound(need, capacity, n):
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_level_recovery_failure_curve(k):
     """``recover()`` of a sampled sketch of capacity 2k+1 on supports
-    from C+1 up to N.
+    from 2k+2 up to N.
 
     A pdpsa vertex sketch at n=600: N = 600 indices, fail = delta / 2n.
     Each trial must return at least ``need`` = 2k+1 indices, all in the
     support; stalls and shortfalls together stay <= 0.01 at every
-    support size, criterion 9's bound.  With fully random levels the
-    rate is at most ``_shortfall_bound`` (a shortfall) plus
-    fail (a stall of a level grid at most C full): 2.0e-5 for
-    k=1 (C=25), 2.1e-5 for k=2 (C=32) and 2.7e-5 for k=4 (C=44).  At
-    100 trials a point, the 0.01 bound allows one failure; 1500 trials
-    a point, run once, showed none.
+    support size, criterion 9's bound.  Up to the level capacity C the
+    counters pick level 0, read in part (``short_read_bound`` <= fail at
+    every size); past it a level read.  With fully random levels the
+    rate is at most ``_shortfall_bound`` (a shortfall) plus fail (a
+    level read that falls short): 8.3e-6 for k=1 (C=40), 8.4e-6 for k=2
+    (C=40) and 8.3e-6 for k=4 (C=65).  At 100 trials a point, the 0.01
+    bound allows one failure.
     """
     n, fail, trials = 600, 0.01 / 1200, 100
     need = 2 * k + 1
-    capacity = level_capacity(need, fail)
-    assert _shortfall_bound(need, capacity, n) + fail <= 1e-4
     rng = random.Random(k)
-    for size in (capacity + 1, 2 * capacity, 4 * capacity, n):
+    capacity = SampleRecovery(n, need, fail=fail, sampled=True,
+                              seed=0).level_capacity
+    assert capacity >= level_capacity(need, fail)
+    assert _shortfall_bound(need, capacity, n) + fail <= 1e-4
+    for size in (need + 1, capacity, capacity + 1, 2 * capacity,
+                 4 * capacity, n):
         failures = 0
         for t in range(trials):
             # seeded, so every run draws the same supports and hashes;
             # every support here is past capacity, so every read is a
-            # level read
+            # partial one
             s = SampleRecovery(n, need, fail=fail, sampled=True,
                                seed=derive_seed("level-curve", k, size, t))
             support = set(rng.sample(range(1, n + 1), size))
@@ -798,6 +914,7 @@ def test_level_recovery_failure_curve(k):
                 failures += len(got) < need or not got <= support
             except RecoveryFail:
                 failures += 1
+            assert (s._held is None or s._held[0] == 0) == (size <= capacity)
         assert failures / trials <= 0.01, (size, failures)
 
 
@@ -847,22 +964,33 @@ def test_recover_reads_the_levels_only_past_capacity():
     assert no_levels.sample(0).kind == FAIL
 
 
-def test_a_support_that_fits_the_level_capacity_is_read_whole():
+def test_reads_are_whole_up_to_capacity_and_partial_past_it():
+    # within capacity: a whole peel of the support, checked against
+    # ``support``
+    for size in (1, 5, 10):
+        s = SampleRecovery(600, capacity=10, seed=size, fail=1e-6,
+                           sampled=True)
+        for i in range(1, size + 1):
+            s.update(i, +1)
+        assert s.recover() == set(range(1, size + 1)) and s._held[0] == 0
+    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
+    for i in range(1, 10):
+        s.update(i, +1)
+    s.support += 1
+    with pytest.raises(RecoveryFail, match="peeled weight 9, counters 10"):
+        s.recover()
     # past capacity but within the level capacity, the counters pick
-    # level 0: a whole peel of the support, checked against ``support``
+    # level 0, and the read names at least ``capacity`` indices of the
+    # support, not all of them
     for size in (11, 20, level_capacity(10, 1e-6)):
         s = SampleRecovery(600, capacity=10, seed=size, fail=1e-6,
                            sampled=True)
         for i in range(1, size + 1):
             s.update(i, +1)
         assert s.capacity < s.support <= s.level_capacity
-        assert s.recover() == set(range(1, size + 1)) and s._held[0] == 0
-    s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
-    for i in range(1, 12):
-        s.update(i, +1)
-    s.support += 1
-    with pytest.raises(RecoveryFail, match="peeled weight 11, counters 12"):
-        s.recover()
+        got = s.recover()
+        assert s._held[0] == 0 and got <= set(range(1, size + 1))
+        assert len(got) >= s.capacity
 
 
 def test_draws_past_capacity_pick_from_one_level_read(monkeypatch):
@@ -885,10 +1013,10 @@ def test_draws_past_capacity_pick_from_one_level_read(monkeypatch):
 
 
 def test_a_kept_read_counts_in_words_until_the_support_fits():
-    # a kept read costs its level and a word per index.  A large negative
-    # weight at a shallow depth can bring the support within capacity,
-    # but the counters from the level above down are as they were, so
-    # the read is kept, and it is the read a fresh read would give
+    # a kept read costs its level and a word per index.  A write at a
+    # shallow depth keeps it, until a large negative weight there brings
+    # the support within capacity: the counters from the level above down
+    # are as they were, but a fresh read is now a whole peel
     s = SampleRecovery(600, capacity=10, seed=3, fail=1e-6, sampled=True)
     for i in range(1, 301):
         s.update(i, +1)
@@ -901,8 +1029,7 @@ def test_a_kept_read_counts_in_words_until_the_support_fits():
     assert s._held == (level, got)
     s.update(shallow[1], -(s.support - s.capacity))
     assert s.support == s.capacity
-    assert s._held == (level, got) and s.words() == bare + 1 + len(got)
-    assert s._fresh_read() == (level, set(got))
+    assert s._held is None and s.words() == bare
 
 
 def test_large_weight_update_round_trips():
@@ -1196,7 +1323,8 @@ def test_the_fingerprint_prime_is_the_largest_below_2_50():
 def test_too_many_indices_are_refused_before_any_sizing(monkeypatch):
     def sized(*args):
         raise AssertionError("a refused sketch was sized")
-    for name in ("level_capacity", "level_count", "grid_geometry"):
+    for name in ("level_geometry", "level_capacity", "level_count",
+                 "grid_geometry"):
         monkeypatch.setattr(sketch, name, sized)
     with pytest.raises(ValueError, match=f"limit of {MAX_INDICES}"):
         SampleRecovery(MAX_INDICES + 1, capacity=10 ** 9, seed=0,
