@@ -10,7 +10,9 @@ search is skipped when the residue holds more vertex-disjoint 2-cycles
 
 The state keeps the k its inserts used.  A live state stores every edge,
 so it answers any k; a dead state's No holds for that k and below, and
-a query k above it raises ``ValueError``, as does a negative k.
+a query k above it raises ``ValueError``, as does a negative k.  An
+insert refuses an edge outside 1..n with ``ValueError`` before any
+change, as pdpsa does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class FvsState:
 
 
 def fvs_insert(st: FvsState, e: Edge, n: int, k: int) -> FvsState:
+    # before any change: an edge past n would count toward the n(k+1)
+    # gate and could kill a state whose edges over 1..n form a forest
+    if e.u < 1 or e.v > n:
+        raise ValueError(f"edge {e} outside 1..{n}")
     if st.dead:
         return st
     st.k = k

@@ -58,12 +58,14 @@ write hashes its index to its depth and to each row's bucket with
 splitmix64's output function of the index plus that key, so that depths
 and buckets behave as independent uniform draws on any support; the
 leading zero bits of the depth hash give P[depth >= l] = 2^-l.  A grid
-is the R x B with the fewest cells whose first-moment bounds meet the
-target for the reads it serves (``grid_geometry``): a whole peel
-(``stall_bound``), and past the capacity a peel that returns fewer
-indices than the capacity (``short_read_bound``), so its size does not
-grow with N.  A sampled sketch takes the level capacity, of two, whose
-levels and grids take the fewer words (``level_geometry``).  One search,
+is the R x B with the fewest cells whose one first-moment bound,
+``read_bound`` (the chance that a peel of s indices returns fewer than
+m of them), meets the target for every read it serves
+(``grid_geometry``): a whole peel, m = s, and past the capacity a read
+of m = capacity indices, so its size does not grow with N.  A sampled
+sketch takes the level capacity, of two, whose levels and grids take
+the fewer words (``level_geometry``), each grid sized for at most
+min(C, N) indices.  One search,
 ``_least``, sizes the levels, the level capacity and each row count's
 buckets, and the word budget (``MAX_WORDS``) caps the bucket search, so
 a sketch that no grid within it fits is refused before any cell
@@ -274,18 +276,6 @@ def _saddle_no_singleton(s: np.ndarray, log_fact: np.ndarray,
                       - s * (log_b + np.log(t)))
 
 
-@functools.lru_cache(maxsize=64)
-def _stall_sizes(capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, log C(capacity, s), log s!) for s = 2..capacity."""
-    j = np.arange(1, capacity + 1)
-    log_j = np.log(j)
-    out = (j[1:], np.cumsum(np.log(capacity - j + 1) - log_j)[1:],
-           np.cumsum(log_j)[1:])
-    for a in out:
-        a.setflags(write=False)  # cached, so shared by every caller
-    return out
-
-
 def _log_no_singleton(s: np.ndarray, log_fact: np.ndarray,
                       buckets: int) -> np.ndarray:
     """log Q_s(B) for the sizes ``s`` >= 2, each with ``log_fact`` = log s!:
@@ -297,77 +287,58 @@ def _log_no_singleton(s: np.ndarray, log_fact: np.ndarray,
     return q
 
 
-def _log_stall(capacity: int, rows: int, buckets: int,
-               least: int = 2) -> float:
-    """log of sum over s >= ``least`` of C(capacity, s) Q_s(B)^R,
-    ``stall_bound`` in logs at ``least`` = 2; -inf for an empty sum, as
-    below two indices, which always peel."""
-    s, subsets, log_fact = _stall_sizes(capacity)
-    if least > 2:
-        s, subsets, log_fact = s[least - 2:], subsets[least - 2:], \
-            log_fact[least - 2:]
-    if not len(s):
-        return -math.inf
-    x = subsets + rows * _log_no_singleton(s, log_fact, buckets)
-    top = float(x.max())
-    return top + math.log(float(np.exp(x - top).sum()))
-
-
-@functools.lru_cache(maxsize=16)
-def _short_terms(capacity: int, need: int) -> tuple[np.ndarray, np.ndarray]:
-    """(j, log C(s, j)) for s = need+1..capacity down the rows and
-    j = s, s-1, ..., s-need+1 >= 2 along them: each row holds
-    ``short_read_bound``'s terms for one size s."""
-    s = np.arange(need + 1, capacity + 1)[:, None]
-    j = s - np.arange(need)
-    # log 0!, log 1!, then ``_stall_sizes``' log s! for s = 2..capacity
-    log_fact = np.concatenate(([0.0, 0.0], _stall_sizes(capacity)[2]))
-    log_comb = log_fact[s] - log_fact[j] - log_fact[s - j]
-    for a in (j, log_comb):
+@functools.lru_cache(maxsize=64)
+def _read_terms(reads: tuple[tuple[int, int], ...]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(j, log j!, at, log C(s, j)) of ``read_bound``'s sums over the
+    reads (size s, need m) of a requirement, each s >= 2 and m >= 1: j
+    the stopping-set sizes 2..max s, then one row a read of its terms
+    j = s, s-1, ..., max(2, s-m+1), as positions j - 2 in ``at`` and as
+    log C(s, j), padded with log C = -inf."""
+    sizes, needs = np.array(reads).T[..., None]
+    low = np.maximum(2, sizes - needs + 1)
+    j = sizes - np.arange(int((sizes - low).max()) + 1)
+    real = j >= low
+    j = np.where(real, j, 2)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(
+        np.arange(1, int(sizes.max()) + 1)))))
+    log_comb = np.where(real, log_fact[sizes] - log_fact[j]
+                        - log_fact[sizes - j], -np.inf)
+    out = np.arange(2, len(log_fact)), log_fact[2:], j - 2, log_comb
+    for a in out:
         a.setflags(write=False)  # cached, so shared by every caller
-    return j, log_comb
+    return out
 
 
-def _log_short(capacity: int, need: int, rows: int, buckets: int) -> float:
-    """The most, over s in (need, capacity], of log ``short_read_bound``
-    (s, need): every size a read past ``need`` indices may find at a
-    level of at most ``capacity``; -inf when there is none."""
-    if capacity <= need:
-        return -math.inf
-    j, log_comb = _short_terms(capacity, need)
-    s, _, log_fact = _stall_sizes(capacity)
-    x = log_comb + rows * _log_no_singleton(s, log_fact, buckets)[j - 2]
+def _log_read(terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+              rows: int, buckets: int) -> float:
+    """The most, over the reads of a requirement's ``_read_terms``, of log
+    ``read_bound``, with log Q_j(B) formed once for every j."""
+    j, log_fact, at, log_comb = terms
+    x = log_comb + rows * _log_no_singleton(j, log_fact, buckets)[at]
     top = x.max(axis=1)
     return float((top + np.log(np.exp(x - top[:, None]).sum(axis=1))).max())
 
 
-@functools.lru_cache(maxsize=64)
-def stall_bound(capacity: int, rows: int, buckets: int) -> float:
-    """First-moment bound on the chance that peeling a grid of ``rows``
-    rows of ``buckets`` buckets stalls on ``capacity`` indices.
+def read_bound(size: int, need: int, rows: int, buckets: int) -> float:
+    """First-moment bound on the chance that a peel of ``size`` indices,
+    on a grid of ``rows`` rows of ``buckets`` buckets, returns fewer than
+    ``need`` of them; a whole peel while size <= need.
 
-    A peel stalls exactly when some s >= 2 of the indices leave no bucket
+    A peel stalls exactly when some j >= 2 of the indices leave no bucket
     holding exactly one of them in every row (a stopping set).  With
-    independent uniform buckets that has probability Q_s(B)^R for a given
-    set, so the chance is at most sum over s of C(capacity, s) Q_s(B)^R
-    (Goodrich & Mitzenmacher, "Invertible Bloom Lookup Tables", 2011).
+    independent uniform buckets that has probability Q_j(B)^R for a given
+    set.  A union of stopping sets is one, so a peel stops at the
+    largest, and returns exactly the indices outside it (Goodrich &
+    Mitzenmacher, "Invertible Bloom Lookup Tables", 2011).  It returns
+    fewer than ``need`` when some stopping set has more than
+    size - need indices: the chance is at most the sum over
+    j > size - need, j >= 2, of C(size, j) Q_j(B)^R, and 0 below two
+    indices, which always peel.
     """
-    log = _log_stall(capacity, rows, buckets)
-    return math.exp(log) if log < 700 else math.inf
-
-
-def short_read_bound(size: int, need: int, rows: int, buckets: int) -> float:
-    """First-moment bound on the chance that a peel of ``size`` indices
-    returns fewer than ``need`` of them.
-
-    A union of stopping sets is one, so a peel stops at the largest, and
-    returns exactly the indices outside it (Goodrich & Mitzenmacher,
-    2011).  It returns fewer than ``need`` when some stopping set has
-    more than size - need indices: at most sum over j > size - need of
-    C(size, j) Q_j(B)^R, ``stall_bound``'s sum with a lower limit, and
-    ``stall_bound`` itself while size <= need.
-    """
-    log = _log_stall(size, rows, buckets, size - need + 1)
+    if size < 2 or need < 1:
+        return 0.0
+    log = _log_read(_read_terms(((size, need),)), rows, buckets)
     return math.exp(log) if log < 700 else math.inf
 
 
@@ -392,11 +363,11 @@ def _least(fits, low: int, high: int | None = None) -> int | None:
 
 
 def _pair_buckets(pairs: int, target: float, rows: int) -> int:
-    """Least B >= 2 with ``pairs`` / B^R <= ``target``, exactly: the s = 2
-    term of ``stall_bound`` alone.  The search starts a relative 2^-40
-    below the float root (pairs / target)^(1/R), taken in logs and at
-    most e^700, so below the least B at any ratio, and takes O(log B)
-    steps."""
+    """Least B >= 2 with ``pairs`` / B^R <= ``target``, exactly: the j = 2
+    term of a whole peel's ``read_bound`` alone.  The search starts a
+    relative 2^-40 below the float root (pairs / target)^(1/R), taken in
+    logs and at most e^700, so below the least B at any ratio, and takes
+    O(log B) steps."""
     num, den = target.as_integer_ratio()
     root = math.exp(min(700.0, (math.log(pairs) - math.log(target)) / rows))
     return _least(lambda b: pairs * den <= num * b ** rows,
@@ -409,30 +380,29 @@ def grid_geometry(capacity: int, target: float, max_cells: int,
     """(rows R, buckets per row B) of a recovery grid for up to
     ``capacity`` indices, read whole up to ``need`` of them (all of them
     when None) and in part past that: the smallest R * B, fewest rows on
-    a tie, with R at most ``MAX_ROWS``, that meets both requirements
-    within ``target``; None when no such grid has at most ``max_cells``
-    cells.
-    - A whole peel of every support within a set of W indices:
-      ``stall_bound`` (W, R, B), for W = min(2 need, capacity), or the
-      capacity when ``need`` is None.  A sketch read whole is read anew
+    a tie, with R at most ``MAX_ROWS``, whose ``read_bound`` meets
+    ``target`` on every read it serves; None when no such grid has at
+    most ``max_cells`` cells.  The reads are
+    - a whole peel of W = min(2 need, capacity) indices, or of the
+      capacity when ``need`` is None: a sketch read whole is read anew
       after every write, and the supports of at most ``need`` indices
-      that ``need`` writes pass through lie in a set of 2 need.
-    - A read of at least ``need`` of s indices, for every s in (need,
-      ``capacity``]: ``short_read_bound`` (s, need, R, B).
-    A grid that meets them for a need meets them for any smaller one:
-    its whole peels cover the sizes that the smaller need adds.  A whole
+      that ``need`` writes pass through lie in a set of 2 need;
+    - a read of ``need`` of s indices, for every s in (W, ``capacity``].
+    The sizes in (need, W] need no read of their own: C(s, j) <= C(W, j)
+    term by term, so read_bound(s, need) <= read_bound(W, W) there.  A
+    grid that meets them for a need meets them for any smaller one: its
+    whole peels cover the sizes that the smaller need adds.  A whole
     peel empties a distinct cell for each index, so a W past
     ``max_cells`` is refused before any bound is summed.
 
     Each R searches B with ``_least`` from the least B of the pair term
-    of W (``_pair_buckets``), which the first requirement holds and which
-    bounds the second's at s = need + 1 <= W, up to the most B that the
-    budget allows, and past the first R up to the most that beats the
-    best so far.  4 rows go first, as they come close to the best at
-    every capacity, so that this rules most other R out at one bound
-    each.  5 x 644 for dpsa's whole peel at n=600, k=3 (capacity 1 800,
-    target 2.8e-8); 6 x 19 for a pdpsa level grid at n=600, k=2 (5 of up
-    to 40 indices, target 8.3e-6).
+    of W (``_pair_buckets``), a term of the whole peel's bound, up to the
+    most B that the budget allows, and past the first R up to the most
+    that beats the best so far.  4 rows go first, as they come close to
+    the best at every capacity, so that this rules most other R out at
+    one bound each.  5 x 644 for dpsa's whole peel at n=600, k=3
+    (capacity 1 800, target 2.8e-8); 6 x 19 for a pdpsa level grid at
+    n=600, k=2 (5 of up to 40 indices, target 8.3e-6).
     """
     if need is None or need >= capacity:
         need = whole = capacity
@@ -444,10 +414,11 @@ def grid_geometry(capacity: int, target: float, max_cells: int,
         return 1, 1  # a lone index always peels
     log_target = math.log(target)
     pairs = math.comb(whole, 2)
+    terms = _read_terms(((whole, whole), *((s, need) for s in
+                                           range(whole + 1, capacity + 1))))
 
     def fits(rows: int, buckets: int) -> bool:
-        return (_log_stall(whole, rows, buckets) <= log_target
-                and _log_short(capacity, need, rows, buckets) <= log_target)
+        return _log_read(terms, rows, buckets) <= log_target
 
     best = None
     for rows in (4, *range(1, 4), *range(5, MAX_ROWS + 1)):
@@ -535,8 +506,12 @@ def level_geometry(n_indices: int, need: int, fail: float, sampled: bool,
                    budget: int) -> tuple[int, int, int, int] | None:
     """(level capacity C, levels L, rows R, buckets B) of a sketch over
     ``n_indices`` indices that reads ``need`` of them, each grid
-    ``grid_geometry(C, fail, budget // 2L, need)``; None when neither
-    candidate C has a grid within the word budget.
+    ``grid_geometry(min(C, max(need, N)), fail, budget // 2L, need)``;
+    None when neither candidate C has a grid within the word budget.
+    No vector over N indices has more than N of them, so a grid is sized
+    for at most N past ``need``: at n=10, k=1 (need 3, fail 5e-4) C = 18
+    takes one 7 x 5 grid, 80 words, where sizing for 18 indices took one
+    4 x 14 grid, 119 words.
 
     A sketch that is not sampled has C = need and one level.  A sampled
     one takes, of two level capacities, the one with the fewer words
@@ -564,7 +539,8 @@ def level_geometry(n_indices: int, need: int, fail: float, sampled: bool,
         options.append((fewer, level_count(n_indices, fewer, fail)))
     best = None
     for capacity, levels in options:
-        grid = grid_geometry(capacity, fail, budget // (2 * levels), need)
+        grid = grid_geometry(min(capacity, max(need, n_indices)), fail,
+                             budget // (2 * levels), need)
         if grid is not None and (best is None
                                  or _grid_words(levels, *grid) < best[0]):
             best = _grid_words(levels, *grid), capacity, levels, *grid
@@ -581,14 +557,14 @@ class SampleRecovery:
     ``sampled`` the sketch reads C0 indices past C0: C is at least
     ``level_capacity(C0, fail)``, itself at least C0 for any fail below
     1/2, and L = ``level_count(N, C, fail)``.  ``level_geometry`` picks C
-    and the grid, ``grid_geometry(C, fail, MAX_WORDS // 2L, C0)``: 6
-    levels of 6 x 19 at C = 40 for pdpsa at n=600, k=2, and one 5 x 644
-    grid for dpsa at n=600, k=3.  A sketch for which it finds none within
-    the word budget raises ``ValueError`` before any cell exists.
-    ``stall_bound`` is the bound on a stalled whole peel of C0 indices
-    that this grid meets.  All grids
-    share one set of bucket hashes, so the grids of levels l..L-1 add up
-    cell by cell.  ``support`` is an exact signed counter of net
+    and the grid, ``grid_geometry(min(C, max(C0, N)), fail,
+    MAX_WORDS // 2L, C0)``: 6 levels of 6 x 19 at C = 40 for pdpsa at
+    n=600, k=2, and one 5 x 644 grid for dpsa at n=600, k=3.  A sketch
+    for which it finds none within the word budget raises ``ValueError``
+    before any cell exists.  A whole peel of C0 indices stalls on this
+    grid with probability at most ``read_bound`` (C0, C0, R, B) <= fail.
+    All grids share one set of bucket hashes, so the grids of levels
+    l..L-1 add up cell by cell.  ``support`` is an exact signed counter of net
     insertions, the l0 norm under valid +/-1 streams;
     ``level_support[l]`` is the same counter over the indices whose
     deepest level is l.
@@ -669,7 +645,6 @@ class SampleRecovery:
         self.level_capacity, self.levels, self.rows, self.buckets = geometry
         self.level_support = [0] * self.levels
         self._per_level = self.rows * self.buckets
-        self.stall_bound = stall_bound(capacity, self.rows, self.buckets)
         # splitmix64's outputs from the seed: the fingerprint offset, so
         # that every index + r lies in [1, P), the key of the hash that
         # picks each index's deepest level, and one bucket-hash key per
@@ -866,9 +841,9 @@ class SampleRecovery:
         from ``support``; either raises RecoveryFail, so callers of a
         sketch that is not sampled should gate on the support counter.
         A whole peel of m = ``capacity`` indices or fewer stalls with
-        probability at most ``stall_bound`` (min(2m, C), R, B) <= fail
-        (``grid_geometry``; 9.6e-7 for the 6 x 19 grids of pdpsa at
-        n=600, k=2, fail 8.3e-6).
+        probability at most ``read_bound`` (W, W, R, B) <= fail, for
+        W = min(2m, C, max(m, N)) (``grid_geometry``; 9.6e-7 for the
+        6 x 19 grids of pdpsa at n=600, k=2, fail 8.3e-6).
 
         On a sampled sketch past capacity: at least m distinct support
         indices from one level's subsample, level 0 while the support is
@@ -881,10 +856,10 @@ class SampleRecovery:
             P[shortfall] <= sum over s > C of
                             P[Bin(s, 1/2) < m] / (1 - 2^-s),
         1.1e-7 for pdpsa at n=600, k=2 (m=5, C=40).  A read of a level
-        of s indices, m < s <= C, returns fewer than m with probability
-        at most ``short_read_bound`` (s, m, R, B) <= fail (1.4e-6 at most
-        there, at s = C), and the deepest level holds more than C with
-        probability at most fail (``level_count``).
+        of s indices, m < s <= min(C, N), returns fewer than m with
+        probability at most ``read_bound`` (s, m, R, B) <= fail (1.4e-6
+        at most there, at s = C), and the deepest level holds more than C
+        with probability at most fail (``level_count``).
 
         A sampled sketch returns a frozenset and keeps it, so that the
         next call returns it again while ``update`` finds that no write

@@ -44,6 +44,32 @@ def test_dead_state_absorbs():
     assert st.dead and not st.stored
 
 
+def test_an_edge_outside_1_to_n_is_refused_and_changes_nothing():
+    # unchecked, the path 1-2-3-4 at n=2, k=0 passed n(k+1) = 2 edges and
+    # killed the state, which then answered No for a forest
+    st = FvsState()
+    fvs_insert(st, Edge(1, 2), n=2, k=0)
+    for e in (Edge(2, 3), Edge(3, 4)):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            fvs_insert(st, e, n=2, k=0)
+    assert st == FvsState(stored={Edge(1, 2)}, k=0)
+    assert fvs_query(st, 0).is_yes
+
+
+def test_an_edge_with_an_endpoint_below_1_is_refused():
+    st = FvsState()
+    with pytest.raises(ValueError, match="outside 1..3"):
+        fvs_insert(st, Edge(0, 5), n=3, k=1)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        fvs_insert(st, Edge(0, 2), n=3, k=1)
+    assert st == FvsState()
+    # a dead state refuses it too, and stays as it was
+    st.dead, st.k = True, 0
+    with pytest.raises(ValueError, match="outside 1..3"):
+        fvs_insert(st, Edge(0, 2), n=3, k=0)
+    assert st == FvsState(dead=True, k=0)
+
+
 def test_dead_state_refuses_a_larger_query_k():
     # 5 edges pass n(k+1) = 4 at k=0, but not 8 at k=1, where {1} cuts
     # every cycle

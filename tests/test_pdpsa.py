@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from vcstream.core import Config, Edge, SketchFail, StreamUpdate, covers
 from vcstream.core import INSERT, DELETE
 from vcstream.pdpsa import MatchingState, pdpsa_query
-from vcstream.sketch import (SampleRecovery, level_capacity,
-                             short_read_bound, stall_bound)
+from vcstream.sketch import SampleRecovery, level_capacity, read_bound
 from vcstream.harness.generators import gen_promised_stream
 from vcstream.harness.invariants import check_invariants
 from vcstream.harness.oracles import oracle_vc
@@ -301,7 +300,8 @@ def test_vertex_sketch_sizing_rules(n):
     # but with probability fail = delta/2n, and every grid meets both
     # requirements within fail: a whole peel of up to x indices, read
     # anew after each of x writes, so of a set of 2x, and a read of x of
-    # every size past x up to C
+    # every size past x up to C.  No level holds more than the n indices,
+    # so both stop at n where C passes it (C = 18 at n=10, k=1)
     # a plain import: without scipy this test fails rather than skips
     from scipy.stats import binom
     for k in range(1, 9):
@@ -317,10 +317,11 @@ def test_vertex_sketch_sizing_rules(n):
                  for lvl in range(sk.levels)]
         assert tails[-1] <= fail
         assert sk.levels == 1 or tails[-2] > fail
-        whole = min(2 * cfg.x, sk.level_capacity)
-        assert stall_bound(whole, sk.rows, sk.buckets) <= fail
-        assert all(short_read_bound(s, cfg.x, sk.rows, sk.buckets) <= fail
-                   for s in range(cfg.x + 1, sk.level_capacity + 1))
+        most = min(sk.level_capacity, n)
+        whole = min(2 * cfg.x, most)
+        assert read_bound(whole, whole, sk.rows, sk.buckets) <= fail
+        assert all(read_bound(s, cfg.x, sk.rows, sk.buckets) <= fail
+                   for s in range(cfg.x + 1, most + 1))
 
 
 # -- high-support vertices --------------------------------------------------

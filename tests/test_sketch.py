@@ -17,7 +17,7 @@ from vcstream.sketch import (EMPTY, FAIL, INDEX, MAX_INDICES, MAX_ROWS,
                              MAX_WORDS, PRIME, RecoveryFail, SampleRecovery,
                              _mulmod_exact, _packing, _pair_buckets,
                              derive_seed, grid_geometry, level_capacity,
-                             short_read_bound, stall_bound)
+                             read_bound)
 
 
 def test_derive_seed_deterministic():
@@ -455,15 +455,16 @@ def test_grid_geometry_meets_the_pair_collision_bound(capacity, delta):
 def test_grid_geometry_is_the_smallest_grid_within_the_stall_bound(capacity,
                                                                    delta):
     rows, buckets = grid_geometry(capacity, delta, MAX_WORDS // 2)
-    assert stall_bound(capacity, rows, buckets) <= delta
+    assert read_bound(capacity, capacity, rows, buckets) <= delta
     # one bucket fewer breaks the bound
-    assert buckets == 1 or stall_bound(capacity, rows, buckets - 1) > delta
+    assert buckets == 1 or read_bound(capacity, capacity, rows,
+                                      buckets - 1) > delta
     # no number of rows does better: at each R, the most buckets that
     # give fewer cells, or as many with fewer rows, break the bound
     cells = rows * buckets
     for r in range(1, MAX_ROWS + 1):
         b = (cells - (r >= rows)) // r
-        assert b < 1 or stall_bound(capacity, r, b) > delta, r
+        assert b < 1 or read_bound(capacity, capacity, r, b) > delta, r
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 10, 50, 254, 1800, 10 ** 5])
@@ -484,8 +485,8 @@ def _meets_both(capacity, need, rows, buckets, target):
     peel within a set of min(2 need, capacity) indices, and a read of
     need of every size s in (need, capacity]."""
     whole = min(2 * need, capacity)
-    return (stall_bound(whole, rows, buckets) <= target
-            and all(short_read_bound(s, need, rows, buckets) <= target
+    return (read_bound(whole, whole, rows, buckets) <= target
+            and all(read_bound(s, need, rows, buckets) <= target
                     for s in range(need + 1, capacity + 1)))
 
 
@@ -502,11 +503,6 @@ def test_grid_geometry_past_need_is_the_smallest_that_meets_both(
     for r in range(1, MAX_ROWS + 1):
         b = (cells - (r >= rows)) // r
         assert b < 1 or not _meets_both(capacity, need, r, b, target), r
-    # the vectorised search reads the same bound at every size
-    worst = max(sketch._log_stall(s, rows, buckets, s - need + 1)
-                for s in range(need + 1, capacity + 1))
-    assert math.isclose(sketch._log_short(capacity, need, rows, buckets),
-                        worst, rel_tol=1e-9)
 
 
 def test_the_short_read_bound_is_the_stall_bound_within_need():
@@ -514,8 +510,46 @@ def test_the_short_read_bound_is_the_stall_bound_within_need():
     for rows, buckets in ((1, 1), (3, 6), (5, 20), (6, 33)):
         for need in (1, 3, 5, 17):
             for size in range(1, need + 1):
-                assert short_read_bound(size, need, rows, buckets) \
-                    == stall_bound(size, rows, buckets)
+                assert read_bound(size, need, rows, buckets) \
+                    == read_bound(size, size, rows, buckets)
+
+
+def test_read_bound_matches_a_pure_python_reference():
+    # the sum over j > s - need, j >= 2, of C(s, j) Q_j(B)^R, each Q_j(B)
+    # counted over all B^j assignments; 0 below two indices
+    chance = {(j, b): _no_singleton_by_enumeration(j, b)
+              for j in range(2, 7) for b in range(1, 6)}
+    for size, b, rows in product(range(1, 7), range(1, 6), (1, 2, 5)):
+        for need in range(1, size + 2):
+            want = sum(math.comb(size, j) * chance[j, b] ** rows
+                       for j in range(max(2, size - need + 1), size + 1))
+            assert math.isclose(read_bound(size, need, rows, b), want,
+                                rel_tol=1e-9), (size, need, rows, b)
+
+
+# (capacity, need, target) -> (R, B), recorded while a whole peel and a
+# short read had bounds of their own:
+# dpsa's whole peel at n=600, k=3, the pdpsa level grids at (600, 2),
+# (10^4, 2) and (10^4, 8), and grids from 1 to 1 800 indices
+_RECORDED_GRIDS = [
+    (1800, None, 0.005 / (600 * 599 // 2), (5, 644)),
+    (40, 5, 0.01 / 1200, (6, 19)), (45, 5, 0.01 / 20000, (6, 22)),
+    (73, 17, 0.01 / 20000, (6, 33)), (40, 3, 0.01 / 1200, (5, 19)),
+    (65, 9, 0.01 / 1200, (5, 29)), (67, 17, 0.01 / 1200, (6, 29)),
+    (44, 5, 5e-09, (8, 20)), (1, None, 0.01, (1, 1)),
+    (2, None, 0.01, (7, 2)), (5, None, 1e-06, (15, 3)),
+    (10, None, 0.01, (5, 6)), (20, None, 0.01 / 2000, (7, 13)),
+    (50, None, 1e-06, (7, 23)), (254, None, 0.01, (4, 109)),
+    (400, None, 0.01, (3, 216)), (1800, None, 0.3, (3, 918)),
+    (12, 3, 0.01, (4, 7)), (5, 1, 0.1, (2, 4)), (3, 1, 0.15, (2, 3)),
+    (18, 3, 0.0005, (4, 14)), (31, 7, 0.01 / 28, (5, 17)),
+    (100, 1, 1e-12, (8, 35))]
+
+
+@pytest.mark.parametrize("capacity, need, target, grid", _RECORDED_GRIDS)
+def test_grid_geometry_keeps_the_recorded_grids(capacity, need, target,
+                                                grid):
+    assert grid_geometry(capacity, target, MAX_WORDS // 2, need) == grid
 
 
 def test_a_read_past_need_falls_short_within_its_bound(monkeypatch):
@@ -523,7 +557,7 @@ def test_a_read_past_need_falls_short_within_its_bound(monkeypatch):
     need 3, one level, so every read past 3 indices is a partial read of
     level 0.  Each trial writes 12 seeded indices one at a time and reads
     in part at every size s from 4; the rate of reads that return fewer
-    than 3 indices must stay within ``short_read_bound`` (s, 3, 3, 6)
+    than 3 indices must stay within ``read_bound`` (s, 3, 3, 6)
     plus 3 binomial standard deviations.  The bound passes 1e-2 at s = 4
     (2.8e-2, nearly all of it the pairs of 4 that share a bucket in all 3
     rows, so it is close to exact there) and at s = 10..12.  The seeded
@@ -552,9 +586,9 @@ def test_a_read_past_need_falls_short_within_its_bound(monkeypatch):
                 short[size] += 1
                 continue
             assert len(got) >= need and got <= set(support[:size])
-    assert short_read_bound(need + 1, need, rows, buckets) >= 1e-2
+    assert read_bound(need + 1, need, rows, buckets) >= 1e-2
     for size in range(need + 1, top + 1):
-        bound = short_read_bound(size, need, rows, buckets)
+        bound = read_bound(size, need, rows, buckets)
         spread = 3 * math.sqrt(bound * (1 - bound) / trials)
         assert short[size] / trials <= bound + spread, size
 
@@ -596,7 +630,7 @@ def test_pair_buckets_are_the_exact_least():
 def test_a_capacity_past_the_cells_is_refused_before_any_bound(monkeypatch):
     def sized(*args):
         raise AssertionError("a refused grid was sized")
-    monkeypatch.setattr(sketch, "_stall_sizes", sized)
+    monkeypatch.setattr(sketch, "_read_terms", sized)
     # a peel empties a distinct cell for each index
     assert grid_geometry(101, 1e-6, 100) is None
     assert grid_geometry(10 ** 9, 1e-6, MAX_WORDS // 2) is None
@@ -612,7 +646,7 @@ def test_a_target_past_the_float_range_is_refused_by_the_budget():
 def test_a_sketch_past_the_word_budget_is_refused_before_sizing(monkeypatch):
     def sized(*args):
         raise AssertionError("a refused sketch was sized")
-    monkeypatch.setattr(sketch, "_stall_sizes", sized)
+    monkeypatch.setattr(sketch, "_read_terms", sized)
     # dpsa's sketch at n = 77 936, k = 1000: 7.8e7 edge slots over 3.0e9
     # indices, at least one cell a slot
     n, capacity = 77936 * 77935 // 2, 77936 * 1000
@@ -702,8 +736,9 @@ def test_structured_supports_stall_within_the_bound():
             stalls += s.recover() != set(support)
         except RecoveryFail:
             stalls += 1
-    mean = trials * s.stall_bound
-    assert stalls <= mean + 3 * math.sqrt(mean * (1 - s.stall_bound))
+    bound = read_bound(capacity, capacity, s.rows, s.buckets)
+    mean = trials * bound
+    assert stalls <= mean + 3 * math.sqrt(mean * (1 - bound))
 
 
 # capacity -> trials
@@ -755,6 +790,24 @@ def test_vertex_sketch_words_at_three_sizes(n, k, most):
     s = SampleRecovery(n, 2 * k + 1, seed=1, fail=0.01 / (2 * n),
                        sampled=True)
     assert s.words() <= most
+
+
+def test_a_level_grid_is_sized_for_at_most_n_indices():
+    # no 0/1 vector over N indices has more than N of them, so a level
+    # capacity past N sizes its grid for N: at N = 10, need 3 (pdpsa at
+    # n=10, k=1) C = 18, one 7 x 5 grid, 80 words, where sizing for 18
+    # indices took one 4 x 14 grid, 119 words
+    s = SampleRecovery(10, 3, seed=1, fail=0.01 / 20, sampled=True)
+    assert (s.level_capacity, s.levels, s.rows, s.buckets) == (18, 1, 7, 5)
+    assert (s.rows, s.buckets) == grid_geometry(10, 0.01 / 20,
+                                                MAX_WORDS // 2, 3)
+    assert s.words() == 80
+    # within N the level capacity sizes the grid
+    s = SampleRecovery(600, 5, seed=1, fail=0.01 / 1200, sampled=True)
+    assert (s.rows, s.buckets) == grid_geometry(s.level_capacity,
+                                                0.01 / 1200,
+                                                MAX_WORDS // (2 * s.levels),
+                                                5)
 
 
 def test_dpsa_keeps_its_whole_peel_grid():
@@ -883,7 +936,7 @@ def test_level_recovery_failure_curve(k):
     Each trial must return at least ``need`` = 2k+1 indices, all in the
     support; stalls and shortfalls together stay <= 0.01 at every
     support size, criterion 9's bound.  Up to the level capacity C the
-    counters pick level 0, read in part (``short_read_bound`` <= fail at
+    counters pick level 0, read in part (``read_bound`` <= fail at
     every size); past it a level read.  With fully random levels the
     rate is at most ``_shortfall_bound`` (a shortfall) plus fail (a
     level read that falls short): 8.3e-6 for k=1 (C=40), 8.4e-6 for k=2
@@ -1351,7 +1404,7 @@ def test_default_failure_share_is_per_index():
     # delta / 2N for N indices, as pdpsa gives its level grids; N = 0 (dpsa
     # at n = 1) has no share to divide
     s = SampleRecovery(n_indices=1000, capacity=20, seed=0)
-    assert s.stall_bound <= 0.01 / 2000
-    assert s.stall_bound == stall_bound(20, s.rows, s.buckets)
+    assert read_bound(20, 20, s.rows, s.buckets) <= 0.01 / 2000
     empty = SampleRecovery(n_indices=0, capacity=1, seed=0)
-    assert empty.recover() == set() and empty.stall_bound == 0
+    assert empty.recover() == set()
+    assert read_bound(1, 1, empty.rows, empty.buckets) == 0
